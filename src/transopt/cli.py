@@ -9,16 +9,15 @@ evaluators against each other.  Exit codes: 0 ok, 2 infeasible, 1 error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
 import sys
 import time
 
-from . import fuel, hampath, jeep, oracles, ovrp
+# Solver modules are imported inside the branches that run them, so a
+# process loads only the solver it needs (and numpy only for ovrp).
 from .errors import BudgetUnreachableError, InfeasibleError, TransoptError
-from .tree import build_rooted_tree
 
 INSTANCE_SCHEMA = "transopt-instance/1"
 RESULT_SCHEMA = "transopt-result/1"
@@ -68,6 +67,35 @@ def _field(payload, name, types, default=_REQUIRED):
     return v
 
 
+_MAX = sys.float_info.max
+
+
+def _finite(v):
+    # type() rather than isinstance(): a JSON true/false is not a number.
+    # NaN fails both comparisons; an int beyond the float range fails one.
+    return type(v) in (int, float) and -_MAX <= v <= _MAX
+
+
+def _number(payload, name, default=_REQUIRED):
+    """Scalar field as a float; a SchemaError unless it is a finite number."""
+    v = _field(payload, name, (int, float), default)
+    if not _finite(v):
+        raise SchemaError(f"field '{name}' must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _numbers(payload, name, default=_REQUIRED):
+    """List field whose entries must all be finite numbers, returned as is."""
+    v = _field(payload, name, list, default)
+    # Fast path in C: a finite sum of int/float entries means none is NaN or
+    # infinite.  A sum that overflowed falls through to the exact scan.
+    if v and not (set(map(type, v)) <= {int, float} and -_MAX <= sum(v) <= _MAX):
+        for t, x in enumerate(v):
+            if not _finite(x):
+                raise SchemaError(f"field '{name}[{t}]' must be a finite number")
+    return v
+
+
 def load_instance(path):
     try:
         with open(path) as fh:
@@ -91,41 +119,52 @@ def _edges_field(payload):
     raw = _field(payload, "edges", list)
     edges = []
     for t, e in enumerate(raw):
-        if not (isinstance(e, list) and len(e) == 3):
-            raise SchemaError(f"field 'edges[{t}]' must be [u, v, length]")
-        edges.append((int(e[0]), int(e[1]), float(e[2])))
+        u, v, w = e if type(e) is list and len(e) == 3 else (None, None, None)
+        # _finite(w) inlined: this loop runs once per edge of trees up to 1e5
+        if type(u) is not int or type(v) is not int or \
+                type(w) not in (int, float) or not -_MAX <= w <= _MAX:
+            raise SchemaError(f"field 'edges[{t}]' must be [u, v, length] with "
+                              f"integer vertices and a finite length")
+        edges.append((u, v, float(w)))
     return edges
 
 
 def _tree_from(payload):
+    from . import tree
     n = _field(payload, "n", int)
     root = _field(payload, "root", int, 1)
-    return build_rooted_tree(n, _edges_field(payload), root)
+    return tree.build_rooted_tree(n, _edges_field(payload), root)
 
 
 def _jeep_params(payload):
-    return jeep.JeepParams(float(_field(payload, "m", (int, float))),
-                           float(_field(payload, "g", (int, float))))
+    from . import jeep
+    return jeep.JeepParams(_number(payload, "m"), _number(payload, "g"))
 
 
 def _subdivision_from(payload):
+    from . import jeep
     if "points" in payload:
-        pts = _field(payload, "points", list)
+        pts = _numbers(payload, "points")
         return jeep.Subdivision(tuple(float(p) for p in pts))
-    x = float(_field(payload, "x", (int, float)))
-    k = _field(payload, "k", int)
-    return jeep.equal_subdivision(x, k)
+    return jeep.equal_subdivision(_number(payload, "x"), _field(payload, "k", int))
 
 
-def _fmt_floats(obj):
-    """Clamp every float to 17 significant digits (round-trip exact)."""
-    if isinstance(obj, float):
-        return float(format(obj, ".17g"))
-    if isinstance(obj, dict):
-        return {k: _fmt_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_fmt_floats(v) for v in obj]
-    return obj
+def _polygon(payload):
+    from . import hampath
+    verts = _field(payload, "vertices", list)
+    for t, p in enumerate(verts):
+        if not (isinstance(p, list) and len(p) == 2 and _finite(p[0])
+                and _finite(p[1])):
+            raise SchemaError(f"field 'vertices[{t}]' must be a pair of finite "
+                              f"numbers")
+    return hampath.SimplePolygon(verts)
+
+
+def _curve(payload):
+    from . import hampath
+    return hampath.CurveInstance(_numbers(payload, "gaps"),
+                                 _numbers(payload, "weights", None),
+                                 _field(payload, "start", int, None))
 
 
 def _envelope(solver, status, objective=None, solution=None, diagnostics=None,
@@ -138,22 +177,29 @@ def _envelope(solver, status, objective=None, solution=None, diagnostics=None,
             env["solution"] = solution
     if diagnostics:
         env["diagnostics"] = diagnostics
-    return _fmt_floats(env)
+    return env
+
+
+def _failure(solver, exc, t0):
+    """(envelope, exit code) for an instance that raised ``exc``."""
+    reason = {"reason": str(exc)}
+    if isinstance(exc, (InfeasibleError, BudgetUnreachableError)):
+        return _envelope(solver, "infeasible", diagnostics=reason,
+                         wall_time=time.perf_counter() - t0), 2
+    return {"schema": RESULT_SCHEMA, "status": "error", "solver": solver,
+            "diagnostics": reason}, 1
 
 
 def _dispatch_solve(payload, algo):
     """Returns (objective, solution, diagnostics); raises Infeasible/etc."""
     problem = payload["problem"]
     expected = "jeep-graph" if algo in JEEP_GRAPH_ALGOS else algo.split("-")[0]
-    if expected == "hampath":
-        expected = "hampath"
-    if algo in ("curve", "curve-weighted"):
-        expected = "curve"
     if problem != expected:
         raise SchemaError(f"field 'problem' is {problem!r} but algo {algo!r} "
                           f"expects {expected!r}")
 
     if algo in OVRP_ALGOS:
+        from . import ovrp
         inst = ovrp.OvrpInstance(_tree_from(payload), _field(payload, "p", int))
         if algo == "ovrp-dp1":
             return ovrp.solve_knapsack_v1(inst), None, None
@@ -165,18 +211,20 @@ def _dispatch_solve(payload, algo):
             {"vehicles_used": sol.vehicles_used}
 
     if algo == "fuel":
+        from . import fuel
         tree = _tree_from(payload)
-        gas = _field(payload, "gas", list)
+        gas = _numbers(payload, "gas")
         if len(gas) != tree.n:
             raise SchemaError(f"field 'gas' must list {tree.n} values")
         inst = fuel.make_fuel_instance(
             tree, gas,
             _field(payload, "value_mode", str, "integer"),
-            float(_field(payload, "epsilon", (int, float), default_eps())))
+            _number(payload, "epsilon", default_eps()))
         c, walk = fuel.min_initial_fuel(inst)
         return c, {"walk": walk}, None
 
     if algo in ("jeep-exact", "jeep-fast", "jeep-threshold"):
+        from . import jeep
         params = _jeep_params(payload)
         mode = _field(payload, "mode", str, "faithful")
         if algo == "jeep-exact":
@@ -184,12 +232,12 @@ def _dispatch_solve(payload, algo):
             f0, plans = jeep.eval_subdivision_exact(d, params, mode=mode)
             return f0, {"plans": [[p.rt, p.q] for p in plans]}, None
         if algo == "jeep-fast":
-            x = float(_field(payload, "x", (int, float)))
+            x = _number(payload, "x")
             k = _field(payload, "k", int)
             g0, touched = jeep.eval_equal_fast(x, k, params)
             return g0, None, {"points_touched": touched}
-        x = float(_field(payload, "x", (int, float)))
-        budget = float(_field(payload, "budget", (int, float)))
+        x = _number(payload, "x")
+        budget = _number(payload, "budget")
         k, val = jeep.threshold_search(
             x, params, budget,
             schedule=_field(payload, "schedule", str, "multiplicative"),
@@ -199,6 +247,7 @@ def _dispatch_solve(payload, algo):
         return val, {"k": k}, None
 
     if algo in JEEP_GRAPH_ALGOS:
+        from . import jeep
         graph = jeep.JeepGraph(
             _field(payload, "n", int), tuple(_edges_field(payload)),
             _field(payload, "source", int, 1), _field(payload, "target", int, -1))
@@ -220,9 +269,8 @@ def _dispatch_solve(payload, algo):
         return val, None, None
 
     if algo in ("hampath-fixed", "hampath-free"):
-        verts = _field(payload, "vertices", list)
-        poly = hampath.SimplePolygon(tuple((float(p[0]), float(p[1]))
-                                           for p in verts))
+        from . import hampath
+        poly = _polygon(payload)
         if algo == "hampath-fixed":
             start = _field(payload, "start", int)
             length, path = hampath.shortest_ham_path_fixed_start(poly, start)
@@ -233,10 +281,8 @@ def _dispatch_solve(payload, algo):
         return length, {"path": path}, None
 
     if algo in ("curve", "curve-weighted"):
-        inst = hampath.CurveInstance(
-            tuple(_field(payload, "gaps", list)),
-            tuple(payload["weights"]) if "weights" in payload else None,
-            _field(payload, "start", int, None))
+        from . import hampath
+        inst = _curve(payload)
         if algo == "curve":
             return hampath.curve_ham_path(inst), None, None
         cost, path = hampath.curve_weighted_ham_path(inst)
@@ -246,32 +292,30 @@ def _dispatch_solve(payload, algo):
 
 
 def _dispatch_oracle(payload):
+    from . import oracles
     problem = payload["problem"]
     if problem == "ovrp":
+        from . import ovrp
         inst = ovrp.OvrpInstance(_tree_from(payload), _field(payload, "p", int))
         return oracles.ovrp_brute(inst), None
     if problem == "fuel":
+        from . import fuel
         tree = _tree_from(payload)
-        inst = fuel.make_fuel_instance(tree, _field(payload, "gas", list))
+        inst = fuel.make_fuel_instance(tree, _numbers(payload, "gas"))
         return oracles.fuel_brute(inst), None
     if problem == "jeep":
+        from . import jeep
         params = _jeep_params(payload)
         d = _subdivision_from(payload)
         mode = _field(payload, "mode", str, "faithful")
         _, plans = jeep.eval_subdivision_exact(d, params, mode=mode)
         return oracles.jeep_simulate_plan(d, params, plans), None
     if problem == "hampath":
-        verts = _field(payload, "vertices", list)
-        poly = hampath.SimplePolygon(tuple((float(p[0]), float(p[1]))
-                                           for p in verts))
-        length, path = oracles.ham_brute(poly, _field(payload, "start", int, None))
+        length, path = oracles.ham_brute(_polygon(payload),
+                                         _field(payload, "start", int, None))
         return length, {"path": path}
     if problem == "curve":
-        inst = hampath.CurveInstance(
-            tuple(_field(payload, "gaps", list)),
-            tuple(payload["weights"]) if "weights" in payload else None,
-            _field(payload, "start", int, None))
-        cost, path = oracles.curve_zigzag_brute(inst)
+        cost, path = oracles.curve_zigzag_brute(_curve(payload))
         return cost, {"path": path}
     raise SchemaError(f"no oracle for problem {problem!r}")
 
@@ -281,18 +325,10 @@ def _run_one(path, algo):
     t0 = time.perf_counter()
     try:
         payload = load_instance(path)
-        if algo is None:
-            algo = DEFAULT_ALGO[payload["problem"]]
+        algo = algo or _default_algo(payload)
         objective, solution, diagnostics = _dispatch_solve(payload, algo)
-    except (InfeasibleError, BudgetUnreachableError) as exc:
-        env = _envelope(algo or "?", "infeasible",
-                        diagnostics={"reason": str(exc)},
-                        wall_time=time.perf_counter() - t0)
-        return env, 2
     except (TransoptError, ValueError) as exc:
-        env = {"schema": RESULT_SCHEMA, "status": "error",
-               "solver": algo or "?", "diagnostics": {"reason": str(exc)}}
-        return env, 1
+        return _failure(algo or "?", exc, t0)
     env = _envelope(algo, "ok", objective, solution, diagnostics,
                     time.perf_counter() - t0)
     return env, 0
@@ -301,6 +337,7 @@ def _run_one(path, algo):
 def _cmd_solve(args):
     files = args.files
     if args.jobs > 1 and len(files) > 1:
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
             results = list(pool.map(_run_one, files,
                                     [args.algo] * len(files)))
@@ -319,36 +356,39 @@ def _cmd_oracle(args):
         payload = load_instance(args.file)
         objective, solution = _dispatch_oracle(payload)
     except (TransoptError, ValueError) as exc:
-        print(json.dumps({"schema": RESULT_SCHEMA, "status": "error",
-                          "solver": "oracle",
-                          "diagnostics": {"reason": str(exc)}}))
-        return 1
-    print(json.dumps(_envelope("oracle", "ok", objective, solution,
-                               wall_time=time.perf_counter() - t0)))
-    return 0
+        env, code = _failure("oracle", exc, t0)
+    else:
+        env, code = _envelope("oracle", "ok", objective, solution,
+                              wall_time=time.perf_counter() - t0), 0
+    print(json.dumps(env))
+    return code
 
 
 def _cmd_check(args):
+    t0 = time.perf_counter()
+    algo = None
     try:
         payload = load_instance(args.file)
         algo = _default_algo(payload)
         s_obj, _, _ = _dispatch_solve(payload, algo)
         o_obj, _ = _dispatch_oracle(payload)
     except (TransoptError, ValueError) as exc:
-        print(json.dumps({"status": "error", "diagnostics": {"reason": str(exc)}}))
-        return 1
+        env, code = _failure(algo or "?", exc, t0)
+        print(json.dumps(env))
+        return code
     eps = default_eps()
     agree = abs(s_obj - o_obj) <= eps * max(1.0, abs(s_obj), abs(o_obj))
-    print(json.dumps(_fmt_floats({
+    print(json.dumps({
         "schema": RESULT_SCHEMA, "status": "ok", "solver": algo,
         "agreement": agree, "solver_objective": s_obj,
-        "oracle_objective": o_obj})))
+        "oracle_objective": o_obj}))
     return 0 if agree else 1
 
 
 def bench_jeep(x, m, g, k_list, repeats_budget=20000):
     """Time Method 1 vs Method 2 on equal subdivisions; rows of
     (k, f, g_val, r1, r2, ratio, points_touched)."""
+    from . import jeep
     params = jeep.JeepParams(m, g)
     rows = []
     for k in k_list:
@@ -380,7 +420,7 @@ def _cmd_bench(args):
         print(f"bench-jeep: {exc}", file=sys.stderr)
         return 1
     for row in rows:
-        print(json.dumps(_fmt_floats(row)))
+        print(json.dumps(row))
     return 0
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -168,3 +169,60 @@ def test_bench_jeep_function():
     rows = bench_jeep(2.0, 1.0, 1.0, [4, 16], repeats_budget=100)
     assert rows[0]["points_touched"] <= 6
     assert rows[1]["f"] <= rows[0]["f"]
+
+
+L_SHAPE = {"schema": "transopt-instance/1", "problem": "hampath",
+           "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]],
+           "start": 2}
+
+
+def test_solve_default_algo_honors_hampath_start(tmp_path, capsys):
+    code, lines = run(capsys, ["solve", write(tmp_path, L_SHAPE)])
+    assert code == 0
+    assert lines[0]["solver"] == "hampath-fixed"
+    assert lines[0]["solution"]["path"][0] == 2
+
+
+@pytest.mark.parametrize("payload, status, want_code, solver", [
+    ({"schema": "transopt-instance/1", "problem": "jeep",
+      "x": 2.0, "k": 0, "m": 1.0, "g": 1.0}, "infeasible", 2, "jeep-exact"),
+    (dict(STAR, p="one"), "error", 1, "ovrp-interval"),
+], ids=["infeasible", "error"])
+def test_check_failure_envelope_matches_solve(tmp_path, capsys, payload, status,
+                                              want_code, solver):
+    path = write(tmp_path, payload)
+    code, lines = run(capsys, ["check", path])
+    assert code == want_code and len(lines) == 1
+    env = lines[0]
+    assert env["schema"] == "transopt-result/1"
+    assert env["status"] == status and env["solver"] == solver
+    assert env["diagnostics"]["reason"]
+    solve_code, solved = run(capsys, ["solve", path])
+    assert solve_code == code and set(env) == set(solved[0])
+
+
+NAN_TREE = dict(STAR, n=3, edges=[[1, 2, 2], [1, 3, math.nan]])
+
+
+@pytest.mark.parametrize("payload", [
+    {"schema": "transopt-instance/1", "problem": "hampath",
+     "vertices": [[0, 0], [1]]},
+    {"schema": "transopt-instance/1", "problem": "curve",
+     "gaps": [1, 2, 3], "weights": 5},
+    NAN_TREE,
+    {"schema": "transopt-instance/1", "problem": "curve",
+     "gaps": [1, math.inf, 3]},
+    {"schema": "transopt-instance/1", "problem": "fuel", "n": 2,
+     "edges": [[1, 2, 1]], "gas": [math.nan, 0]},
+    dict(STAR, edges=[[1, None, 2], [1, 3, 3]]),
+    dict(STAR, edges=[[1, 2, 10 ** 400], [1, 3, 3]]),
+], ids=["short-vertex", "scalar-weights", "nan-edge", "inf-gap", "nan-gas",
+        "null-vertex-id", "overflowing-length"])
+def test_malformed_numbers_give_one_error_envelope(tmp_path, capsys, payload):
+    code = main(["solve", write(tmp_path, payload)])
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 1 and err == ""
+    env = json.loads(lines[0], parse_constant=lambda c: pytest.fail(c))
+    assert env["schema"] == "transopt-result/1"
+    assert env["status"] == "error"
