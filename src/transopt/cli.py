@@ -216,10 +216,8 @@ def _dispatch_solve(payload, algo):
         gas = _numbers(payload, "gas")
         if len(gas) != tree.n:
             raise SchemaError(f"field 'gas' must list {tree.n} values")
-        inst = fuel.make_fuel_instance(
-            tree, gas,
-            _field(payload, "value_mode", str, "integer"),
-            _number(payload, "epsilon", default_eps()))
+        # older instance files may carry value_mode and epsilon; both are ignored
+        inst = fuel.make_fuel_instance(tree, gas)
         c, walk = fuel.min_initial_fuel(inst)
         return c, {"walk": walk}, None
 

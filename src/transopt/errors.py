@@ -45,13 +45,13 @@ class PlanInfeasibleError(TransoptError):
 class BudgetUnreachableError(TransoptError):
     """Subdivision refinement hit its cap without meeting the budget.
 
-    ``best_k`` / ``best_value`` record the closest result found.
+    ``best_k`` / ``best_value`` record the closest result found; ``best_k``
+    is None when the budget is below the continuous optimum ``best_value``.
     """
 
     def __init__(self, best_k, best_value):
-        super().__init__(
-            f"budget not reached; best value {best_value} at k={best_k}"
-        )
+        at = "the continuous optimum" if best_k is None else f"k={best_k}"
+        super().__init__(f"budget not reached; best value {best_value} at {at}")
         self.best_k = best_k
         self.best_value = best_value
 

@@ -3,229 +3,81 @@
 The vehicle starts at the root depot, must visit every vertex, traverses
 every edge exactly twice, collects the fuel stored at a vertex on first
 arrival and returns to the root without the tank ever dropping below zero.
-The smallest workable initial fill is found by a bottom-up binary search
-with a greedy feasibility test over child subtrees.
+
+The smallest workable initial fill has a closed form, computed in one
+bottom-up pass.  Servicing the subtree of a child c from its parent changes
+the tank by ``profit[c]`` and needs at least ``need[c]`` on entry.  At each
+vertex the best child order does not depend on the fuel level: gainers
+(``profit >= 0``) go first in ascending ``need``, since fuel only rises
+while they are serviced; spenders follow in decreasing ``need + profit``,
+which an exchange argument shows is optimal among all orders.  The minimum
+fill at the vertex is then the largest shortfall along that order.
 """
 
 from __future__ import annotations
 
-import bisect
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .tree import MaxSegmentTree, RootedTree
-
-NEG_INF = -math.inf
+from .tree import RootedTree, euler_walk, postorder
 
 
 @dataclass(frozen=True)
 class FuelInstance:
     tree: RootedTree
     gas: tuple  # 1-based, index 0 unused
-    value_mode: str = "integer"  # "integer" | "real"
-    epsilon: float = 1e-6
 
     def __post_init__(self):
         if len(self.gas) != self.tree.n + 1:
             raise ValueError("gas array must be 1-based with one entry per vertex")
         if any(g < 0 for g in self.gas[1:]):
             raise ValueError("gas values must be nonnegative")
-        if self.value_mode not in ("integer", "real"):
-            raise ValueError(f"unknown value_mode {self.value_mode!r}")
-        if self.value_mode == "real" and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive in real mode")
 
 
-def make_fuel_instance(tree, gas_values, value_mode="integer", epsilon=1e-6):
+def make_fuel_instance(tree, gas_values):
     """Convenience constructor taking a plain per-vertex gas list (1..n)."""
-    return FuelInstance(tree, (0.0,) + tuple(float(g) for g in gas_values),
-                        value_mode, epsilon)
+    return FuelInstance(tree, (0.0,) + tuple(float(g) for g in gas_values))
 
 
-@dataclass
-class FuelPreprocess:
-    lsum: list  # per-vertex sum of edge lengths in the subtree
-    gsum: list  # per-vertex sum of gas in the subtree
-    fprofit: list  # net fuel gain of servicing a subtree, non-root only
-    fmin: list  # tank level needed at the parent to enter a subtree
-
-
-def _postorder(tree):
-    order = []
-    stack = [tree.root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(tree.children[u])
-    order.reverse()
-    return order
-
-
-def preprocess(inst, cmin):
-    """Fill lsum/gsum/fprofit/fmin in one bottom-up pass.
-
-    ``cmin`` must already hold the per-vertex minimum starting fuel values
-    (the solver driver interleaves both computations; tests may pass
-    precomputed values directly).
-    """
-    tree, gas = inst.tree, inst.gas
-    n = tree.n
-    lsum = [0.0] * (n + 1)
-    gsum = [0.0] * (n + 1)
-    fprofit = [0.0] * (n + 1)
-    fmin = [0.0] * (n + 1)
-    for u in _postorder(tree):
-        gsum[u] = gas[u]
-        for c in tree.children[u]:
-            lsum[u] += tree.edge_len[c] + lsum[c]
-            gsum[u] += gsum[c]
-    for u in range(1, n + 1):
-        if u == tree.root:
-            continue
-        fprofit[u] = gsum[u] - 2.0 * lsum[u] - 2.0 * tree.edge_len[u]
-        fmin[u] = max(cmin[u] + tree.edge_len[u], -fprofit[u])
-    return FuelPreprocess(lsum, gsum, fprofit, fmin)
-
-
-def feasible(inst, pre, vertex, c_cand, engine="naive"):
-    """Exact feasibility of starting at ``vertex`` with ``c_cand`` fuel.
-
-    Children whose subtrees yield fuel (fprofit >= 0) are serviced first,
-    picking the affordable one of maximum fprofit each time (ties: smaller
-    fmin, then smaller child id); any order of affordable gainers succeeds
-    equally since fuel only rises, so the choice is free and the max-profit
-    rule makes it deterministic.  Children that cost fuel are then serviced
-    in decreasing fmin + fprofit order, which an exchange argument shows is
-    optimal among all orders.  Returns the verdict and the child visit
-    order; the two engines differ only in how the first phase finds its
-    maximum and must produce identical results.
-    """
-    children = inst.tree.children[vertex]
-    cfuel = c_cand + inst.gas[vertex]
-    fprofit, fmin = pre.fprofit, pre.fmin
-    order = []
-    gainers = sum(1 for c in children if fprofit[c] >= 0)
-
-    if engine == "naive":
-        remaining = [c for c in children if fprofit[c] >= 0]
-        while remaining:
-            best = None
-            for c in remaining:
-                if fmin[c] > cfuel:
-                    continue
-                if best is None or (fprofit[c], -fmin[c], -c) > (
-                    fprofit[best], -fmin[best], -best
-                ):
-                    best = c
-            if best is None:
-                return False, order
-            remaining.remove(best)
-            order.append(best)
-            cfuel += fprofit[best]
-    elif engine == "segtree":
-        by_fmin = sorted(children, key=lambda c: (fmin[c], c))
-        keys = [fmin[c] for c in by_fmin]
-        st = MaxSegmentTree([fprofit[c] for c in by_fmin])
-        for _ in range(gainers):
-            jmax = bisect.bisect_right(keys, cfuel)
-            if jmax == 0:
-                return False, order
-            val, leaf = st.range_max(jmax)
-            if val < 0:  # no affordable gainer left; an unaffordable one remains
-                return False, order
-            c = by_fmin[leaf - 1]
-            st.disable(leaf)
-            order.append(c)
-            cfuel += val
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-
-    spenders = sorted(
-        (c for c in children if fprofit[c] < 0),
-        key=lambda c: (-(fmin[c] + fprofit[c]), fmin[c], c),
-    )
-    for c in spenders:
-        if fmin[c] > cfuel:
-            return False, order
-        order.append(c)
-        cfuel += fprofit[c]
-    return True, order
-
-
-def min_initial_fuel(inst, engine="segtree"):
+def min_initial_fuel(inst):
     """Minimum initial tank fill at the depot, plus a route realizing it.
 
-    Computes the per-vertex minimum bottom-up; each internal vertex binary
-    searches its value between 0 and twice its subtree edge length (always
-    feasible).  Integer mode is exact; real mode stops once the bracket is
-    shorter than the instance epsilon and keeps the feasible upper end.
+    For each vertex u, bottom-up:
+    ``cmin[u] = max(0, max over the child order of
+    (need[c] - gas[u] - profit of the children before c))``.
+    The same orders, expanded into an Euler walk, give the route.  Exact on
+    integer and real data alike.
     """
     tree, gas = inst.tree, inst.gas
-    n = tree.n
-    integer_mode = inst.value_mode == "integer"
-
+    n, edge_len = tree.n, tree.edge_len
+    gsum = list(gas)  # gas in the subtree
+    lsum = [0.0] * (n + 1)  # edge length in the subtree
+    profit = [0.0] * (n + 1)  # net fuel change of servicing T(c) from its parent
+    need = [0.0] * (n + 1)  # tank level needed at the parent to service T(c)
     cmin = [0.0] * (n + 1)
-    pre = preprocess(inst, cmin)  # fmin entries are refreshed as cmin fills in
     visit_order = [()] * (n + 1)
 
-    for u in _postorder(tree):
+    for u in postorder(tree):
         ch = tree.children[u]
-        if not ch:
-            cmin[u] = 0.0
-            visit_order[u] = ()
-        elif len(ch) == 1:
-            c = ch[0]
-            cmin[u] = max(0.0, pre.fmin[c] - gas[u])
-            visit_order[u] = (c,)
-        else:
-            # fuel balance gives a lower bound; 2*lsum is always feasible
-            lo = max(0.0, 2.0 * pre.lsum[u] - pre.gsum[u])
-            hi = 2.0 * pre.lsum[u]
-            if integer_mode:
-                lo_i, hi_i = int(math.ceil(lo - 1e-9)), int(math.ceil(hi))
-                while lo_i < hi_i:
-                    mid = (lo_i + hi_i) // 2
-                    ok, _ = feasible(inst, pre, u, float(mid), engine)
-                    if ok:
-                        hi_i = mid
-                    else:
-                        lo_i = mid + 1
-                cmin[u] = float(lo_i)
-            else:
-                ok, _ = feasible(inst, pre, u, lo, engine)
-                if ok:
-                    cmin[u] = lo
-                else:
-                    while hi - lo >= inst.epsilon:
-                        mid = 0.5 * (lo + hi)
-                        ok, _ = feasible(inst, pre, u, mid, engine)
-                        if ok:
-                            hi = mid
-                        else:
-                            lo = mid
-                    cmin[u] = hi
-            ok, order = feasible(inst, pre, u, cmin[u], engine)
-            assert ok
-            visit_order[u] = tuple(order)
+        if ch:
+            for c in ch:
+                lsum[u] += edge_len[c] + lsum[c]
+                gsum[u] += gsum[c]
+            order = sorted((c for c in ch if profit[c] >= 0),
+                           key=lambda c: (need[c], c))
+            order += sorted((c for c in ch if profit[c] < 0),
+                            key=lambda c: (-(need[c] + profit[c]), need[c], c))
+            fuel, worst = gas[u], 0.0
+            for c in order:
+                if need[c] - fuel > worst:
+                    worst = need[c] - fuel
+                fuel += profit[c]
+            cmin[u] = worst
+            visit_order[u] = order
         if u != tree.root:
-            pre.fmin[u] = max(cmin[u] + tree.edge_len[u], -pre.fprofit[u])
+            profit[u] = gsum[u] - 2.0 * lsum[u] - 2.0 * edge_len[u]
+            need[u] = max(cmin[u] + edge_len[u], -profit[u])
 
-    # expand the chosen child orders into a full DFS walk
-    walk = [tree.root]
-    stack = [(tree.root, 0)]
-    while stack:
-        u, ci = stack[-1]
-        order = visit_order[u]
-        if ci < len(order):
-            stack[-1] = (u, ci + 1)
-            c = order[ci]
-            walk.append(c)
-            stack.append((c, 0))
-        else:
-            stack.pop()
-            if stack:
-                walk.append(tree.parent[u])
-    return cmin[tree.root], walk
+    return cmin[tree.root], euler_walk(tree, tree.root, visit_order)
 
 
 def simulate_route(inst, initial_fuel, walk):

@@ -69,13 +69,17 @@ class SegmentPlan:
     q: float  # gallons delivered by the final one-way trip
 
 
-def equal_subdivision(x, k):
-    """k interior cache points evenly spaced on [0, x]; the endpoint is set
-    to x exactly rather than accumulated."""
+def _check_equal(x, k):
     if x <= 0:
         raise ValueError("distance must be positive")
     if k < 0:
         raise ValueError("point count must be nonnegative")
+
+
+def equal_subdivision(x, k):
+    """k interior cache points evenly spaced on [0, x]; the endpoint is set
+    to x exactly rather than accumulated."""
+    _check_equal(x, k)
     c = x / (k + 1)
     return Subdivision(tuple(i * c for i in range(k + 1)) + (x,))
 
@@ -146,6 +150,7 @@ def eval_equal_naive(x, k, params):
     The running requirement is always an integer multiple of a = g*x/(k+1);
     the multiplier is tracked exactly and only the division uses floats.
     """
+    _check_equal(x, k)
     a = params.g * x / (k + 1)
     net = params.m - 2.0 * a
     if net <= 0:
@@ -195,6 +200,7 @@ def eval_equal_fast(x, k, params):
     both produce bit-identical values.  Returns the point-0 requirement and
     the number of subdivision indices actually visited.
     """
+    _check_equal(x, k)
     a = params.g * x / (k + 1)
     m = params.m
     net = m - 2.0 * a
@@ -268,12 +274,18 @@ def threshold_search(x, params, budget, schedule="multiplicative", ct=2,
 
     Returns the first satisfying (k, value).  Coarse subdivisions that admit
     no transfer at all count as unbounded and refinement continues.  Raises
-    :class:`BudgetUnreachableError` once k exceeds ``cap``.
+    :class:`BudgetUnreachableError` at once for a budget below the
+    continuous optimum, which no subdivision beats (the relative 1e-9 slack
+    keeps rounding from rejecting a budget some k meets), and otherwise once
+    k exceeds ``cap``.
     """
     if schedule not in ("multiplicative", "additive"):
         raise ValueError(f"unknown schedule {schedule!r}")
     if ct < (2 if schedule == "multiplicative" else 1):
         raise ValueError("refinement constant too small to make progress")
+    floor = continuous_optimum(x, params)
+    if budget < floor * (1 - 1e-9):
+        raise BudgetUnreachableError(None, floor)
     k = k1
     best_k, best_val = None, INF
     while k <= cap:
@@ -307,6 +319,9 @@ class JeepGraph:
     def __post_init__(self):
         object.__setattr__(self, "target",
                            self.n if self.target == -1 else self.target)
+        for name in ("source", "target"):
+            if not 1 <= getattr(self, name) <= self.n:
+                raise ValueError(f"{name} {getattr(self, name)} outside 1..{self.n}")
         for (i, j, ln) in self.edges:
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise ValueError(f"edge ({i},{j}) references unknown vertex")

@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .tree import RootedTree, consecutive_leaf_lcas, leaves_dfs_order
+# numpy is imported inside the solvers that use it, so greedy and dp1 runs
+# never load it
+from .tree import (RootedTree, consecutive_leaf_lcas, euler_walk,
+                   leaves_dfs_order, postorder)
 
 INF = math.inf
 
@@ -51,34 +52,10 @@ def single_vehicle_closed_form(inst):
     return 2.0 * tree.total_edge_len() - deepest
 
 
-def _postorder(tree):
-    order = []
-    stack = [tree.root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(tree.children[u])
-    order.reverse()
-    return order
-
-
-def _subtree_euler_walk(tree, start):
-    """Closed DFS walk covering T(start), beginning and ending at start."""
-    out = [start]
-    stack = [(start, 0)]
-    while stack:
-        u, ci = stack[-1]
-        ch = tree.children[u]
-        if ci < len(ch):
-            stack[-1] = (u, ci + 1)
-            c = ch[ci]
-            out.append(c)
-            stack.append((c, 0))
-        else:
-            stack.pop()
-            if stack:
-                out.append(tree.parent[u])
-    return out
+def _vehicle_bound(inst):
+    """``inst.p`` capped at the leaf count; the DPs take the best over "at
+    most p" vehicles, and a vehicle beyond one per leaf never helps."""
+    return min(inst.p, len(leaves_dfs_order(inst.tree)))
 
 
 def solve_greedy(inst):
@@ -151,7 +128,7 @@ def solve_greedy(inst):
             if owner[v] == vid:
                 for c in tree.children[v]:
                     if not blue[c]:
-                        walk.extend(_subtree_euler_walk(tree, c))
+                        walk.extend(euler_walk(tree, c))
                         walk.append(v)
         routes.append(walk)
     return OvrpSolution(total, routes, len(segments))
@@ -163,7 +140,7 @@ def solve_knapsack_v1(inst):
     State C(u, P_in, P_out): cheapest traversal of T(u) with P_in vehicles
     entering and P_out of them leaving, merged child by child.
     """
-    tree, p = inst.tree, inst.p
+    tree, p = inst.tree, _vehicle_bound(inst)
 
     def fresh():
         return [
@@ -172,7 +149,7 @@ def solve_knapsack_v1(inst):
         ]
 
     table = {}
-    for u in _postorder(tree):
+    for u in postorder(tree):
         cur = fresh()
         for child in tree.children[u]:
             l = tree.edge_len[child]
@@ -202,6 +179,7 @@ def solve_knapsack_v1(inst):
 
 def _minplus(avec, evec):
     """v[s] = min over i+d=s of avec[i] + evec[d]  (entries may be +inf)."""
+    import numpy as np
     p = len(avec) - 1
     m = avec[:, None] + evec[None, :]
     r = np.full((p + 1, 2 * p + 1), INF)
@@ -212,12 +190,13 @@ def _minplus(avec, evec):
 
 def solve_knapsack_v2(inst):
     """O(p^2 n) variant: at most one vehicle ever leaves a subtree."""
-    tree, p = inst.tree, inst.p
+    import numpy as np
+    tree, p = inst.tree, _vehicle_bound(inst)
     base = np.full((p + 1, 2), INF)
     base[1:, :] = 0.0
 
     table = {}
-    for u in _postorder(tree):
+    for u in postorder(tree):
         cur = base.copy()
         for child in tree.children[u]:
             l = tree.edge_len[child]
@@ -306,13 +285,15 @@ def solve_leaf_interval(inst):
     leaves of a block may be covered by down-and-back detours so the route
     still ends at the block's last through-leaf.
     """
-    tree, p = inst.tree, inst.p
+    import numpy as np
+    tree = inst.tree
     if tree.n == 1:
         return OvrpSolution(0.0, [[tree.root]], 1)
 
     leaves = leaves_dfs_order(tree)
     lcas = consecutive_leaf_lcas(tree, leaves)
     k = len(leaves)
+    p = min(inst.p, k)  # as in _vehicle_bound
     dl = np.array([tree.droot[l] for l in leaves])
     dlca = np.array([tree.droot[a] for a in lcas])
 

@@ -1,17 +1,16 @@
-"""Rooted weighted trees plus the small data structures the tree solvers share.
+"""Rooted weighted trees and the traversals the tree solvers share.
 
-Vertices are 1-based externally (vertex 1 usually carries the depot) and the
-arrays here are indexed accordingly: position 0 is unused.
+The one post-order walk and the one Euler-walk expansion live here; the
+ovrp and fuel solvers both use them.  Vertices are 1-based externally
+(vertex 1 usually carries the depot) and the arrays here are indexed
+accordingly: position 0 is unused.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CycleError, DisconnectedTreeError, NegativeLengthError
-
-NEG_INF = -math.inf
 
 
 @dataclass(frozen=True)
@@ -113,6 +112,39 @@ def path_cost(tree, u, v):
     return abs(tree.droot[u] - tree.droot[v])
 
 
+def postorder(tree):
+    """Every vertex after all of its descendants, children in input order."""
+    order = []
+    stack = [tree.root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(tree.children[u])
+    order.reverse()
+    return order
+
+
+def euler_walk(tree, start, children=None):
+    """Closed DFS walk covering T(start), beginning and ending at start.
+
+    ``children[u]`` gives the order in which u's sons are entered; it
+    defaults to the tree's own input order.
+    """
+    children = tree.children if children is None else children
+    walk = [start]
+    stack = [(start, iter(children[start]))]
+    while stack:
+        c = next(stack[-1][1], None)
+        if c is None:
+            stack.pop()
+            if stack:
+                walk.append(stack[-1][0])
+        else:
+            walk.append(c)
+            stack.append((c, iter(children[c])))
+    return walk
+
+
 def leaves_dfs_order(tree):
     """Leaves in the order first reached by a DFS that respects child order."""
     leaves = []
@@ -145,75 +177,3 @@ def consecutive_leaf_lcas(tree, leaves):
             b = parent[b]
         out.append(a)
     return out
-
-
-class MaxSegmentTree:
-    """Prefix range-maximum tree over (value, leaf-index) pairs, 1-based.
-
-    Supports disabling a leaf (it then never wins a query) and returns the
-    leftmost leaf on ties, which downstream code relies on for deterministic
-    tie-breaking.
-    """
-
-    __slots__ = ("size", "_base", "_val", "_idx")
-
-    def __init__(self, values):
-        self.size = len(values)
-        base = 1
-        while base < max(1, self.size):
-            base *= 2
-        self._base = base
-        self._val = [NEG_INF] * (2 * base)
-        self._idx = [0] * (2 * base)
-        for i, v in enumerate(values):
-            self._val[base + i] = v
-            self._idx[base + i] = i + 1
-        for q in range(base - 1, 0, -1):
-            self._pull(q)
-
-    def _pull(self, q):
-        l, r = 2 * q, 2 * q + 1
-        if self._val[l] >= self._val[r]:  # prefer the left (smaller) leaf on ties
-            self._val[q] = self._val[l]
-            self._idx[q] = self._idx[l]
-        else:
-            self._val[q] = self._val[r]
-            self._idx[q] = self._idx[r]
-
-    def range_max(self, prefix_end):
-        """Max over enabled leaves 1..prefix_end as (value, leaf index).
-
-        Returns ``(-inf, 0)`` when every leaf in the range is disabled.
-        """
-        if not (1 <= prefix_end <= self.size):
-            raise IndexError(f"prefix_end {prefix_end} outside 1..{self.size}")
-        # descend towards leaf prefix_end, grabbing whole left children; the
-        # candidates then come out in left-to-right order, so a strict ">"
-        # keeps the leftmost maximum
-        best_v, best_i = NEG_INF, 0
-        node = 1
-        lo_, hi_ = 1, self._base
-        while lo_ < hi_:
-            mid = (lo_ + hi_) // 2
-            if prefix_end > mid:
-                if self._val[2 * node] > best_v:
-                    best_v, best_i = self._val[2 * node], self._idx[2 * node]
-                node = 2 * node + 1
-                lo_ = mid + 1
-            else:
-                node = 2 * node
-                hi_ = mid
-        if self._val[node] > best_v:
-            best_v, best_i = self._val[node], self._idx[node]
-        return best_v, best_i
-
-    def disable(self, leaf):
-        """Set a leaf to minus infinity and restore the max invariant above it."""
-        if not (1 <= leaf <= self.size):
-            raise IndexError(f"leaf {leaf} outside 1..{self.size}")
-        q = self._base + leaf - 1
-        self._val[q] = NEG_INF
-        q //= 2
-        while q:
-            self._pull(q)
-            q //= 2

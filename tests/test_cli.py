@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -226,3 +227,47 @@ def test_malformed_numbers_give_one_error_envelope(tmp_path, capsys, payload):
     env = json.loads(lines[0], parse_constant=lambda c: pytest.fail(c))
     assert env["schema"] == "transopt-result/1"
     assert env["status"] == "error"
+
+
+def test_fuel_ignores_legacy_search_fields(tmp_path, capsys):
+    inst = {"schema": "transopt-instance/1", "problem": "fuel", "n": 3,
+            "edges": [[1, 2, 1], [1, 3, 5]], "gas": [0, 10, 0],
+            "value_mode": "weird", "epsilon": 0}
+    code, lines = run(capsys, ["solve", write(tmp_path, inst)])
+    assert code == 0 and len(lines) == 1
+    assert lines[0]["objective"] == 2.0
+    assert lines[0]["solution"]["walk"] == [1, 2, 1, 3, 1]
+
+
+JEEP_GRAPH = {"schema": "transopt-instance/1", "problem": "jeep-graph", "n": 3,
+              "edges": [[1, 2, 0.2], [2, 3, 0.2]], "m": 1.0, "g": 1.0}
+JEEP = {"schema": "transopt-instance/1", "problem": "jeep", "m": 1.0, "g": 1.0}
+
+
+@pytest.mark.parametrize("payload, algo", [
+    (dict(JEEP_GRAPH, target=5), "jeep-graph-backward"),
+    (dict(JEEP_GRAPH, source=0), "jeep-graph-binary"),
+    (dict(JEEP, x=0.0, k=3), "jeep-fast"),
+    (dict(JEEP, x=1.0, k=-1), "jeep-fast"),
+    (dict(JEEP, x=-1.0, k=3), "jeep-fast"),
+    (dict(JEEP, x=1.0, budget=0.5), "jeep-threshold"),
+], ids=["graph-target", "graph-source", "fast-x0", "fast-k-1", "fast-x-1",
+        "threshold-below-optimum"])
+def test_jeep_out_of_range_gives_one_envelope(tmp_path, capsys, payload, algo):
+    t0 = time.perf_counter()
+    code, lines = run(capsys, ["solve", "--algo", algo, write(tmp_path, payload)])
+    assert time.perf_counter() - t0 < 2.0
+    assert code in (1, 2) and len(lines) == 1
+    assert lines[0]["schema"] == "transopt-result/1"
+    assert lines[0]["status"] == {1: "error", 2: "infeasible"}[code]
+    assert lines[0]["diagnostics"]["reason"]
+
+
+@pytest.mark.parametrize("algo", ["ovrp-dp1", "ovrp-dp2"])
+def test_ovrp_dp_vehicle_count_beyond_leaves(tmp_path, capsys, algo):
+    t0 = time.perf_counter()
+    code, lines = run(capsys, ["solve", "--algo", algo,
+                               write(tmp_path, dict(STAR, p=10 ** 6))])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0 and len(lines) == 1
+    assert lines[0]["objective"] == 5.0  # one vehicle per leaf: 2 + 3

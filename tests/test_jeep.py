@@ -236,6 +236,20 @@ def test_graph_validation():
         JeepGraph(3, ((1, 2, 1.0),))
 
 
+def test_out_of_range_inputs_rejected_up_front():
+    for evaluate in (eval_equal_fast, eval_equal_naive):
+        for x, k in ((0.0, 3), (-1.0, 3), (1.0, -1)):
+            with pytest.raises(ValueError):
+                evaluate(x, k, UNIT)
+    for ends in ({"target": 3}, {"source": 0}):
+        with pytest.raises(ValueError):
+            JeepGraph(2, ((1, 2, 1.0),), **ends)
+    # below the continuous optimum no k can succeed: rejected before any k
+    with pytest.raises(BudgetUnreachableError) as ei:
+        threshold_search(1.0, UNIT, 0.5, schedule="additive", ct=1)
+    assert ei.value.best_k is None and ei.value.best_value == 1.0
+
+
 def path_graph(lengths):
     n = len(lengths) + 1
     return JeepGraph(n, tuple((i, i + 1, l) for i, l in enumerate(lengths, 1)))

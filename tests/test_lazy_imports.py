@@ -37,6 +37,9 @@ def test_solve_without_ovrp_does_not_import_numpy(tmp_path):
         assert "numpy" not in sys.modules, "numpy loaded without an ovrp solver"
         from transopt import oracles  # a submodule outside the export table
         assert "numpy" not in sys.modules
+        for algo in ("ovrp-greedy", "ovrp-dp1"):  # pure-Python ovrp solvers
+            assert main(["solve", "--algo", algo, paths["ovrp"]]) == 0, algo
+        assert "numpy" not in sys.modules, "numpy loaded by ovrp-greedy/dp1"
         # control: the check above can see numpy once an ovrp solver runs
         assert main(["solve", "--algo", "ovrp-dp2", paths["ovrp"]]) == 0
         assert "numpy" in sys.modules
@@ -46,7 +49,7 @@ def test_solve_without_ovrp_does_not_import_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 4
+    assert len(proc.stdout.splitlines()) == 6
 
 
 def test_every_public_name_resolves():

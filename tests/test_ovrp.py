@@ -12,7 +12,7 @@ from transopt.ovrp import (
     solve_knapsack_v2,
     solve_leaf_interval,
 )
-from transopt.tree import build_rooted_tree
+from transopt.tree import build_rooted_tree, leaves_dfs_order
 
 
 def star():
@@ -121,3 +121,23 @@ def test_greedy_uses_at_most_p_vehicles():
         tr = random_tree(rng, rng.randint(2, 8))
         for p in (1, 2, 3):
             assert solve_greedy(OvrpInstance(tr, p)).vehicles_used <= p
+
+
+def test_vehicle_count_clamped_to_leaves():
+    rng = random.Random(13)
+    done = 0
+    while done < 40:
+        tr = random_tree(rng, rng.randint(1, 8))
+        leaves = len(leaves_dfs_order(tr))
+        if leaves > 3:  # ovrp_brute takes p <= 4
+            continue
+        for p in (leaves, leaves + 1):
+            inst = OvrpInstance(tr, p)
+            ref = ovrp_brute(inst)
+            assert solve_knapsack_v1(inst) == ref
+            assert solve_knapsack_v2(inst) == ref
+            assert solve_leaf_interval(inst).total_cost == ref
+        done += 1
+    huge = OvrpInstance(star(), 10 ** 6)
+    assert solve_knapsack_v1(huge) == solve_knapsack_v2(huge) == 5.0
+    assert solve_leaf_interval(huge).total_cost == 5.0

@@ -1,14 +1,13 @@
-import math
-
 import pytest
 
 from transopt.errors import CycleError, DisconnectedTreeError, NegativeLengthError
 from transopt.tree import (
-    MaxSegmentTree,
     build_rooted_tree,
     consecutive_leaf_lcas,
+    euler_walk,
     leaves_dfs_order,
     path_cost,
+    postorder,
 )
 
 
@@ -71,44 +70,17 @@ def test_consecutive_leaf_lcas():
     assert consecutive_leaf_lcas(tr, leaves) == [2, 1, 3]
 
 
-def test_segment_tree_prefix_max_and_disable():
-    st = MaxSegmentTree([3.0, 7.0, 5.0, 7.0])
-    assert st.range_max(4) == (7.0, 2)  # leftmost of the tied maxima
-    assert st.range_max(1) == (3.0, 1)
-    st.disable(2)
-    assert st.range_max(4) == (7.0, 4)
-    st.disable(4)
-    assert st.range_max(4) == (5.0, 3)
-    st.disable(1)
-    st.disable(3)
-    assert st.range_max(4) == (-math.inf, 0)
+def test_postorder_children_first_in_input_order():
+    tr = build_rooted_tree(6, [(1, 2, 1), (1, 3, 1), (2, 4, 1), (2, 5, 1),
+                               (3, 6, 1)])
+    assert postorder(tr) == [4, 5, 2, 6, 3, 1]
+    assert postorder(build_rooted_tree(1, [])) == [1]
 
 
-def test_segment_tree_bounds_checked():
-    st = MaxSegmentTree([1.0])
-    with pytest.raises(IndexError):
-        st.range_max(0)
-    with pytest.raises(IndexError):
-        st.disable(2)
-
-
-def test_segment_tree_matches_naive_scan():
-    import random
-
-    rng = random.Random(5)
-    for _ in range(50):
-        n = rng.randint(1, 20)
-        vals = [float(rng.randint(-5, 5)) for _ in range(n)]
-        st = MaxSegmentTree(vals)
-        alive = [True] * n
-        for _ in range(n):
-            end = rng.randint(1, n)
-            cand = [(v, i + 1) for i, v in enumerate(vals[:end]) if alive[i]]
-            if cand:
-                best = max(cand, key=lambda t: (t[0], -t[1]))
-                assert st.range_max(end) == best
-            else:
-                assert st.range_max(end) == (-math.inf, 0)
-            kill = rng.randint(1, n)
-            alive[kill - 1] = False
-            st.disable(kill)
+def test_euler_walk_default_and_given_child_orders():
+    tr = build_rooted_tree(5, [(1, 2, 1), (1, 3, 1), (2, 4, 1), (2, 5, 1)])
+    assert euler_walk(tr, 1) == [1, 2, 4, 2, 5, 2, 1, 3, 1]
+    assert euler_walk(tr, 2) == [2, 4, 2, 5, 2]
+    assert euler_walk(tr, 4) == [4]
+    flipped = [tuple(reversed(ch)) for ch in tr.children]
+    assert euler_walk(tr, 1, flipped) == [1, 3, 1, 2, 5, 2, 4, 2, 1]
