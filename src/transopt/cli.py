@@ -50,7 +50,17 @@ def _default_algo(payload):
 
 
 def default_eps():
-    return float(os.environ.get("TRANSOPT_EPS", "1e-6"))
+    """``TRANSOPT_EPS`` (default 1e-6): the relative agreement tolerance of
+    ``check`` and the search tolerance of ``jeep-graph-binary``.  A
+    ValueError unless it is a finite number > 0."""
+    raw = os.environ.get("TRANSOPT_EPS", "1e-6")
+    try:
+        eps = float(raw)
+    except ValueError:
+        eps = math.nan
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"TRANSOPT_EPS must be a finite number > 0, got {raw!r}")
+    return eps
 
 
 _REQUIRED = object()
@@ -368,13 +378,13 @@ def _cmd_check(args):
     try:
         payload = load_instance(args.file)
         algo = _default_algo(payload)
+        eps = default_eps()
         s_obj, _, _ = _dispatch_solve(payload, algo)
         o_obj, _ = _dispatch_oracle(payload)
     except (TransoptError, ValueError) as exc:
         env, code = _failure(algo or "?", exc, t0)
         print(json.dumps(env))
         return code
-    eps = default_eps()
     agree = abs(s_obj - o_obj) <= eps * max(1.0, abs(s_obj), abs(o_obj))
     print(json.dumps({
         "schema": RESULT_SCHEMA, "status": "ok", "solver": algo,

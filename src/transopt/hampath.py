@@ -6,18 +6,25 @@ always an interval and the current position one of its endpoints.  The curve
 variants restrict travel to the curve itself, which makes the unweighted
 problem a closed form and the weighted one the same interval DP with arc
 distances and suffix weight multipliers.
+
+The O(n^3) visibility matrix and the DP both work a whole row at a time in
+pure Python.  The module does not import numpy on purpose: the import costs
+a small instance's process more than its whole solve.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, itemgetter, lt, mul, sub
 
 from .errors import InvalidPolygonError
 from .geometry import (
+    EPS,
     on_segment,
     orientation,
-    point_in_polygon,
     segments_properly_intersect,
     signed_area,
 )
@@ -72,9 +79,14 @@ def _validate_simple(v):
 def visibility_matrix(poly):
     """Boolean n x n matrix: segment (i, j) stays inside the closed polygon.
 
-    Naive O(n^3): a pair fails on any proper crossing with a polygon edge;
-    otherwise the connecting segment is cut at every polygon vertex it
-    touches and each piece's midpoint must test inside.
+    O(n^3), one line-side pass per pair: the sign of every vertex against
+    the line v[i]v[j], with the cross product and tolerance of
+    ``geometry.orientation``, finds both the edges that may cross the
+    segment properly (endpoint signs opposite and nonzero) and the vertices
+    it touches.  A pair fails on a proper crossing; otherwise the segment is
+    cut at every touched vertex and each piece's midpoint must test inside.
+    ``oracles.visibility_reference`` is the same test predicate by
+    predicate.
     """
     v = poly.vertices
     n = poly.n
@@ -83,34 +95,95 @@ def visibility_matrix(poly):
         vis[i][i] = True
         vis[i][(i + 1) % n] = True
         vis[(i + 1) % n][i] = True
-    for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
+    inside = _inside_test(v)
+    eps, neg = EPS, -EPS
+    for i in range(n - 2):
+        ax, ay = v[i]
+        rel = [(x - ax, y - ay) for x, y in v]
+        for j in range(i + 2, n if i else n - 1):
+            dx, dy = rel[j]
+            s = [1 if (c := dx * ry - dy * rx) > eps else -1 if c < neg else 0
+                 for rx, ry in rel]
+            touched = s.count(0)  # i and j always; more when the segment grazes
+            s.append(s[0])
+            if -1 in map(mul, s, s[1:]) and _crosses(v, s, v[i], v[j]):
                 continue
-            vis[i][j] = vis[j][i] = _segment_inside(v, v[i], v[j])
+            if touched == 2:
+                cuts = (0.0, 1.0)
+            else:
+                cuts = _touch_cuts(v, rel, s, v[i], v[j])
+            for t0, t1 in zip(cuts, cuts[1:]):
+                if t1 - t0 <= 1e-12:
+                    continue
+                tm = 0.5 * (t0 + t1)
+                if not inside(ax + tm * dx, ay + tm * dy):
+                    break
+            else:
+                vis[i][j] = vis[j][i] = True
     return vis
 
 
-def _segment_inside(v, a, b):
+def _crosses(v, s, a, b):
+    """Some edge whose endpoints lie strictly on opposite sides of line ab
+    also has a and b strictly on opposite sides of its own line."""
     n = len(v)
     for e in range(n):
-        if segments_properly_intersect(a, b, v[e], v[(e + 1) % n]):
-            return False
-    # only touch points remain; split there and test each piece's midpoint
+        if s[e] * s[e + 1] == -1:
+            c, d = v[e], v[(e + 1) % n]
+            if orientation(c, d, a) * orientation(c, d, b) == -1:
+                return True
+    return False
+
+
+def _touch_cuts(v, rel, s, a, b):
+    """Sorted segment parameters of the vertices on the closed segment ab,
+    endpoints included: ``geometry.on_segment``'s bounding-box test on the
+    vertices of sign 0."""
+    x_lo, x_hi = min(a[0], b[0]) - EPS, max(a[0], b[0]) + EPS
+    y_lo, y_hi = min(a[1], b[1]) - EPS, max(a[1], b[1]) + EPS
     dx, dy = b[0] - a[0], b[1] - a[1]
     den = dx * dx + dy * dy
     cuts = [0.0, 1.0]
-    for p in v:
-        if on_segment(p, a, b):
-            cuts.append(((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / den)
+    for (x, y), (rx, ry), sk in zip(v, rel, s):
+        if sk == 0 and x_lo <= x <= x_hi and y_lo <= y <= y_hi:
+            cuts.append((rx * dx + ry * dy) / den)
     cuts.sort()
-    for t0, t1 in zip(cuts, cuts[1:]):
-        if t1 - t0 <= 1e-12:
-            continue
-        tm = 0.5 * (t0 + t1)
-        if not point_in_polygon(v, (a[0] + tm * dx, a[1] + tm * dy)):
-            return False
-    return True
+    return cuts
+
+
+def _inside_test(v):
+    """``geometry.point_in_polygon(v, (x, y))`` as a function of x and y
+    that looks only at the edges whose y-range can matter.
+
+    The distinct vertex ordinates cut the plane into horizontal slabs; a
+    bisection finds the slab of y.  The crossing-parity edges are those with
+    min(y) <= y < max(y), which holds for the whole slab or none of it; the
+    boundary candidates are every edge whose y-range widened by EPS meets
+    the slab, a superset that ``on_segment`` then filters exactly.
+    """
+    n = len(v)
+    edges = [(v[e], v[(e + 1) % n]) for e in range(n)]
+    ys = sorted({y for _, y in v})
+    near, parity = [], []
+    for lo, hi in zip([-INF] + ys, ys + [INF]):
+        near.append([(c, d) for c, d in edges
+                     if min(c[1], d[1]) - EPS <= hi and max(c[1], d[1]) + EPS >= lo])
+        parity.append([(c, d) for c, d in edges
+                       if min(c[1], d[1]) <= lo and max(c[1], d[1]) >= hi])
+
+    def inside(x, y):
+        k = bisect_right(ys, y)
+        p = (x, y)
+        for c, d in near[k]:
+            if on_segment(p, c, d):
+                return True
+        odd = False
+        for (x1, y1), (x2, y2) in parity[k]:
+            if x1 + (y - y1) * (x2 - x1) / (y2 - y1) > x:
+                odd = not odd
+        return odd
+
+    return inside
 
 
 def euclidean_dist(poly, vis=None):
@@ -127,84 +200,81 @@ def euclidean_dist(poly, vis=None):
     return dist
 
 
-def _interval_dp(n, dist, diag, mult_a=None, mult_b=None):
-    """Shared circular-interval DP engine.
+def _interval_dp(n, diag, near_a, near_b, rows):
+    """Shared circular-interval DP engine, one interval size at a time.
 
-    ``diag[i]`` seeds the one-vertex intervals (0 for allowed starts,
-    infinity otherwise).  ``mult_a(i, j)`` scales the step cost of
-    transitions into A(i, j) (a path over interval [i, j] ending at i);
-    ``mult_b`` likewise for B (ending at j).  Returns (best, path).
+    A path over the circular interval [i, j] of size s ends at i (state A)
+    or at j (state B); the rows of size s hold both costs at index i, and
+    only the rows of the previous size are kept.  ``diag`` seeds size 1 (0
+    for allowed starts, infinity otherwise).  ``near_a[i]`` is the step
+    from i+1 to i and ``near_b[k]`` the step from k to k+1.  ``rows(s)``
+    returns, indexed by i for the intervals of size s, the step from j to i,
+    the step from i to j, and the multipliers of the steps into A and into
+    B.  Steps are nonnegative or infinite, so an unreachable state stays
+    infinite.  On ties extending from the same end beats switching ends.
+    Returns (best, path).
     """
-    A = [[INF] * n for _ in range(n)]
-    B = [[INF] * n for _ in range(n)]
-    cA = [[-1] * n for _ in range(n)]
-    cB = [[-1] * n for _ in range(n)]
-    for i in range(n):
-        A[i][i] = B[i][i] = diag[i]
+    A = list(diag)
+    B = list(diag)
+    switched = [None, None]  # per size: one bytes row each for A and B
+    for s in range(2, n + 1):
+        far_a, far_b, ma, mb = rows(s)
+        a0 = list(map(add, A[1:] + A[:1], map(mul, near_a, ma)))
+        a1 = list(map(add, B[1:] + B[:1], map(mul, far_a, ma)))
+        b0 = list(map(add, B, map(mul, near_b[s - 2:] + near_b[:s - 2], mb)))
+        b1 = list(map(add, A, map(mul, far_b, mb)))
+        switched.append((bytes(map(lt, a1, a0)), bytes(map(lt, b1, b0))))
+        A = _minimum(a0, a1)
+        B = _minimum(b0, b1)
 
-    for size in range(2, n + 1):
-        for i in range(n):
-            j = (i + size - 1) % n
-            ip = (i + 1) % n
-            jm = (j - 1 + n) % n
-            ma = 1.0 if mult_a is None else mult_a(i, j)
-            base = A[ip][j]
-            step = dist(ip, i)
-            if base < INF and step < INF:
-                cand = base + step * ma
-                if cand < A[i][j]:
-                    A[i][j] = cand
-                    cA[i][j] = 0
-            base = B[ip][j]
-            step = dist(j, i)
-            if base < INF and step < INF:
-                cand = base + step * ma
-                if cand < A[i][j]:
-                    A[i][j] = cand
-                    cA[i][j] = 1
-            mb = 1.0 if mult_b is None else mult_b(i, j)
-            base = B[i][jm]
-            step = dist(jm, j)
-            if base < INF and step < INF:
-                cand = base + step * mb
-                if cand < B[i][j]:
-                    B[i][j] = cand
-                    cB[i][j] = 0
-            base = A[i][jm]
-            step = dist(i, j)
-            if base < INF and step < INF:
-                cand = base + step * mb
-                if cand < B[i][j]:
-                    B[i][j] = cand
-                    cB[i][j] = 1
-
-    best, bt, bj = INF, "A", 0
+    best, at_j, i = INF, 0, 0
     for j in range(n):
-        i = (j + 1) % n
-        if A[i][j] < best:
-            best, bt, bj = A[i][j], "A", j
-        if B[i][j] < best:
-            best, bt, bj = B[i][j], "B", j
+        k = (j + 1) % n
+        if A[k] < best:
+            best, at_j, i = A[k], 0, k
+        if B[k] < best:
+            best, at_j, i = B[k], 1, k
     if best == INF:
         return INF, []
 
     path_rev = []
-    t, i, j = bt, (bj + 1) % n, bj
-    for _ in range(n - 1):
-        if t == "A":
-            path_rev.append(i)
-            if cA[i][j] == 1:
-                t = "B"
-            i = (i + 1) % n
+    for s in range(n, 1, -1):
+        if at_j:
+            path_rev.append((i + s - 1) % n)
+            at_j ^= switched[s][1][i]
         else:
-            path_rev.append(j)
-            if cB[i][j] == 1:
-                t = "A"
-            j = (j - 1 + n) % n
-        # after shrinking, interval [i, j] remains with its own endpoint
-    path_rev.append(i)  # i == j: the start vertex
+            path_rev.append(i)
+            at_j ^= switched[s][0][i]
+            i = (i + 1) % n
+        # the interval [i, i + s - 2] remains, ending at the recorded end
+    path_rev.append(i)  # size 1: the start vertex
     path_rev.reverse()
     return best, path_rev
+
+
+def _minimum(xs, ys):
+    """Elementwise ``min(x, y)``: y only when strictly smaller (a
+    comprehension, several times faster than ``map(min, ...)``)."""
+    return [y if y < x else x for x, y in zip(xs, ys)]
+
+
+def _polygon_dp(poly, dist, diag):
+    """Interval DP over the polygon's vertex ring with the distances
+    ``dist(p, q)`` (the visibility-gated Euclidean oracle by default)."""
+    n = poly.n
+    if dist is None:
+        dist = euclidean_dist(poly)
+    # rot[i][d] = dist(i, i + d): each size reads one column of it
+    rot = [[dist(p, (p + d) % n) for d in range(n)] for p in range(n)]
+    ones = [1.0] * n
+
+    def rows(s):
+        back = list(map(itemgetter(n - s + 1), rot))  # dist(k, k - s + 1)
+        return (back[s - 1:] + back[:s - 1], list(map(itemgetter(s - 1), rot)),
+                ones, ones)
+
+    near_a = rows(2)[0]
+    return _interval_dp(n, diag, near_a, list(map(itemgetter(1), rot)), rows)
 
 
 def shortest_ham_path_fixed_start(poly, start, dist=None):
@@ -216,18 +286,14 @@ def shortest_ham_path_fixed_start(poly, start, dist=None):
     n = poly.n
     if not (0 <= start < n):
         raise ValueError(f"start {start} outside 0..{n - 1}")
-    if dist is None:
-        dist = euclidean_dist(poly)
     diag = [INF] * n
     diag[start] = 0.0
-    return _interval_dp(n, dist, diag)
+    return _polygon_dp(poly, dist, diag)
 
 
 def shortest_ham_path_free_start(poly, dist=None):
     """Shortest inside-the-polygon Hamiltonian path, start unconstrained."""
-    if dist is None:
-        dist = euclidean_dist(poly)
-    return _interval_dp(poly.n, dist, [0.0] * poly.n)
+    return _polygon_dp(poly, dist, [0.0] * poly.n)
 
 
 @dataclass(frozen=True)
@@ -308,12 +374,6 @@ class _CurvePrefix:
         fwd = self.dsum(a, b)
         return min(fwd, self.total - fwd)
 
-    def wsum(self, a, b):
-        """Weight of the circular interval [a, b]."""
-        if a <= b:
-            return self.wp[b + 1] - self.wp[a]
-        return self.wp[self.n] - self.wp[a] + self.wp[b + 1]
-
 
 def curve_weighted_ham_path(inst):
     """Minimize the weighted sum of first-arrival distances on the curve.
@@ -328,11 +388,25 @@ def curve_weighted_ham_path(inst):
     else:
         diag = [INF] * n
         diag[inst.start] = 0.0
+    dp, wp, total = pre.dp, pre.wp, pre.total
+    w_out = [wp[n] - x for x in wp]  # weight of the vertices k .. n-1
+    totals = repeat(total)
 
-    def mult_a(i, j):
-        return pre.wsum((j + 1) % n, i)
+    def rows(s):
+        # intervals [i, i + s - 1] with i < m do not wrap past vertex n-1;
+        # each slice pair below is one of _CurvePrefix's two cases
+        m = n - s + 1
+        inner = list(map(sub, dp[s - 1:n], dp[:m])) + \
+            list(map(sub, dp[m:n], dp[:s - 1]))  # arc not through the seam
+        outer = list(map(sub, totals, inner))
+        short = _minimum(inner, outer)
+        flip = _minimum(outer, list(map(sub, totals, outer)))
+        # weight of the vertices outside [i+1, j] and outside [i, j-1]
+        ma = list(map(add, w_out[s:n], wp[1:m])) + list(map(sub, wp[m:], wp[:s]))
+        mb = list(map(add, w_out[s - 1:n], wp[:m])) + \
+            list(map(sub, wp[m:n], wp[:s - 1]))
+        return flip[:m] + short[m:], short[:m] + flip[m:], ma, mb
 
-    def mult_b(i, j):
-        return pre.wsum(j, (i - 1 + n) % n)
-
-    return _interval_dp(n, pre.dist, diag, mult_a, mult_b)
+    near_a = [pre.dist((i + 1) % n, i) for i in range(n)]
+    near_b = [pre.dist(k, (k + 1) % n) for k in range(n)]
+    return _interval_dp(n, diag, near_a, near_b, rows)

@@ -386,7 +386,7 @@ def graph_min_gas_backward(graph, params, mode="corrected"):
         except InfeasibleError:
             return None
 
-    return _dijkstra_min_from(graph, graph.target, relax)
+    return _dijkstra_min(graph, graph.target, relax)
 
 
 def graph_vertex_depots_continuous(graph, params, k_per_edge, mode="corrected"):
@@ -402,21 +402,7 @@ def graph_vertex_depots_continuous(graph, params, k_per_edge, mode="corrected"):
         except InfeasibleError:
             return None
 
-    return _dijkstra_min_from(graph, graph.target, relax)
-
-
-def _dijkstra_min_from(graph, start, relax):
-    return _dijkstra_min(_Rooted(graph, start), start, relax)
-
-
-class _Rooted:
-    # tiny adapter so _dijkstra_min can start from an arbitrary vertex
-    def __init__(self, graph, start):
-        self.n = graph.n
-        self._graph = graph
-
-    def neighbors(self, u):
-        return self._graph.neighbors(u)
+    return _dijkstra_min(graph, graph.target, relax)
 
 
 def graph_forward_feasible(graph, params, g_min):
@@ -460,7 +446,9 @@ def graph_min_gas_binary_forward(graph, params, eps=1e-6):
     """Minimum source gas by binary search over the forward feasibility test.
 
     The bracket's upper end comes from the backward method; the two must
-    agree up to the search tolerance."""
+    agree up to the search tolerance.  The search stops once the bracket is
+    at most ``eps`` wide or spans two adjacent floats, so it ends for any
+    ``eps``."""
     upper = graph_min_gas_backward(graph, params)[graph.source]
     if upper == INF:
         return INF
@@ -478,6 +466,8 @@ def graph_min_gas_binary_forward(graph, params, eps=1e-6):
     lo = 0.0
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink
+            break
         if ok(mid):
             hi = mid
         else:
@@ -487,7 +477,7 @@ def graph_min_gas_binary_forward(graph, params, eps=1e-6):
 
 def graph_free_depots(graph, params):
     """Depots anywhere: classic shortest path, then the continuous optimum."""
-    dist = _dijkstra_min_from(graph, graph.source, lambda d, ln: d + ln)
+    dist = _dijkstra_min(graph, graph.source, lambda d, ln: d + ln)
     x = dist[graph.target]
     if x == 0:
         return 0.0

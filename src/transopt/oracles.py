@@ -2,7 +2,8 @@
 
 Deliberately naive and independent of the solvers they check: they share
 only instance types and the geometry predicates.  Every oracle enforces a
-hard size limit instead of silently truncating.
+hard size limit instead of silently truncating, except
+:func:`visibility_reference`, whose O(n^3) scan stays polynomial.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import itertools
 import math
 
 from .errors import PlanInfeasibleError, SizeLimitError
-from .hampath import _CurvePrefix, euclidean_dist
+from .geometry import on_segment, point_in_polygon, segments_properly_intersect
 
 INF = math.inf
 
@@ -143,22 +144,73 @@ def jeep_simulate_plan(d, params, plans, terminal=0.0):
     return need
 
 
+def visibility_reference(poly):
+    """Boolean n x n matrix: segment (i, j) stays inside the closed polygon.
+
+    The reference scan, one geometry predicate call at a time: a pair fails
+    on any proper crossing with a polygon edge; otherwise the connecting
+    segment is cut at every polygon vertex it touches and each piece's
+    midpoint must test inside.  ``hampath.visibility_matrix`` must agree
+    with it entry for entry.
+    """
+    v = poly.vertices
+    n = len(v)
+    vis = [[False] * n for _ in range(n)]
+    for i in range(n):
+        vis[i][i] = True
+        vis[i][(i + 1) % n] = True
+        vis[(i + 1) % n][i] = True
+    for i in range(n):
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue
+            vis[i][j] = vis[j][i] = _segment_inside(v, v[i], v[j])
+    return vis
+
+
+def _segment_inside(v, a, b):
+    n = len(v)
+    for e in range(n):
+        if segments_properly_intersect(a, b, v[e], v[(e + 1) % n]):
+            return False
+    # only touch points remain; split there and test each piece's midpoint
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    den = dx * dx + dy * dy
+    cuts = [0.0, 1.0]
+    for p in v:
+        if on_segment(p, a, b):
+            cuts.append(((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / den)
+    cuts.sort()
+    for t0, t1 in zip(cuts, cuts[1:]):
+        if t1 - t0 <= 1e-12:
+            continue
+        tm = 0.5 * (t0 + t1)
+        if not point_in_polygon(v, (a[0] + tm * dx, a[1] + tm * dy)):
+            return False
+    return True
+
+
 def ham_brute(poly_or_dist, start=None, n=None):
     """Shortest Hamiltonian path by permutation enumeration.
 
-    Accepts a polygon (visibility-gated Euclidean distances) or an explicit
-    distance matrix.  Returns (length, path); (inf, []) when every
-    permutation has an invisible consecutive pair.
+    Accepts a polygon (Euclidean distances gated by
+    :func:`visibility_reference`) or an explicit distance matrix.  Returns
+    (length, path); (inf, []) when every permutation has an invisible
+    consecutive pair.
     """
-    if hasattr(poly_or_dist, "vertices"):
-        n = poly_or_dist.n
-        dist_fn = euclidean_dist(poly_or_dist)
-        dist = [[dist_fn(i, j) for j in range(n)] for i in range(n)]
-    else:
-        dist = poly_or_dist
-        n = len(dist) if n is None else n
+    is_poly = hasattr(poly_or_dist, "vertices")
+    if is_poly:
+        n = len(poly_or_dist.vertices)
+    elif n is None:
+        n = len(poly_or_dist)
     if n > 9:
         raise SizeLimitError(f"ham_brute limited to n <= 9, got {n}")
+    dist = poly_or_dist
+    if is_poly:
+        v = poly_or_dist.vertices
+        vis = visibility_reference(poly_or_dist)
+        dist = [[math.hypot(v[i][0] - v[j][0], v[i][1] - v[j][1]) if vis[i][j]
+                 else INF for j in range(n)] for i in range(n)]
 
     best, best_path = INF, []
     starts = range(n) if start is None else (start,)
@@ -185,16 +237,25 @@ def curve_zigzag_brute(inst, objective="weighted"):
     The visited set on a closed curve is always a contiguous arc, so each
     step extends it left or right; every step's travel distance is the
     shorter of the two arcs between the current and the new vertex, matching
-    the dynamic program's convention.  Objectives: ``weighted`` minimizes
-    the sum of w_i times first-arrival distance, ``length`` the total
-    distance traveled.  Returns (cost, visit order).
+    the dynamic program's convention.  Arc lengths are correctly rounded
+    sums of the gaps they cover, not prefix-sum differences.  Objectives:
+    ``weighted`` minimizes the sum of w_i times first-arrival distance,
+    ``length`` the total distance traveled.  Returns (cost, visit order).
     """
     if objective not in ("weighted", "length"):
         raise ValueError(f"unknown objective {objective!r}")
     n = inst.n
     if n > 20:
         raise SizeLimitError(f"curve_zigzag_brute limited to n <= 20, got {n}")
-    pre = _CurvePrefix(inst)
+    gaps = inst.gaps
+    # arc[a][b]: the shorter way round between vertices a and b
+    arc = [[0.0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                fwd = [gaps[k % n] for k in range(a, b if a < b else b + n)]
+                back = [gaps[k % n] for k in range(b, a if b < a else a + n)]
+                arc[a][b] = min(math.fsum(fwd), math.fsum(back))
     w = inst.weights
     best = [INF, []]
 
@@ -209,8 +270,7 @@ def curve_zigzag_brute(inst, objective="weighted"):
             ((left - 1) % n, (left - 1) % n, True),
             ((left + cnt) % n, left, False),
         ):
-            step = pre.dist(pos, v)
-            t = dist_so_far + step
+            t = dist_so_far + arc[pos][v]
             path.append(v)
             rec(new_left, cnt + 1, new_at_left, t, cost + w[v] * t, path)
             path.pop()

@@ -271,3 +271,26 @@ def test_ovrp_dp_vehicle_count_beyond_leaves(tmp_path, capsys, algo):
     assert time.perf_counter() - t0 < 2.0
     assert code == 0 and len(lines) == 1
     assert lines[0]["objective"] == 5.0  # one vehicle per leaf: 2 + 3
+
+
+CURVE = {"schema": "transopt-instance/1", "problem": "curve",
+         "gaps": [1, 2, 3, 4], "weights": [1, 1, 1, 1]}
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "0", "-1", "inf"])
+@pytest.mark.parametrize("payload, argv", [
+    (CURVE, ["check"]),
+    (JEEP_GRAPH, ["solve", "--algo", "jeep-graph-binary"]),
+], ids=["check", "jeep-graph-binary"])
+def test_bad_eps_env_gives_one_error_envelope(tmp_path, capsys, monkeypatch,
+                                              value, payload, argv):
+    monkeypatch.setenv("TRANSOPT_EPS", value)
+    t0 = time.perf_counter()
+    code = main(argv + [write(tmp_path, payload)])
+    assert time.perf_counter() - t0 < 2.0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 1 and err == ""
+    env = json.loads(lines[0])
+    assert env["schema"] == "transopt-result/1" and env["status"] == "error"
+    assert "TRANSOPT_EPS" in env["diagnostics"]["reason"]

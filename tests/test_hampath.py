@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from transopt import hampath
 from transopt.errors import InvalidPolygonError
 from transopt.geometry import (
     on_segment,
@@ -21,7 +22,12 @@ from transopt.hampath import (
     shortest_ham_path_free_start,
     visibility_matrix,
 )
-from transopt.oracles import curve_zigzag_brute, ham_brute
+from transopt.oracles import (
+    _REL_TOL,
+    curve_zigzag_brute,
+    ham_brute,
+    visibility_reference,
+)
 
 INF = math.inf
 
@@ -146,6 +152,79 @@ def random_star_shaped(rng, n):
         return None
 
 
+def jittered_star(rng, n, r_lo):
+    # angles jittered inside n equal sectors keep the ring simple
+    pts = []
+    for i in range(n):
+        a = 2.0 * math.pi * (i + rng.uniform(-0.3, 0.3)) / n
+        r = rng.uniform(r_lo, 1.0)
+        pts.append((r * math.cos(a), r * math.sin(a)))
+    return SimplePolygon(pts)
+
+
+def rectilinear_histogram(rng):
+    # integer columns on a common base, with extra vertices inserted along
+    # the edges: many collinear vertices for segments to graze
+    k = rng.randint(2, 6)
+    h = [rng.randint(1, 5) for _ in range(k)]
+    ring = [(0, 0), (k, 0), (k, h[-1])]
+    for c in range(k - 1, 0, -1):
+        ring += [(c, h[c]), (c, h[c - 1])]
+    ring.append((0, h[0]))
+    corners = [p for t, p in enumerate(ring) if p != ring[t - 1]]
+    pts = []
+    for t, (x0, y0) in enumerate(corners):
+        x1, y1 = corners[(t + 1) % len(corners)]
+        pts.append((x0, y0))
+        steps = abs(x1 - x0) + abs(y1 - y0)
+        pts += [(x0 + (x1 - x0) * u // steps, y0 + (y1 - y0) * u // steps)
+                for u in range(1, steps) if rng.random() < 0.5]
+    if rng.random() < 0.5:  # a quarter turn puts the runs on vertical lines
+        pts = [(-y, x) for x, y in pts]
+    return SimplePolygon(pts)
+
+
+def test_visibility_matches_reference_entry_for_entry():
+    rng = random.Random(46)
+    blocked = grazing = 0
+    for t in range(160):
+        if t % 2:
+            poly = jittered_star(rng, rng.randint(4, 24), rng.uniform(0.05, 0.85))
+        else:
+            poly = rectilinear_histogram(rng)
+        vis = visibility_matrix(poly)
+        assert vis == visibility_reference(poly), poly.vertices
+        blocked += sum(row.count(False) for row in vis)
+        v, n = poly.vertices, poly.n
+        grazing += sum(vis[i][j] and any(on_segment(v[k], v[i], v[j])
+                                         for k in range(n) if k not in (i, j))
+                       for i in range(n) for j in range(i + 2, n))
+    # both blocked pairs and visible pairs cut at a touched vertex occur
+    assert blocked > 0 and grazing > 0
+
+
+def test_slab_containment_matches_point_in_polygon():
+    # points within the collinearity tolerance of vertices and edges, where
+    # the slab lookup must still find every boundary candidate
+    rng = random.Random(47)
+    offsets = (-1.5e-9, -0.8e-9, -0.5e-9, 0.0, 0.5e-9, 0.8e-9, 1.5e-9)
+    # two vertex ordinates closer than the tolerance: the point 8e-10 above
+    # the top edge lies in a slab that edge's own y-range does not reach
+    polys = [SimplePolygon(((0, -1), (3, -1), (3, 6e-10), (1, 0), (0, 0)))]
+    polys += [rectilinear_histogram(rng) if t % 2 else
+              jittered_star(rng, rng.randint(4, 12), 0.3) for t in range(40)]
+    for poly in polys:
+        v, n = poly.vertices, poly.n
+        inside = hampath._inside_test(v)
+        probes = list(v) + [((v[e][0] + v[(e + 1) % n][0]) / 2,
+                             (v[e][1] + v[(e + 1) % n][1]) / 2) for e in range(n)]
+        for x, y in probes:
+            for ox in offsets:
+                for oy in offsets:
+                    p = (x + ox, y + oy)
+                    assert inside(*p) == point_in_polygon(v, p), (v, p)
+
+
 def test_dp_matches_brute_on_random_polygons():
     rng = random.Random(41)
     done = 0
@@ -263,3 +342,43 @@ def test_weighted_curve_matches_zigzag_brute():
         assert sorted(path) == list(range(n))
         if start is not None:
             assert path[0] == start
+
+
+def _replay_weighted(inst, path):
+    """Weighted cost of ``path``, checking that each step extends the visited
+    arc; arcs are correctly rounded gap sums, independent of the solver."""
+    n, gaps = inst.n, inst.gaps
+    assert sorted(path) == list(range(n))
+    if inst.start is not None:
+        assert path[0] == inst.start
+    left = right = path[0]
+    t = cost = 0.0
+    for a, b in zip(path, path[1:]):
+        assert b in ((left - 1) % n, (right + 1) % n)
+        if b == (left - 1) % n:
+            left = b
+        else:
+            right = b
+        fwd = math.fsum(gaps[k % n] for k in range(a, b if a < b else b + n))
+        back = math.fsum(gaps[k % n] for k in range(b, a if b < a else a + n))
+        t += min(fwd, back)
+        cost += inst.weights[b] * t
+    return cost
+
+
+def test_weighted_curve_real_valued_matches_brute_and_replay():
+    rng = random.Random(46)
+    cases = [(n, s) for n in (2, 3) for s in [None] + list(range(n))]
+    cases += [(n, rng.randrange(n) if rng.random() < 0.6 else None)
+              for n in (rng.randint(4, 9) for _ in range(80))]
+    for n, start in cases:
+        for _ in range(3):
+            gaps = tuple(rng.uniform(0.01, 10.0) for _ in range(n))
+            weights = tuple(0.0 if rng.random() < 0.2 else rng.uniform(0.0, 5.0)
+                            for _ in range(n))
+            inst = CurveInstance(gaps, weights=weights, start=start)
+            got, path = curve_weighted_ham_path(inst)
+            ref, _ = curve_zigzag_brute(inst)
+            assert abs(got - ref) <= _REL_TOL * max(1.0, ref), (inst, got, ref)
+            replayed = _replay_weighted(inst, path)
+            assert abs(replayed - got) <= _REL_TOL * max(1.0, got), (inst, path)

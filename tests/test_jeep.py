@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -288,6 +289,18 @@ def test_forward_binary_agrees_with_backward():
         assert abs(fwd - back) <= 1e-6, (edges, back, fwd)
         checked += 1
     assert checked >= 20
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, 1e-300])
+def test_forward_binary_ends_below_float_resolution(eps):
+    # a tolerance finer than the spacing of floats near the answer used to
+    # keep the bisection splitting one interval forever
+    g = path_graph([0.2, 0.2])
+    t0 = time.perf_counter()
+    fwd = graph_min_gas_binary_forward(g, UNIT, eps=eps)
+    assert time.perf_counter() - t0 < 2.0
+    back = graph_min_gas_backward(g, UNIT)[1]
+    assert abs(fwd - back) <= 1e-12 * back
 
 
 def test_backward_path_matches_subdivision_eval():

@@ -16,6 +16,8 @@ INSTANCES = {
              "m": 1.0, "g": 1.0},
     "hampath": {"schema": SCHEMA, "problem": "hampath",
                 "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+    "curve": {"schema": SCHEMA, "problem": "curve", "gaps": [1, 2, 3],
+              "weights": [1, 0, 2], "start": 0},
     "ovrp": {"schema": SCHEMA, "problem": "ovrp", "n": 3,
              "edges": [[1, 2, 2], [1, 3, 3]], "p": 2},
 }
@@ -32,7 +34,7 @@ def test_solve_without_ovrp_does_not_import_numpy(tmp_path):
         from transopt.cli import main
 
         paths = {paths!r}
-        for tag in ("fuel", "jeep", "hampath"):
+        for tag in ("fuel", "jeep", "hampath", "curve"):
             assert main(["solve", paths[tag]]) == 0, tag
         assert "numpy" not in sys.modules, "numpy loaded without an ovrp solver"
         from transopt import oracles  # a submodule outside the export table
@@ -49,7 +51,7 @@ def test_solve_without_ovrp_does_not_import_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 6
+    assert len(proc.stdout.splitlines()) == 7
 
 
 def test_every_public_name_resolves():
