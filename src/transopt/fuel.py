@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tree import RootedTree, euler_walk, postorder
+from .tree import RootedTree, euler_walk, path_cost, postorder
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def simulate_route(inst, initial_fuel, walk):
     low = fuel
     for pos, v in enumerate(walk):
         if pos > 0:
-            fuel -= abs(tree.droot[v] - tree.droot[walk[pos - 1]])
+            fuel -= path_cost(tree, walk[pos - 1], v)
             low = min(low, fuel)
         if v not in seen:
             seen.add(v)

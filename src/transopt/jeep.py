@@ -199,6 +199,13 @@ def eval_equal_fast(x, k, params):
     landed one off) against the same division the naive loop performs, so
     both produce bit-identical values.  Returns the point-0 requirement and
     the number of subdivision indices actually visited.
+
+    Each run first divides once for the count of the next index.  Where it
+    differs, as it does for every index once ``(2l+1) a`` outgrows the room
+    below the next count, the run is that one index: it is stepped with the
+    division the naive loop makes there, kept as the next run's count, and
+    only longer runs pay for the closed form and its checks.  Each run counts
+    as one visited index either way, so the count is unchanged.
     """
     _check_equal(x, k)
     a = params.g * x / (k + 1)
@@ -209,18 +216,24 @@ def eval_equal_fast(x, k, params):
     mult = 0
     idx = k + 1
     touched = 1
+    l = 0  # fdiv(0.0, net)
     while idx > 0:
-        gv = mult * a
-        l = fdiv(gv, net)
         step = 2 * l + 1
-        u = first_index(idx, gv, a, m, "direct")
-        while u > 1 and fdiv((mult + (idx - (u - 1)) * step) * a, net) == l:
-            u -= 1
-        while u < idx and fdiv((mult + (idx - u) * step) * a, net) != l:
-            u += 1
-        mult += (idx - u + 1) * step
-        idx = u - 1
+        nxt = fdiv((mult + step) * a, net)  # the count at index idx - 1
+        if nxt == l and idx > 1:
+            u = first_index(idx, mult * a, a, m, "direct")
+            while u > 1 and fdiv((mult + (idx - (u - 1)) * step) * a, net) == l:
+                u -= 1
+            while u < idx and fdiv((mult + (idx - u) * step) * a, net) != l:
+                u += 1
+            mult += (idx - u + 1) * step
+            idx = u - 1
+            nxt = fdiv(mult * a, net)
+        else:
+            mult += step
+            idx -= 1
         touched += 1
+        l = nxt
     return mult * a, touched
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import sub
 
 # numpy is imported inside the solvers that use it, so greedy and dp1 runs
 # never load it
@@ -35,14 +37,6 @@ class OvrpSolution:
     vehicles_used: int
 
 
-def route_cost(tree, walk):
-    """Sum of edge lengths along consecutive walk entries (adjacency assumed)."""
-    total = 0.0
-    for a, b in zip(walk, walk[1:]):
-        total += abs(tree.droot[a] - tree.droot[b])
-    return total
-
-
 def single_vehicle_closed_form(inst):
     """Optimum for p=1: every edge twice, minus the longest root-leaf distance."""
     tree = inst.tree
@@ -58,6 +52,23 @@ def _vehicle_bound(inst):
     return min(inst.p, len(leaves_dfs_order(inst.tree)))
 
 
+def _leaf_ranges(tree):
+    """Leaves in DFS order, and each vertex's leaves as the slice
+    ``leaves[lo[u]:hi[u]]``, from one pass over the post-order."""
+    lo = [0] * (tree.n + 1)
+    hi = [0] * (tree.n + 1)
+    leaves = []
+    for u in postorder(tree):
+        ch = tree.children[u]
+        if ch:
+            lo[u], hi[u] = lo[ch[0]], hi[ch[-1]]
+        else:
+            lo[u] = len(leaves)
+            leaves.append(u)
+            hi[u] = len(leaves)
+    return leaves, lo, hi
+
+
 def solve_greedy(inst):
     """Red/blue greedy improvement of the single-vehicle double traversal.
 
@@ -65,6 +76,10 @@ def solve_greedy(inst):
     fresh vehicle towards the red leaf with the most negative improvement
     delta = path_cost(root, cb) - path_cost(cb, leaf), where cb is the leaf's
     closest blue ancestor.  Ties pick the smallest leaf id.
+
+    ``2 droot[cb]`` is kept per leaf and rewritten, by slices of the DFS leaf
+    order, only under the vertices a step turns blue, so a step costs
+    O(leaves) however deep the tree.
     """
     tree, p = inst.tree, inst.p
     n, root = tree.n, tree.root
@@ -76,35 +91,37 @@ def solve_greedy(inst):
     blue[root] = True
     owner = [-1] * (n + 1)
     owner[root] = 0
-    leaves = leaves_dfs_order(tree)
+    leaves, lo, hi = _leaf_ranges(tree)
+    dleaf = [droot[leaf] for leaf in leaves]
+    # 2 droot of each leaf's closest blue ancestor; inf once the leaf is blue
+    twice_cb = [2.0 * droot[root]] * len(leaves)
     total = 2.0 * tree.total_edge_len()
     segments = []
 
     for _ in range(p):
-        best_leaf, best_cb, best_delta = 0, 0, INF
-        for leaf in leaves:
-            if blue[leaf]:
-                continue
-            v = parent[leaf]
-            while not blue[v]:
-                v = parent[v]
-            delta = 2.0 * droot[v] - droot[leaf]
-            if delta < best_delta or (delta == best_delta and leaf < best_leaf):
-                best_leaf, best_cb, best_delta = leaf, v, delta
-        if best_leaf == 0:
+        deltas = list(map(sub, twice_cb, dleaf))
+        best_delta = min(deltas)
+        if best_delta == INF:  # every leaf is blue
             break
         # the first step is always taken (delta <= 0 by construction, and a
         # delta of exactly 0 still yields the canonical one-vehicle route)
         if segments and best_delta >= 0:
             break
+        best_leaf = min(compress(leaves, map(best_delta.__eq__, deltas)))
         vid = len(segments)
-        v = best_leaf
-        while v != best_cb:
-            blue[v] = True
-            owner[v] = vid
-            v = parent[v]
+        blue[best_leaf] = True
+        owner[best_leaf] = vid
+        twice_cb[lo[best_leaf]] = INF
+        v, u = best_leaf, parent[best_leaf]
+        while not blue[u]:
+            blue[u] = True
+            owner[u] = vid
+            d2 = 2.0 * droot[u]
+            twice_cb[lo[u]:lo[v]] = [d2] * (lo[v] - lo[u])
+            twice_cb[hi[v]:hi[u]] = [d2] * (hi[u] - hi[v])
+            v, u = u, parent[u]
         total += best_delta
-        segments.append((best_cb, best_leaf))
+        segments.append((u, best_leaf))
 
     routes = []
     for vid, (cb, leaf) in enumerate(segments):
@@ -177,56 +194,64 @@ def solve_knapsack_v1(inst):
     return min(rt[pi][0] for pi in range(1, p + 1))
 
 
-def _minplus(avec, evec):
-    """v[s] = min over i+d=s of avec[i] + evec[d]  (entries may be +inf)."""
+def _merge_gathers(p):
+    """Flat indices into a child's ``t`` (shape 2 x (p+1)) for a merge.
+
+    Entry ``[o, i, o2, s]`` covers a partial traversal with P_out = o and
+    P_in = i before the merge and P_out = o2, P_in = s after it.  The two
+    indices name the child entries ``t[0, d]`` and ``t[1, d + 1]`` of net
+    vehicle consumption d; the merge pays the smaller.  Index 0 is
+    ``t[0, 0]``, which is always inf (no vehicle enters), and pads every
+    impossible combination.
+    """
     import numpy as np
-    p = len(avec) - 1
-    m = avec[:, None] + evec[None, :]
-    r = np.full((p + 1, 2 * p + 1), INF)
-    cols = np.arange(p + 1)[None, :] + np.arange(p + 1)[:, None]
-    r[np.arange(p + 1)[:, None], cols] = m
-    return r.min(axis=0)
+    i = np.arange(p + 1)[:, None]
+    s = np.arange(p + 1)[None, :]
+    g0 = np.zeros((2, p + 1, 2, p + 1), dtype=np.intp)
+    g1 = np.zeros_like(g0)
+    for o, o2, d, d_lo in (
+            # the child consumes vehicles, the leave-state is unchanged
+            (0, 0, s - i, 0), (1, 1, s - i, 0),
+            # the leaving vehicle enters the child and stays there
+            (1, 0, s + 1 - i, 1),
+            # the leaving vehicle comes out of the child
+            (0, 1, s - 1 - i, 0)):
+        ok = (d >= d_lo) & (d <= p)
+        g0[o, :, o2, :] = np.where(ok, d, 0)
+        g1[o, :, o2, :] = np.where(ok & (d < p), p + 2 + d, 0)
+    return g0, g1
 
 
 def solve_knapsack_v2(inst):
-    """O(p^2 n) variant: at most one vehicle ever leaves a subtree."""
+    """O(p^2 n) variant: at most one vehicle ever leaves a subtree.
+
+    ``cur[P_out, P_in]`` is the cheapest partial traversal of T(u) with P_in
+    vehicles entering and P_out (0 or 1) of them leaving.  Merging a child
+    is one min-plus product over both leave-states, through index arrays
+    built once per solve.
+    """
     import numpy as np
     tree, p = inst.tree, _vehicle_bound(inst)
-    base = np.full((p + 1, 2), INF)
-    base[1:, :] = 0.0
+    base = np.full((2, p + 1), INF)
+    base[:, 1:] = 0.0
+    ar = np.arange(p + 1)
+    g0, g1 = _merge_gathers(p)
 
     table = {}
     for u in postorder(tree):
-        cur = base.copy()
+        cur = base
         for child in tree.children[u]:
             l = tree.edge_len[child]
-            cc = table.pop(child)
-            # t[P'in, P'out] = child cost + edge crossings
-            t = cc + np.arange(p + 1)[:, None] * l + np.array([0.0, l])[None, :]
-            # collapse child states to their net vehicle consumption
-            # d = P'in - P'out
-            e_all = np.full(p + 1, INF)
-            e_all[1:] = t[1:, 0]
-            e_all[: p] = np.minimum(e_all[: p], t[1:, 1])
-            e_pos = e_all.copy()
-            e_pos[0] = INF  # P'in > P'out forces d >= 1
-
-            aux = np.full((p + 1, 2), INF)
-            # family 1: vehicle that was leaving u's partial subtree is the
-            # one entering the child and staying there
-            v = _minplus(cur[:, 1], e_pos)
-            aux[1:, 0] = np.minimum(aux[1:, 0], v[2 : p + 2])
-            # family 2: the leaving vehicle comes out of the child
-            v = _minplus(cur[:, 0], e_all)
-            aux[2:, 1] = np.minimum(aux[2:, 1], v[1:p])
-            # family 3: child consumes extra vehicles, leave-state unchanged
-            for col in (0, 1):
-                v = _minplus(cur[:, col], e_all)
-                aux[1:, col] = np.minimum(aux[1:, col], v[1 : p + 1])
-            cur = aux
+            # t[P'out, P'in] = child cost + edge crossings
+            t = table.pop(child) + ar * l
+            t[1] += l
+            cost = t.take(g0)
+            np.minimum(cost, t.take(g1), out=cost)
+            cost += cur[:, :, None, None]
+            cur = cost.min(axis=(0, 1))
         table[u] = cur
     rt = table[tree.root]
-    best = rt[1:, 0].min()
+    best = rt[0, 1:].min()
     return float(best)
 
 
@@ -249,33 +274,15 @@ def _vehicle_walk(tree, leaf_ids, end_leaf):
         if v == tree.root:
             break
         v = parent[v]
-
-    out = [tree.root]
-    ordered = {}
-
-    def kids(u):
-        ch = ordered.get(u)
-        if ch is None:
-            ch = [c for c in tree.children[u] if c in covered]
-            # the spine child is visited last so the walk ends at end_leaf
-            ch.sort(key=lambda c: c in spine)
-            ordered[u] = ch
-        return ch
-
-    stack = [(tree.root, 0)]
-    while stack:
-        u, ci = stack[-1]
-        ch = kids(u)
-        if ci < len(ch):
-            stack[-1] = (u, ci + 1)
-            c = ch[ci]
-            out.append(c)
-            stack.append((c, 0))
-        else:
-            stack.pop()
-            if stack and u not in spine:
-                out.append(parent[u])
-    return out
+    # entering the spine child last leaves nothing to cover after the first
+    # arrival at end_leaf, where the walk stops
+    order = {}
+    for u in covered:
+        ch = [c for c in tree.children[u] if c in covered]
+        ch.sort(key=spine.__contains__)
+        order[u] = ch
+    walk = euler_walk(tree, tree.root, order)
+    return walk[: walk.index(end_leaf) + 1]
 
 
 def solve_leaf_interval(inst):

@@ -1,9 +1,9 @@
 """Rooted weighted trees and the traversals the tree solvers share.
 
-The one post-order walk and the one Euler-walk expansion live here; the
-ovrp and fuel solvers both use them.  Vertices are 1-based externally
-(vertex 1 usually carries the depot) and the arrays here are indexed
-accordingly: position 0 is unused.
+The one post-order walk, the one Euler-walk expansion and the one
+root-distance path length live here; the ovrp and fuel solvers use them.
+Vertices are 1-based externally (vertex 1 usually carries the depot) and
+the arrays here are indexed accordingly: position 0 is unused.
 """
 
 from __future__ import annotations
@@ -82,9 +82,7 @@ def build_rooted_tree(n, edges, root=1):
             children[u].append(v)
             order.append(v)
             stack.append(v)
-    # the stack pops children in reverse push order; restore input order
-    for u in range(1, n + 1):
-        children[u] = tuple(children[u])
+    children = tuple(map(tuple, children))
     if len(order) != n:
         raise DisconnectedTreeError(
             f"only {len(order)} of {n} vertices reachable from root {root}"
@@ -97,7 +95,7 @@ def build_rooted_tree(n, edges, root=1):
         n=n,
         root=root,
         parent=tuple(parent),
-        children=tuple(children),
+        children=children,
         edge_len=tuple(edge_len),
         droot=tuple(droot),
         depth=tuple(depth),
@@ -110,6 +108,14 @@ def path_cost(tree, u, v):
     The caller guarantees one endpoint is an ancestor of the other.
     """
     return abs(tree.droot[u] - tree.droot[v])
+
+
+def walk_cost(tree, walk):
+    """Length of a walk whose consecutive entries are adjacent vertices."""
+    total = 0.0
+    for a, b in zip(walk, walk[1:]):
+        total += path_cost(tree, a, b)
+    return total
 
 
 def postorder(tree):

@@ -44,14 +44,13 @@ from transopt.oracles import (
 )
 from transopt.ovrp import (
     OvrpInstance,
-    route_cost,
     single_vehicle_closed_form,
     solve_greedy,
     solve_knapsack_v1,
     solve_knapsack_v2,
     solve_leaf_interval,
 )
-from transopt.tree import build_rooted_tree
+from transopt.tree import build_rooted_tree, walk_cost
 
 UNIT = JeepParams(1.0, 1.0)
 
@@ -117,7 +116,7 @@ def test_criterion_2_ovrp_route_audit():
                     assert walk[0] == tr.root
                     for a, b in zip(walk, walk[1:]):
                         assert tr.parent[a] == b or tr.parent[b] == a
-                    total += route_cost(tr, walk)
+                    total += walk_cost(tr, walk)
                     covered.update(walk)
                 assert covered == set(range(1, tr.n + 1))
                 assert total == sol.total_cost

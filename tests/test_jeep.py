@@ -162,6 +162,28 @@ def test_fast_bit_for_bit_randomized():
         assert touched <= k + 2
 
 
+def test_fast_bit_for_bit_with_single_index_runs():
+    # x in [5, 9.5]: past the first few round-trip counts every run holds
+    # one index, the regime the direct single step serves
+    rng = random.Random(36)
+    for _ in range(14):
+        m = rng.choice([1.0, 2.0, rng.uniform(0.5, 3.0)])
+        g = rng.choice([1.0, rng.uniform(0.5, 2.0)])
+        x = rng.uniform(5.0, 9.5) * m / g
+        k = int(10 ** rng.uniform(2, 5))
+        params = JeepParams(m, g)
+        if m - 2.0 * g * x / (k + 1) <= 0:
+            continue
+        fast, touched = eval_equal_fast(x, k, params)
+        assert fast == eval_equal_naive(x, k, params), (m, g, x, k)
+        assert touched <= k + 2
+
+
+def test_fast_pinned_value_and_touched_count():
+    # the CLI reports points_touched, so a change to the count shows here
+    assert eval_equal_fast(9.005, 100_000, UNIT) == (9324014.85920336, 46784)
+
+
 def test_first_index_examples():
     assert first_index(5, 0.0, 0.2, 1.0) == 3
     assert first_index(2, 0.6, 0.2, 1.0) == 2

@@ -2,17 +2,16 @@ import random
 
 import pytest
 
-from transopt.oracles import ovrp_brute
+from transopt.oracles import _REL_TOL, ovrp_brute
 from transopt.ovrp import (
     OvrpInstance,
-    route_cost,
     single_vehicle_closed_form,
     solve_greedy,
     solve_knapsack_v1,
     solve_knapsack_v2,
     solve_leaf_interval,
 )
-from transopt.tree import build_rooted_tree, leaves_dfs_order
+from transopt.tree import build_rooted_tree, leaves_dfs_order, walk_cost
 
 
 def star():
@@ -90,7 +89,11 @@ def test_solvers_agree_with_oracle_small_corpus():
                 assert solver(inst) == ref
 
 
-def _audit(tree, sol):
+def _close(a, b):
+    return abs(a - b) <= _REL_TOL * max(1.0, abs(b))
+
+
+def _audit(tree, sol, exact=True):
     assert sol.routes, "at least one route expected"
     covered = set()
     total = 0.0
@@ -98,10 +101,11 @@ def _audit(tree, sol):
         assert walk[0] == tree.root
         for a, b in zip(walk, walk[1:]):
             assert tree.parent[a] == b or tree.parent[b] == a
-        total += route_cost(tree, walk)
+        total += walk_cost(tree, walk)
         covered.update(walk)
     assert covered == set(range(1, tree.n + 1))
-    assert total == sol.total_cost
+    # real lengths: the routes re-add the same edges in another order
+    assert total == sol.total_cost if exact else _close(total, sol.total_cost)
     assert len(sol.routes) == sol.vehicles_used
 
 
@@ -141,3 +145,56 @@ def test_vehicle_count_clamped_to_leaves():
     huge = OvrpInstance(star(), 10 ** 6)
     assert solve_knapsack_v1(huge) == solve_knapsack_v2(huge) == 5.0
     assert solve_leaf_interval(huge).total_cost == 5.0
+
+
+def deep_tree(rng, n, real):
+    """Each parent within 10 ids of its child: depth about n/5.5."""
+    edges = [(rng.randint(max(1, i - 10), i - 1), i,
+              rng.uniform(0.5, 9.0) if real else rng.randint(1, 9))
+             for i in range(2, n + 1)]
+    return build_rooted_tree(n, edges)
+
+
+def star_tree(rng, n, real):
+    edges = [(1, i, rng.uniform(0.5, 9.0) if real else rng.randint(1, 9))
+             for i in range(2, n + 1)]
+    return build_rooted_tree(n, edges)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["int", "real"])
+def test_greedy_on_deep_trees_matches_interval_dp(real):
+    rng = random.Random(14 + real)
+    for n in (200, 700, 1500, 3000):
+        tr = deep_tree(rng, n, real)
+        for p in (1, 3, 10):
+            inst = OvrpInstance(tr, p)
+            sol = solve_greedy(inst)
+            ref = solve_leaf_interval(inst).total_cost
+            assert sol.total_cost == ref if not real else _close(sol.total_cost, ref)
+            assert sol.vehicles_used <= p
+            _audit(tr, sol, exact=not real)
+
+
+def test_greedy_ties_pick_the_smallest_leaf_id():
+    # vertex 3 is the first leaf in DFS order; both leaves lie at depth 5
+    tr = build_rooted_tree(3, [(1, 3, 5), (1, 2, 5)])
+    assert solve_greedy(OvrpInstance(tr, 1)).routes == [[1, 3, 1, 2]]
+    assert solve_greedy(OvrpInstance(tr, 2)).routes == [[1, 2], [1, 3]]
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["int", "real"])
+def test_dp2_matches_dp1_and_interval_on_deep_and_star_trees(real):
+    rng = random.Random(16 + real)
+    for _ in range(25):
+        tr = deep_tree(rng, rng.randint(2, 30), real)
+        for p in (1, 2, 4):
+            inst = OvrpInstance(tr, p)
+            v1, v2 = solve_knapsack_v1(inst), solve_knapsack_v2(inst)
+            assert v2 == v1 if not real else _close(v2, v1)
+    for make, n in ((deep_tree, 1500), (star_tree, 300), (deep_tree, 400)):
+        tr = make(rng, n, real)
+        for p in (1, 6, 10):
+            inst = OvrpInstance(tr, p)
+            v2 = solve_knapsack_v2(inst)
+            ref = solve_leaf_interval(inst).total_cost
+            assert v2 == ref if not real else _close(v2, ref)

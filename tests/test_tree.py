@@ -8,6 +8,7 @@ from transopt.tree import (
     leaves_dfs_order,
     path_cost,
     postorder,
+    walk_cost,
 )
 
 
@@ -54,6 +55,22 @@ def test_path_cost_ancestor_pairs():
     assert path_cost(tr, 1, 4) == 8
     assert path_cost(tr, 4, 2) == 3
     assert path_cost(tr, 3, 3) == 0
+
+
+def test_walk_cost_sums_steps_both_ways():
+    tr = build_rooted_tree(4, [(1, 2, 5), (2, 3, 2), (2, 4, 1)])
+    assert walk_cost(tr, [1, 2, 3, 2, 4]) == 10
+    assert walk_cost(tr, [4]) == 0
+
+
+def test_children_are_tuples_and_tree_hashes():
+    for tr in (build_rooted_tree(3, [(1, 2, 1.0), (1, 3, 2.0)]),
+               build_rooted_tree(3, [(2, 1, 1.0), (2, 3, 2.0)], root=2),
+               build_rooted_tree(1, [])):
+        assert all(type(ch) is tuple for ch in tr.children)
+        assert hash(tr) == hash(build_rooted_tree(
+            tr.n, [(tr.parent[v], v, tr.edge_len[v])
+                   for v in range(1, tr.n + 1) if v != tr.root], tr.root))
 
 
 def test_leaves_follow_child_insertion_order():
