@@ -2,7 +2,7 @@
 
 Public names load their submodule on first access (PEP 562), so a process
 that needs one solver does not import the others, nor numpy unless it runs
-an ``ovrp`` solver.
+``ovrp-dp2``.
 """
 
 import importlib

@@ -16,7 +16,7 @@ import sys
 import time
 
 # Solver modules are imported inside the branches that run them, so a
-# process loads only the solver it needs (and numpy only for ovrp).
+# process loads only the solver it needs (and numpy only for ovrp-dp2).
 from .errors import BudgetUnreachableError, InfeasibleError, TransoptError
 
 INSTANCE_SCHEMA = "transopt-instance/1"
@@ -395,25 +395,28 @@ def _cmd_check(args):
 
 def bench_jeep(x, m, g, k_list, repeats_budget=20000):
     """Time Method 1 vs Method 2 on equal subdivisions; rows of
-    (k, f, g_val, r1, r2, ratio, points_touched)."""
+    (k, f, g_val, r1, r2, ratio, points_touched, touch_ratio).
+
+    Each time is the best of at least three alternating runs, so one slow
+    run at a large k does not decide the ratio; ``touch_ratio`` is the share
+    of the k+1 indices Method 2 visits, the work count behind its time."""
     from . import jeep
     params = jeep.JeepParams(m, g)
     rows = []
     for k in k_list:
-        reps = max(1, repeats_budget // (k + 1))
-        r1 = math.inf
-        for _ in range(reps):
+        r1 = r2 = math.inf
+        # alternating the two evaluators lets a slow spell hit both
+        for _ in range(max(3, repeats_budget // (k + 1))):
             d = jeep.equal_subdivision(x, k)
             t0 = time.perf_counter()
             f_val, _ = jeep.eval_subdivision_exact(d, params, collect_plans=False)
             r1 = min(r1, time.perf_counter() - t0)
-        r2 = math.inf
-        for _ in range(reps):
             t0 = time.perf_counter()
             g_val, touched = jeep.eval_equal_fast(x, k, params)
             r2 = min(r2, time.perf_counter() - t0)
         rows.append({"k": k, "f": f_val, "g": g_val, "r1": r1, "r2": r2,
-                     "ratio": r2 / r1, "points_touched": touched})
+                     "ratio": r2 / r1, "points_touched": touched,
+                     "touch_ratio": touched / (k + 1)})
     return rows
 
 

@@ -16,21 +16,23 @@ fill at the vertex is then the largest shortfall along that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .tree import RootedTree, euler_walk, path_cost, postorder
+from .tree import euler_walk, path_cost, postorder
 
 
-@dataclass(frozen=True)
-class FuelInstance:
-    tree: RootedTree
-    gas: tuple  # 1-based, index 0 unused
+class FuelInstance(namedtuple("FuelInstance", "tree gas")):
+    """A :class:`~transopt.tree.RootedTree` and its per-vertex gas, 1-based
+    (index 0 unused)."""
 
-    def __post_init__(self):
-        if len(self.gas) != self.tree.n + 1:
+    __slots__ = ()
+
+    def __new__(cls, tree, gas):
+        if len(gas) != tree.n + 1:
             raise ValueError("gas array must be 1-based with one entry per vertex")
-        if any(g < 0 for g in self.gas[1:]):
+        if any(g < 0 for g in gas[1:]):
             raise ValueError("gas values must be nonnegative")
+        return super().__new__(cls, tree, gas)
 
 
 def make_fuel_instance(tree, gas_values):

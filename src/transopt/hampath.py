@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 from operator import add, itemgetter, lt, mul, sub
 
@@ -32,17 +32,15 @@ from .geometry import (
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class SimplePolygon:
+class SimplePolygon(namedtuple("SimplePolygon", "vertices")):
     """Counterclockwise simple polygon given by its vertex ring."""
 
-    vertices: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "vertices", tuple((float(x), float(y)) for (x, y) in self.vertices)
-        )
-        _validate_simple(self.vertices)
+    def __new__(cls, vertices):
+        vertices = tuple((float(x), float(y)) for (x, y) in vertices)
+        _validate_simple(vertices)
+        return super().__new__(cls, vertices)
 
     @property
     def n(self):
@@ -296,31 +294,27 @@ def shortest_ham_path_free_start(poly, dist=None):
     return _polygon_dp(poly, dist, [0.0] * poly.n)
 
 
-@dataclass(frozen=True)
-class CurveInstance:
+class CurveInstance(namedtuple("CurveInstance", "gaps weights start")):
     """Vertices on a closed curve: ``gaps[i]`` separates vertex i from
     (i+1) mod n along the curve; weights drive the weighted objective."""
 
-    gaps: tuple
-    weights: tuple = None
-    start: int = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "gaps", tuple(float(g) for g in self.gaps))
-        n = len(self.gaps)
+    def __new__(cls, gaps, weights=None, start=None):
+        gaps = tuple(float(g) for g in gaps)
+        n = len(gaps)
         if n < 2:
             raise ValueError("need at least 2 vertices on the curve")
-        if any(g <= 0 for g in self.gaps):
+        if any(g <= 0 for g in gaps):
             raise ValueError("gaps must be positive")
-        w = self.weights
-        w = (0.0,) * n if w is None else tuple(float(x) for x in w)
+        w = (0.0,) * n if weights is None else tuple(float(x) for x in weights)
         if len(w) != n:
             raise ValueError("weights must match the vertex count")
         if any(x < 0 for x in w):
             raise ValueError("weights must be nonnegative")
-        object.__setattr__(self, "weights", w)
-        if self.start is not None and not (0 <= self.start < n):
-            raise ValueError(f"start {self.start} outside 0..{n - 1}")
+        if start is not None and not (0 <= start < n):
+            raise ValueError(f"start {start} outside 0..{n - 1}")
+        return super().__new__(cls, gaps, w, start)
 
     @property
     def n(self):

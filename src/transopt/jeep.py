@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BudgetUnreachableError, InfeasibleError
 
@@ -31,28 +31,30 @@ def _fceil(x):
     return int(math.ceil(x - _DIV_TOL * max(1.0, abs(x))))
 
 
-@dataclass(frozen=True)
-class JeepParams:
-    m: float  # tank capacity, gallons
-    g: float  # consumption, gallons per mile
+class JeepParams(namedtuple("JeepParams", "m g")):
+    """Tank capacity ``m`` (gallons) and consumption ``g`` (gallons per mile)."""
 
-    def __post_init__(self):
-        if self.m <= 0 or self.g <= 0:
+    __slots__ = ()
+
+    def __new__(cls, m, g):
+        if m <= 0 or g <= 0:
             raise ValueError("tank capacity and consumption rate must be positive")
+        return super().__new__(cls, m, g)
 
 
-@dataclass(frozen=True)
-class Subdivision:
-    points: tuple  # 0 = d_0 < d_1 < ... < d_{k+1} = x
+class Subdivision(namedtuple("Subdivision", "points")):
+    """Cache points 0 = d_0 < d_1 < ... < d_{k+1} = x."""
 
-    def __post_init__(self):
-        pts = self.points
-        if len(pts) < 2:
+    __slots__ = ()
+
+    def __new__(cls, points):
+        if len(points) < 2:
             raise ValueError("a subdivision needs at least two points")
-        if pts[0] != 0:
+        if points[0] != 0:
             raise ValueError("a subdivision starts at 0")
-        if any(a >= b for a, b in zip(pts, pts[1:])):
+        if any(a >= b for a, b in zip(points, points[1:])):
             raise ValueError("subdivision points must be strictly increasing")
+        return super().__new__(cls, points)
 
     @property
     def k(self):
@@ -63,10 +65,8 @@ class Subdivision:
         return self.points[-1]
 
 
-@dataclass(frozen=True)
-class SegmentPlan:
-    rt: int  # full round trips on the segment
-    q: float  # gallons delivered by the final one-way trip
+# rt full round trips on a segment, then a one-way trip delivering q gallons
+SegmentPlan = namedtuple("SegmentPlan", "rt q")
 
 
 def _check_equal(x, k):
@@ -175,7 +175,10 @@ def first_index(v, g_v, a, m, method="direct"):
     if method == "direct":
         r_v = g_v - l_v * net
         room = net - r_v
-        dif = fdiv(room, denom)
+        try:
+            dif = fdiv(room, denom)
+        except OverflowError:  # room/denom is infinite: the run reaches 1
+            return 1
         if abs(room - dif * denom) <= _DIV_TOL * max(1.0, abs(room)):
             dif -= 1
         return max(v - dif, 1)
@@ -320,44 +323,45 @@ def threshold_search(x, params, budget, schedule="multiplicative", ct=2,
     raise BudgetUnreachableError(best_k, best_val)
 
 
-@dataclass(frozen=True)
-class JeepGraph:
-    """Desert modeled as an undirected graph; gas exists only at the source."""
+class JeepGraph(namedtuple("JeepGraph", "n edges source target adj")):
+    """Desert modeled as an undirected graph; gas exists only at the source.
 
-    n: int
-    edges: tuple  # (i, j, length)
-    source: int = 1
-    target: int = -1  # default: vertex n
+    ``edges`` holds (i, j, length) triples; ``target`` defaults to vertex n.
+    ``adj[u]`` lists u's (neighbor, length) pairs and is built from ``edges``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "target",
-                           self.n if self.target == -1 else self.target)
-        for name in ("source", "target"):
-            if not 1 <= getattr(self, name) <= self.n:
-                raise ValueError(f"{name} {getattr(self, name)} outside 1..{self.n}")
-        for (i, j, ln) in self.edges:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
+    __slots__ = ()
+
+    def __new__(cls, n, edges, source=1, target=-1):
+        if target == -1:
+            target = n
+        for name, v in (("source", source), ("target", target)):
+            if not 1 <= v <= n:
+                raise ValueError(f"{name} {v} outside 1..{n}")
+        for (i, j, ln) in edges:
+            if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"edge ({i},{j}) references unknown vertex")
             if ln <= 0:
                 raise ValueError(f"edge ({i},{j}) must have positive length")
-        adj = [[] for _ in range(self.n + 1)]
-        for (i, j, ln) in self.edges:
+        adj = [[] for _ in range(n + 1)]
+        for (i, j, ln) in edges:
             adj[i].append((j, float(ln)))
             adj[j].append((i, float(ln)))
-        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
-        seen = {self.source}
-        stack = [self.source]
+        seen = {source}
+        stack = [source]
         while stack:
             u = stack.pop()
-            for (v, _) in self._adj[u]:
+            for (v, _) in adj[u]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        if len(seen) != self.n:
+        if len(seen) != n:
             raise ValueError("graph is not connected")
+        return super().__new__(cls, n, edges, source, target,
+                               tuple(map(tuple, adj)))
 
     def neighbors(self, u):
-        return self._adj[u]
+        return self.adj[u]
 
 
 def _dijkstra_min(graph, start, relax):

@@ -8,33 +8,29 @@ solvers of decreasing complexity are provided; all agree on the optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
-from operator import sub
+from operator import lt, sub
 
-# numpy is imported inside the solvers that use it, so greedy and dp1 runs
-# never load it
-from .tree import (RootedTree, consecutive_leaf_lcas, euler_walk,
-                   leaves_dfs_order, postorder)
+# numpy is imported inside the dp2 solver, so only ovrp-dp2 runs load it
+from .tree import (consecutive_leaf_lcas, euler_walk, leaves_dfs_order,
+                   postorder)
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class OvrpInstance:
-    tree: RootedTree
-    p: int
+class OvrpInstance(namedtuple("OvrpInstance", "tree p")):
+    """p vehicles on a :class:`~transopt.tree.RootedTree`."""
 
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"vehicle count must be >= 1, got {self.p}")
+    __slots__ = ()
+
+    def __new__(cls, tree, p):
+        if p < 1:
+            raise ValueError(f"vehicle count must be >= 1, got {p}")
+        return super().__new__(cls, tree, p)
 
 
-@dataclass
-class OvrpSolution:
-    total_cost: float
-    routes: list
-    vehicles_used: int
+OvrpSolution = namedtuple("OvrpSolution", "total_cost routes vehicles_used")
 
 
 def single_vehicle_closed_form(inst):
@@ -291,66 +287,64 @@ def solve_leaf_interval(inst):
     Every vehicle serves a contiguous block of leaves in DFS order; trailing
     leaves of a block may be covered by down-and-back detours so the route
     still ends at the block's last through-leaf.
+
+    ``c1[j - 1]`` is the cheapest cover of the leaves so far by j vehicles
+    whose last one ends at the current leaf, ``c0[j - 1]`` the same when it
+    may end earlier.  Both rows have p entries and are rebuilt per leaf; the
+    backtrack keeps one ``bytes`` row of choices per leaf for each.
     """
-    import numpy as np
     tree = inst.tree
     if tree.n == 1:
         return OvrpSolution(0.0, [[tree.root]], 1)
 
+    droot = tree.droot
     leaves = leaves_dfs_order(tree)
     lcas = consecutive_leaf_lcas(tree, leaves)
     k = len(leaves)
     p = min(inst.p, k)  # as in _vehicle_bound
-    dl = np.array([tree.droot[l] for l in leaves])
-    dlca = np.array([tree.droot[a] for a in lcas])
 
-    c1 = np.full(p + 1, INF)
-    c1[1:] = dl[0]
-    c0 = c1.copy()
-    ch1 = [None] * k  # True: leaf i starts a new vehicle
-    ch0 = [None] * k  # True: leaf i is a detour
-    for i in range(1, k):
-        cont = dl[i - 1] + dl[i] - 2.0 * dlca[i - 1]
-        cand_a = c1 + cont
-        cand_b = np.empty(p + 1)
-        cand_b[0] = INF
-        cand_b[1:] = c0[:-1] + dl[i]
-        n1 = np.minimum(cand_a, cand_b)
-        ch1[i] = cand_b < cand_a
-        cand_c = c0 + 2.0 * (dl[i] - dlca[i - 1])
-        n0 = np.minimum(n1, cand_c)
-        ch0[i] = cand_c < n1
-        c1, c0 = n1, n0
+    c1 = [droot[leaves[0]]] * p
+    c0 = c1
+    new_veh = [b""]  # new_veh[i][j - 1]: leaf i starts vehicle j
+    detour = [b""]  # detour[i][j - 1]: leaf i is a detour
+    prev = droot[leaves[0]]
+    for leaf, lca in zip(leaves[1:], lcas):
+        d, da = droot[leaf], droot[lca]
+        cont = prev + d - 2.0 * da
+        cand_a = [x + cont for x in c1]
+        cand_b = [INF] + [x + d for x in c0[:-1]]
+        new_veh.append(bytes(map(lt, cand_b, cand_a)))
+        c1 = [y if y < x else x for x, y in zip(cand_a, cand_b)]
+        back = 2.0 * (d - da)
+        cand_c = [x + back for x in c0]
+        detour.append(bytes(map(lt, cand_c, c1)))
+        c0 = [y if y < x else x for x, y in zip(c1, cand_c)]
+        prev = d
 
-    total = float(c0[p])
-
-    # backtrack: split leaves into vehicles, marking detour leaves
+    # backtrack from the last leaf: each vehicle's leaf positions, last first
     vehicles = []
-    cur_path, cur_det = [], []
-    i, j, b = k - 1, p, 0
-    while True:
-        if i == 0:
-            cur_path.insert(0, 0)
-            vehicles.append((cur_path, cur_det))
-            break
-        if b == 0:
-            if ch0[i][j]:
-                cur_det.insert(0, i)
+    path, det = [], []
+    i, j, on_path = k - 1, p - 1, False
+    while i:
+        if not on_path:
+            if detour[i][j]:
+                det.append(i)
                 i -= 1
             else:
-                b = 1
+                on_path = True
         else:
-            cur_path.insert(0, i)
-            if ch1[i][j]:
-                vehicles.append((cur_path, cur_det))
-                cur_path, cur_det = [], []
+            path.append(i)
+            if new_veh[i][j]:
+                vehicles.append((path, det))
+                path, det = [], []
                 j -= 1
-                b = 0
+                on_path = False
             i -= 1
+    path.append(0)
+    vehicles.append((path, det))
     vehicles.reverse()
 
-    routes = []
-    for path_ids, det_ids in vehicles:
-        leaf_ids = [leaves[t] for t in path_ids + det_ids]
-        routes.append(_vehicle_walk(tree, leaf_ids, leaves[path_ids[-1]]))
-    return OvrpSolution(total, routes, len(vehicles))
+    routes = [_vehicle_walk(tree, [leaves[t] for t in path + det],
+                            leaves[path[0]])
+              for path, det in vehicles]
+    return OvrpSolution(c0[-1], routes, len(vehicles))

@@ -8,13 +8,13 @@ the arrays here are indexed accordingly: position 0 is unused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CycleError, DisconnectedTreeError, NegativeLengthError
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(namedtuple("RootedTree",
+                            "n root parent children edge_len droot depth")):
     """Immutable weighted rooted tree.
 
     ``parent[u]`` is 0 for the root, ``edge_len[u]`` is the length of the
@@ -23,13 +23,7 @@ class RootedTree:
     deterministic for a given edge list.
     """
 
-    n: int
-    root: int
-    parent: tuple
-    children: tuple
-    edge_len: tuple
-    droot: tuple
-    depth: tuple
+    __slots__ = ()
 
     def is_leaf(self, u):
         return not self.children[u]

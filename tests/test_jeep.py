@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transopt.cli import main
 from transopt.errors import BudgetUnreachableError, InfeasibleError
 from transopt.jeep import (
     JeepGraph,
@@ -182,6 +184,22 @@ def test_fast_bit_for_bit_with_single_index_runs():
 def test_fast_pinned_value_and_touched_count():
     # the CLI reports points_touched, so a change to the count shows here
     assert eval_equal_fast(9.005, 100_000, UNIT) == (9324014.85920336, 46784)
+
+
+def test_fast_huge_tank_gives_one_ok_envelope(tmp_path, capsys):
+    # room / denom overflows to inf inside first_index: the run reaches index 1
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"schema": "transopt-instance/1", "problem": "jeep",
+                                "x": 1.0, "k": 4, "m": 1e308, "g": 1.0}))
+    for algo in ("jeep-fast", "jeep-exact"):
+        assert main(["solve", "--algo", algo, str(path)]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        env = json.loads(line)
+        assert (env["status"], env["objective"]) == ("ok", 1.0)
+    assert first_index(5, 0.0, 0.2, 1e308) == 1
+    for k in (0, 1, 4, 1000):
+        assert eval_equal_fast(1.0, k, JeepParams(1e308, 1.0))[0] == \
+            eval_equal_naive(1.0, k, JeepParams(1e308, 1.0))
 
 
 def test_first_index_examples():

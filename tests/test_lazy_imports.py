@@ -1,4 +1,5 @@
-"""The package loads a solver module, and numpy, only when a request runs it."""
+"""The package loads a solver module, and numpy, only when a request runs it;
+no request loads ``dataclasses``."""
 
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 import textwrap
 
 import transopt
+from transopt.cli import ALGOS
 
 SCHEMA = "transopt-instance/1"
 INSTANCES = {
@@ -20,38 +22,66 @@ INSTANCES = {
               "weights": [1, 0, 2], "start": 0},
     "ovrp": {"schema": SCHEMA, "problem": "ovrp", "n": 3,
              "edges": [[1, 2, 2], [1, 3, 3]], "p": 2},
+    "jeep-graph": {"schema": SCHEMA, "problem": "jeep-graph", "n": 3,
+                   "edges": [[1, 2, 0.3], [2, 3, 0.3]], "m": 1.0, "g": 1.0},
 }
+# fields only some algos read; the default solvers ignore them
+EXTRA = {"jeep": {"budget": 2.0}, "hampath": {"start": 1}}
 
 
-def test_solve_without_ovrp_does_not_import_numpy(tmp_path):
+def _run_script(tmp_path, body, instances=INSTANCES):
+    """Run ``body`` in a fresh interpreter with ``paths`` (tag -> instance
+    file) and ``main`` defined; returns its stdout lines."""
     paths = {}
-    for tag, payload in INSTANCES.items():
+    for tag, payload in instances.items():
         paths[tag] = str(tmp_path / f"{tag}.json")
         with open(paths[tag], "w") as fh:
             json.dump(payload, fh)
-    script = textwrap.dedent(f"""
-        import sys
-        from transopt.cli import main
-
-        paths = {paths!r}
-        for tag in ("fuel", "jeep", "hampath", "curve"):
-            assert main(["solve", paths[tag]]) == 0, tag
-        assert "numpy" not in sys.modules, "numpy loaded without an ovrp solver"
-        from transopt import oracles  # a submodule outside the export table
-        assert "numpy" not in sys.modules
-        for algo in ("ovrp-greedy", "ovrp-dp1"):  # pure-Python ovrp solvers
-            assert main(["solve", "--algo", algo, paths["ovrp"]]) == 0, algo
-        assert "numpy" not in sys.modules, "numpy loaded by ovrp-greedy/dp1"
-        # control: the check above can see numpy once an ovrp solver runs
-        assert main(["solve", "--algo", "ovrp-dp2", paths["ovrp"]]) == 0
-        assert "numpy" in sys.modules
-    """)
+    script = f"import sys\nfrom transopt.cli import main\npaths = {paths!r}\n" \
+        + textwrap.dedent(body)
     src = os.path.dirname(os.path.dirname(os.path.abspath(transopt.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 7
+    return proc.stdout.splitlines()
+
+
+def test_solve_without_ovrp_does_not_import_numpy(tmp_path):
+    lines = _run_script(tmp_path, """
+        for tag in ("fuel", "jeep", "hampath", "curve"):
+            assert main(["solve", paths[tag]]) == 0, tag
+        assert "numpy" not in sys.modules, "numpy loaded without an ovrp solver"
+        from transopt import oracles  # a submodule outside the export table
+        assert "numpy" not in sys.modules
+        for algo in ("ovrp-greedy", "ovrp-dp1", "ovrp-interval"):
+            assert main(["solve", "--algo", algo, paths["ovrp"]]) == 0, algo
+        assert "numpy" not in sys.modules, "numpy loaded by a pure-Python solver"
+        assert main(["solve", paths["ovrp"]]) == 0  # the default, ovrp-interval
+        assert main(["check", paths["ovrp"]]) == 0
+        assert "numpy" not in sys.modules, "numpy loaded by ovrp solve/check"
+        # control: the check above can see numpy once ovrp-dp2 runs
+        assert main(["solve", "--algo", "ovrp-dp2", paths["ovrp"]]) == 0
+        assert "numpy" in sys.modules
+    """)
+    assert len(lines) == 10
+
+
+def test_no_command_loads_dataclasses(tmp_path):
+    instances = {tag: dict(payload, **EXTRA.get(tag, {}))
+                 for tag, payload in INSTANCES.items()}
+    lines = _run_script(tmp_path, """
+        from transopt.cli import ALGOS, JEEP_GRAPH_ALGOS
+        for algo in ALGOS:
+            tag = "jeep-graph" if algo in JEEP_GRAPH_ALGOS else algo.split("-")[0]
+            assert main(["solve", "--algo", algo, paths[tag]]) == 0, algo
+        for tag, path in paths.items():
+            main(["solve", path])
+            main(["oracle", path])  # jeep-graph has no oracle: rc 1
+            main(["check", path])
+        assert "dataclasses" not in sys.modules, "a command loaded dataclasses"
+    """, instances)
+    assert len(lines) == len(ALGOS) + 3 * len(instances)
 
 
 def test_every_public_name_resolves():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -198,3 +199,31 @@ def test_dp2_matches_dp1_and_interval_on_deep_and_star_trees(real):
             v2 = solve_knapsack_v2(inst)
             ref = solve_leaf_interval(inst).total_cost
             assert v2 == ref if not real else _close(v2, ref)
+
+
+def bushy_tree(rng, n, real):
+    edges = [(rng.randint(1, i - 1), i,
+              rng.uniform(0.5, 9.0) if real else rng.randint(1, 9))
+             for i in range(2, n + 1)]
+    return build_rooted_tree(n, edges)
+
+
+# sha256 of repr((total_cost, routes)) of solve_leaf_interval for
+# p = 1, 3, 10 and the leaf count, in that order; real-valued lengths, so
+# any change to the order of the float operations or to the tie-breaking
+# of the backtrack shows here
+@pytest.mark.parametrize("make, n, seed, digest", [
+    (deep_tree, 3000, 31,
+     "2c10bfafb1e0069301e24214575129c7af914a211518107ec69910d59a3174d6"),
+    (bushy_tree, 1200, 32,
+     "eefe6fae5199429c1eff46a82c49fdbcbadeceb5ddd1fbc2ceb7221bfe7a6a12"),
+    (star_tree, 200, 33,
+     "088a667bd7f0fa82553518a2ab3bb2e23c85e92e4978a4ef18e28a06f7fdefe2"),
+], ids=["deep", "bushy", "star"])
+def test_interval_routes_pinned(make, n, seed, digest):
+    tr = make(random.Random(seed), n, True)
+    h = hashlib.sha256()
+    for p in (1, 3, 10, len(leaves_dfs_order(tr))):
+        sol = solve_leaf_interval(OvrpInstance(tr, p))
+        h.update(repr((sol.total_cost, sol.routes)).encode())
+    assert h.hexdigest() == digest
