@@ -2,7 +2,7 @@
 
 Public names load their submodule on first access (PEP 562), so a process
 that needs one solver does not import the others, nor numpy unless it runs
-``ovrp-dp2``.
+``ovrp-dp2`` or an interval DP of at least ``hampath.N_ARRAY`` vertices.
 """
 
 import importlib

@@ -9,6 +9,7 @@ evaluators against each other.  Exit codes: 0 ok, 2 infeasible, 1 error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -16,7 +17,8 @@ import sys
 import time
 
 # Solver modules are imported inside the branches that run them, so a
-# process loads only the solver it needs (and numpy only for ovrp-dp2).
+# process loads only the solver it needs (and numpy only for ovrp-dp2 and
+# the interval DP past its size gate).
 from .errors import BudgetUnreachableError, InfeasibleError, TransoptError
 
 INSTANCE_SCHEMA = "transopt-instance/1"
@@ -469,8 +471,18 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command.  The cyclic garbage collector is paused meanwhile:
+    solver data is trees and lists of numbers without reference cycles,
+    which reference counting frees, so a collection would only traverse
+    them.  The caller gets the collector back in the state it left it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -64,10 +64,13 @@ def min_initial_fuel(inst):
             for c in ch:
                 lsum[u] += edge_len[c] + lsum[c]
                 gsum[u] += gsum[c]
-            order = sorted((c for c in ch if profit[c] >= 0),
-                           key=lambda c: (need[c], c))
-            order += sorted((c for c in ch if profit[c] < 0),
-                            key=lambda c: (-(need[c] + profit[c]), need[c], c))
+            if len(ch) == 1:
+                order = ch
+            else:
+                order = sorted((c for c in ch if profit[c] >= 0),
+                               key=lambda c: (need[c], c))
+                order += sorted((c for c in ch if profit[c] < 0),
+                                key=lambda c: (-(need[c] + profit[c]), need[c], c))
             fuel, worst = gas[u], 0.0
             for c in order:
                 if need[c] - fuel > worst:

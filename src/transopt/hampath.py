@@ -7,9 +7,12 @@ variants restrict travel to the curve itself, which makes the unweighted
 problem a closed form and the weighted one the same interval DP with arc
 distances and suffix weight multipliers.
 
-The O(n^3) visibility matrix and the DP both work a whole row at a time in
-pure Python.  The module does not import numpy on purpose: the import costs
-a small instance's process more than its whole solve.
+The O(n^3) visibility matrix and the DP both work a whole row at a time.
+The visibility pass is pure Python.  The DP runs on Python lists below
+``N_ARRAY`` vertices and on numpy arrays from there up, with the same IEEE
+operations in the same order, so both give identical results; numpy is
+imported only then, because the import costs a small instance's process
+more than its whole solve.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import repeat
 from operator import add, itemgetter, lt, mul, sub
 
 from .errors import InvalidPolygonError
@@ -198,7 +200,54 @@ def euclidean_dist(poly, vis=None):
     return dist
 
 
-def _interval_dp(n, diag, near_a, near_b, rows):
+# Interval DPs with at least this many vertices run on numpy rows.  Below
+# it the pure-Python rows finish before numpy would have been imported: the
+# import costs about 0.17 s, and the crossover was measured end to end on
+# curve-weighted instances (CHANGES.md).
+N_ARRAY = 450
+
+_Rows = namedtuple("_Rows", "row out add sub mul cat minimum less column")
+
+_LISTS = _Rows(
+    row=list,
+    out=list,
+    add=lambda xs, ys: list(map(add, xs, ys)),
+    sub=lambda xs, ys: list(map(sub, xs, ys)),
+    mul=lambda xs, ys: list(map(mul, xs, ys)),
+    cat=lambda xs, ys: xs + ys,
+    # elementwise min(x, y): y only when strictly smaller (a comprehension,
+    # several times faster than map(min, ...))
+    minimum=lambda xs, ys: [y if y < x else x for x, y in zip(xs, ys)],
+    less=lambda xs, ys: bytes(map(lt, xs, ys)),
+    column=lambda rows, k: list(map(itemgetter(k), rows)),
+)
+
+
+def _arrays():
+    """The same row operations on float64 arrays: each is the IEEE operation
+    the list version applies element by element, so results are identical."""
+    import numpy as np
+
+    return _Rows(
+        row=lambda xs: np.array(xs, dtype=np.float64),
+        out=np.ndarray.tolist,
+        add=np.add,
+        sub=np.subtract,
+        mul=np.multiply,
+        cat=lambda xs, ys: np.concatenate((xs, ys)),
+        minimum=lambda xs, ys: np.where(ys < xs, ys, xs),
+        less=lambda xs, ys: np.less(xs, ys).tobytes(),  # one byte per cell
+        column=lambda rows, k: rows[:, k],
+    )
+
+
+def _engine(n):
+    """The row operations for an n-vertex interval DP: the gate between
+    the pure-Python and the numpy engine."""
+    return _arrays() if n >= N_ARRAY else _LISTS
+
+
+def _interval_dp(n, diag, near_a, near_b, rows, ops):
     """Shared circular-interval DP engine, one interval size at a time.
 
     A path over the circular interval [i, j] of size s ends at i (state A)
@@ -208,23 +257,25 @@ def _interval_dp(n, diag, near_a, near_b, rows):
     from i+1 to i and ``near_b[k]`` the step from k to k+1.  ``rows(s)``
     returns, indexed by i for the intervals of size s, the step from j to i,
     the step from i to j, and the multipliers of the steps into A and into
-    B.  Steps are nonnegative or infinite, so an unreachable state stays
-    infinite.  On ties extending from the same end beats switching ends.
-    Returns (best, path).
+    B.  All rows are of the kind ``ops`` works on.  Steps are nonnegative or
+    infinite, so an unreachable state stays infinite.  On ties extending
+    from the same end beats switching ends.  Returns (best, path).
     """
-    A = list(diag)
-    B = list(diag)
+    add_, mul_, cat, minimum, less = ops.add, ops.mul, ops.cat, ops.minimum, ops.less
+    A = B = ops.row(diag)
+    near_b = cat(near_b, near_b)  # each size reads a rotation: a slice here
     switched = [None, None]  # per size: one bytes row each for A and B
     for s in range(2, n + 1):
         far_a, far_b, ma, mb = rows(s)
-        a0 = list(map(add, A[1:] + A[:1], map(mul, near_a, ma)))
-        a1 = list(map(add, B[1:] + B[:1], map(mul, far_a, ma)))
-        b0 = list(map(add, B, map(mul, near_b[s - 2:] + near_b[:s - 2], mb)))
-        b1 = list(map(add, A, map(mul, far_b, mb)))
-        switched.append((bytes(map(lt, a1, a0)), bytes(map(lt, b1, b0))))
-        A = _minimum(a0, a1)
-        B = _minimum(b0, b1)
+        a0 = add_(cat(A[1:], A[:1]), mul_(near_a, ma))
+        a1 = add_(cat(B[1:], B[:1]), mul_(far_a, ma))
+        b0 = add_(B, mul_(near_b[s - 2:s - 2 + n], mb))
+        b1 = add_(A, mul_(far_b, mb))
+        switched.append((less(a1, a0), less(b1, b0)))
+        A = minimum(a0, a1)
+        B = minimum(b0, b1)
 
+    A, B = ops.out(A), ops.out(B)
     best, at_j, i = INF, 0, 0
     for j in range(n):
         k = (j + 1) % n
@@ -250,29 +301,23 @@ def _interval_dp(n, diag, near_a, near_b, rows):
     return best, path_rev
 
 
-def _minimum(xs, ys):
-    """Elementwise ``min(x, y)``: y only when strictly smaller (a
-    comprehension, several times faster than ``map(min, ...)``)."""
-    return [y if y < x else x for x, y in zip(xs, ys)]
-
-
 def _polygon_dp(poly, dist, diag):
     """Interval DP over the polygon's vertex ring with the distances
     ``dist(p, q)`` (the visibility-gated Euclidean oracle by default)."""
     n = poly.n
     if dist is None:
         dist = euclidean_dist(poly)
+    ops = _engine(n)
     # rot[i][d] = dist(i, i + d): each size reads one column of it
-    rot = [[dist(p, (p + d) % n) for d in range(n)] for p in range(n)]
-    ones = [1.0] * n
+    rot = ops.row([[dist(p, (p + d) % n) for d in range(n)] for p in range(n)])
+    ones = ops.row([1.0] * n)
+    cat, column = ops.cat, ops.column
 
     def rows(s):
-        back = list(map(itemgetter(n - s + 1), rot))  # dist(k, k - s + 1)
-        return (back[s - 1:] + back[:s - 1], list(map(itemgetter(s - 1), rot)),
-                ones, ones)
+        back = column(rot, n - s + 1)  # dist(k, k - s + 1)
+        return cat(back[s - 1:], back[:s - 1]), column(rot, s - 1), ones, ones
 
-    near_a = rows(2)[0]
-    return _interval_dp(n, diag, near_a, list(map(itemgetter(1), rot)), rows)
+    return _interval_dp(n, diag, rows(2)[0], column(rot, 1), rows, ops)
 
 
 def shortest_ham_path_fixed_start(poly, start, dist=None):
@@ -382,25 +427,27 @@ def curve_weighted_ham_path(inst):
     else:
         diag = [INF] * n
         diag[inst.start] = 0.0
-    dp, wp, total = pre.dp, pre.wp, pre.total
-    w_out = [wp[n] - x for x in wp]  # weight of the vertices k .. n-1
-    totals = repeat(total)
+    ops = _engine(n)
+    add_, sub_, cat, minimum = ops.add, ops.sub, ops.cat, ops.minimum
+    dp, wp = ops.row(pre.dp), ops.row(pre.wp)
+    w_out = sub_(ops.row([pre.wp[n]] * (n + 1)), wp)  # weight of vertices k .. n-1
+    totals = ops.row([pre.total] * n)
 
     def rows(s):
         # intervals [i, i + s - 1] with i < m do not wrap past vertex n-1;
         # each slice pair below is one of _CurvePrefix's two cases
         m = n - s + 1
-        inner = list(map(sub, dp[s - 1:n], dp[:m])) + \
-            list(map(sub, dp[m:n], dp[:s - 1]))  # arc not through the seam
-        outer = list(map(sub, totals, inner))
-        short = _minimum(inner, outer)
-        flip = _minimum(outer, list(map(sub, totals, outer)))
-        # weight of the vertices outside [i+1, j] and outside [i, j-1]
-        ma = list(map(add, w_out[s:n], wp[1:m])) + list(map(sub, wp[m:], wp[:s]))
-        mb = list(map(add, w_out[s - 1:n], wp[:m])) + \
-            list(map(sub, wp[m:n], wp[:s - 1]))
-        return flip[:m] + short[m:], short[:m] + flip[m:], ma, mb
+        inner = cat(sub_(dp[s - 1:n], dp[:m]),
+                    sub_(dp[m:n], dp[:s - 1]))  # arc not through the seam
+        outer = sub_(totals, inner)
+        short = minimum(inner, outer)
+        flip = minimum(outer, sub_(totals, outer))
+        # weight of the vertices outside [i, j-1]; outside [i+1, j] is the
+        # same sum for the interval one further on
+        mb = cat(add_(w_out[s - 1:n], wp[:m]), sub_(wp[m:n], wp[:s - 1]))
+        return cat(flip[:m], short[m:]), cat(short[:m], flip[m:]), \
+            cat(mb[1:], mb[:1]), mb
 
-    near_a = [pre.dist((i + 1) % n, i) for i in range(n)]
-    near_b = [pre.dist(k, (k + 1) % n) for k in range(n)]
-    return _interval_dp(n, diag, near_a, near_b, rows)
+    near_a = ops.row([pre.dist((i + 1) % n, i) for i in range(n)])
+    near_b = ops.row([pre.dist(k, (k + 1) % n) for k in range(n)])
+    return _interval_dp(n, diag, near_a, near_b, rows, ops)

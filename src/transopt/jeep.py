@@ -162,38 +162,6 @@ def eval_equal_naive(x, k, params):
     return mult * a
 
 
-def first_index(v, g_v, a, m, method="direct"):
-    """Smallest index u such that every requirement between u and v shares
-    the round-trip count of index v.
-
-    ``direct`` applies the closed-form offset (with the exact-multiple
-    decrement); ``binsearch`` searches u and checks the division directly.
-    """
-    net = m - 2.0 * a
-    l_v = fdiv(g_v, net)
-    denom = l_v * 2.0 * a + a
-    if method == "direct":
-        r_v = g_v - l_v * net
-        room = net - r_v
-        try:
-            dif = fdiv(room, denom)
-        except OverflowError:  # room/denom is infinite: the run reaches 1
-            return 1
-        if abs(room - dif * denom) <= _DIV_TOL * max(1.0, abs(room)):
-            dif -= 1
-        return max(v - dif, 1)
-    if method == "binsearch":
-        lo, hi = 1, v
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if fdiv(g_v + (v - mid) * denom, net) == l_v:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-    raise ValueError(f"unknown method {method!r}")
-
-
 def eval_equal_fast(x, k, params):
     """Method 2 with index skipping.
 
@@ -212,8 +180,7 @@ def eval_equal_fast(x, k, params):
     """
     _check_equal(x, k)
     a = params.g * x / (k + 1)
-    m = params.m
-    net = m - 2.0 * a
+    net = params.m - 2.0 * a
     if net <= 0:
         raise InfeasibleError(f"equal subdivision too coarse: m - 2a = {net}")
     mult = 0
@@ -224,7 +191,18 @@ def eval_equal_fast(x, k, params):
         step = 2 * l + 1
         nxt = fdiv((mult + step) * a, net)  # the count at index idx - 1
         if nxt == l and idx > 1:
-            u = first_index(idx, mult * a, a, m, "direct")
+            # closed form of the run's first index: the room left below the
+            # next count, in steps of (2l+1) a, less one on an exact multiple
+            room = net - (mult * a - l * net)
+            denom = l * 2.0 * a + a
+            try:
+                dif = fdiv(room, denom)
+            except OverflowError:  # room / denom is infinite: the run reaches 1
+                dif = idx
+            else:
+                if abs(room - dif * denom) <= _DIV_TOL * max(1.0, abs(room)):
+                    dif -= 1
+            u = max(idx - dif, 1)
             while u > 1 and fdiv((mult + (idx - (u - 1)) * step) * a, net) == l:
                 u -= 1
             while u < idx and fdiv((mult + (idx - u) * step) * a, net) != l:

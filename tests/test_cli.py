@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 import time
 
 import pytest
 
+from transopt import cli
 from transopt.cli import bench_jeep, main
 
 STAR = {
@@ -38,6 +40,34 @@ def test_solve_ovrp(tmp_path, capsys):
     assert env["objective"] == 7.0
     assert env["solver"] == "ovrp-interval"
     assert env["solution"]["routes"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_and_restores_the_collector(tmp_path, capsys, monkeypatch,
+                                                enabled):
+    seen = []
+
+    def load(path):
+        seen.append(gc.isenabled())
+        return load_instance(path)
+
+    load_instance = cli.load_instance
+    monkeypatch.setattr(cli, "load_instance", load)
+    ok = write(tmp_path, STAR)
+    bad = write(tmp_path, dict(STAR, p=0), "bad.json")
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run(capsys, ["solve", ok])[1][0]["status"] == "ok"
+        assert gc.isenabled() is enabled
+        assert run(capsys, ["solve", bad])[1][0]["status"] == "error"
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            main(["solve", "--algo", "no-such-algo", ok])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]  # paused while each command ran
 
 
 def test_solve_all_ovrp_algos_agree(tmp_path, capsys):

@@ -245,6 +245,65 @@ def test_dp_matches_brute_on_random_polygons():
         done += 1
 
 
+def _per_engine(monkeypatch, solve, *args):
+    """``solve(*args)`` once on the list rows and once on the numpy rows,
+    whatever the gate would pick for the instance's size."""
+    out = []
+    for ops in (hampath._LISTS, hampath._arrays()):
+        monkeypatch.setattr(hampath, "_engine", lambda n, ops=ops: ops)
+        out.append(solve(*args))
+    return out
+
+
+def test_engine_gate():
+    below = hampath._engine(hampath.N_ARRAY - 1)
+    assert hampath._engine(2) is below is hampath._LISTS
+    assert hampath._engine(hampath.N_ARRAY) is not hampath._LISTS
+
+
+def test_list_and_array_engines_agree_on_curves(monkeypatch):
+    rng = random.Random(49)
+    sizes = [2, 3, 4, 7, 19, 64, 150, hampath.N_ARRAY - 1, hampath.N_ARRAY + 23]
+    for t, n in enumerate(sizes * 2):
+        if t % 2:
+            gaps = [rng.randint(1, 9) for _ in range(n)]
+            weights = [rng.randint(0, 4) for _ in range(n)]
+        else:
+            gaps = [rng.uniform(0.01, 10.0) for _ in range(n)]
+            weights = [0.0 if rng.random() < 0.2 else rng.uniform(0.0, 5.0)
+                       for _ in range(n)]
+        start = rng.randrange(n) if t % 3 else None
+        inst = CurveInstance(gaps, weights=weights, start=start)
+        lists, arrays = _per_engine(monkeypatch, curve_weighted_ham_path, inst)
+        assert lists == arrays, (n, start)
+        assert type(arrays[0]) is float and len(arrays[1]) == n
+
+
+def test_list_and_array_engines_agree_on_polygons(monkeypatch):
+    rng = random.Random(50)
+    polys = [jittered_star(rng, rng.randint(4, 24), rng.uniform(0.05, 0.85))
+             for _ in range(12)] + [rectilinear_histogram(rng) for _ in range(6)]
+    # past the gate: a regular polygon, where every pair is visible
+    n = hampath.N_ARRAY + 5
+    polys.append(SimplePolygon([(math.cos(2 * math.pi * i / n),
+                                 math.sin(2 * math.pi * i / n)) for i in range(n)]))
+    reachable = 0
+    for t, poly in enumerate(polys):
+        n = poly.n
+        vis = visibility_matrix(poly) if n < 100 else [[True] * n] * n
+        if t % 2:  # cut off about half of the visible pairs
+            vis = [[ok and (p == q or rng.random() < 0.5)
+                    for q, ok in enumerate(row)] for p, row in enumerate(vis)]
+        dist = euclidean_dist(poly, vis)
+        start = rng.randrange(n)
+        for solve, args in ((shortest_ham_path_free_start, (poly, dist)),
+                            (shortest_ham_path_fixed_start, (poly, start, dist))):
+            lists, arrays = _per_engine(monkeypatch, solve, *args)
+            assert lists == arrays, (poly.vertices, args[1:])
+            reachable += lists[0] < INF
+    assert 0 < reachable < 2 * len(polys)  # both outcomes are compared
+
+
 def test_path_length_recomputes():
     rng = random.Random(42)
     done = 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transopt import jeep
 from transopt.cli import main
 from transopt.errors import BudgetUnreachableError, InfeasibleError
 from transopt.jeep import (
@@ -19,7 +20,6 @@ from transopt.jeep import (
     eval_equal_naive,
     eval_subdivision_exact,
     fdiv,
-    first_index,
     graph_free_depots,
     graph_min_gas_backward,
     graph_min_gas_binary_forward,
@@ -187,7 +187,8 @@ def test_fast_pinned_value_and_touched_count():
 
 
 def test_fast_huge_tank_gives_one_ok_envelope(tmp_path, capsys):
-    # room / denom overflows to inf inside first_index: the run reaches index 1
+    # room / denom overflows to inf in the run's closed form: one run
+    # reaches index 1
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"schema": "transopt-instance/1", "problem": "jeep",
                                 "x": 1.0, "k": 4, "m": 1e308, "g": 1.0}))
@@ -196,32 +197,69 @@ def test_fast_huge_tank_gives_one_ok_envelope(tmp_path, capsys):
         (line,) = capsys.readouterr().out.splitlines()
         env = json.loads(line)
         assert (env["status"], env["objective"]) == ("ok", 1.0)
-    assert first_index(5, 0.0, 0.2, 1e308) == 1
+    assert eval_equal_fast(1.0, 4, JeepParams(1e308, 1.0)) == (1.0, 2)
     for k in (0, 1, 4, 1000):
         assert eval_equal_fast(1.0, k, JeepParams(1e308, 1.0))[0] == \
             eval_equal_naive(1.0, k, JeepParams(1e308, 1.0))
 
 
-def test_first_index_examples():
-    assert first_index(5, 0.0, 0.2, 1.0) == 3
-    assert first_index(2, 0.6, 0.2, 1.0) == 2
-    assert first_index(1, 0.0, 0.2, 1.0) == 1
-    with pytest.raises(ValueError):
-        first_index(5, 0.0, 0.2, 1.0, method="bogus")
+def _runs_by_binsearch(x, k, params):
+    """Method 2 with index skipping, each run's first index found by
+    bisection on the division the naive loop makes: the reference for the
+    closed form in ``eval_equal_fast``.  Returns (value, points touched)
+    and the runs as (first index, last index) pairs."""
+    a = params.g * x / (k + 1)
+    net = params.m - 2.0 * a
+    mult, idx, runs = 0, k + 1, []
+    while idx > 0:
+        l = fdiv(mult * a, net)
+        step = 2 * l + 1
+        lo, hi = 1, idx  # the count only grows as the index falls
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if fdiv((mult + (idx - mid) * step) * a, net) == l:
+                hi = mid
+            else:
+                lo = mid + 1
+        runs.append((lo, idx))
+        mult += (idx - lo + 1) * step
+        idx = lo - 1
+    return (mult * a, len(runs) + 1), runs
 
 
-def test_first_index_direct_equals_binsearch():
+def test_first_index_direct_equals_binsearch(monkeypatch):
+    calls = [0]
+
+    def counted(num, den):
+        calls[0] += 1
+        return fdiv(num, den)
+
+    monkeypatch.setattr(jeep, "fdiv", counted)
     rng = random.Random(34)
-    for _ in range(10000):
+    skipped = 0
+    for t in range(300):
         m = rng.choice([1.0, 2.0, 0.75])
-        a = rng.uniform(0.01, 0.49) * m
-        net = m - 2.0 * a
-        v = rng.randint(1, 500)
-        l = rng.randint(0, 20)
-        g_v = (l + rng.random()) * net if rng.random() < 0.5 else l * net
-        d = first_index(v, g_v, a, m, "direct")
-        b = first_index(v, g_v, a, m, "binsearch")
-        assert d == b, (v, g_v, a, m, d, b)
+        g = rng.choice([1.0, rng.uniform(0.5, 2.0)])
+        k = rng.randint(0, 3000)
+        x = rng.uniform(0.1, 6.0) * m / g
+        if t % 3 == 0:  # a dyadic spacing a: room falls on exact multiples
+            j = rng.randint(3, 9)
+            g, k = 1.0, rng.randint(0, min(3000, int(5 * m * 2 ** j)))
+            x = (k + 1) / 2 ** j
+        params = JeepParams(m, g)
+        if m - 2.0 * g * x / (k + 1) <= 0:
+            continue
+        calls[0] = 0
+        fast = eval_equal_fast(x, k, params)
+        expected, runs = _runs_by_binsearch(x, k, params)
+        assert fast == expected, (m, g, x, k)
+        # a one-index run divides once; a longer one divides for the next
+        # count, the closed form, one check on each side of the first index
+        # (none below index 1) and the count after the run: no nudge ran
+        assert calls[0] == sum(1 if u == v else 4 + (u > 1) for u, v in runs), \
+            (m, g, x, k)
+        skipped += fast[1] < k + 1
+    assert skipped > 200  # most cases have runs the closed form jumps
 
 
 def test_continuous_examples():

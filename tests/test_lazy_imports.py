@@ -1,5 +1,6 @@
-"""The package loads a solver module, and numpy, only when a request runs it;
-no request loads ``dataclasses``."""
+"""The package loads a solver module only when a request runs it, and numpy
+only for ``ovrp-dp2`` and interval DPs past the size gate; no request loads
+``dataclasses``."""
 
 import json
 import os
@@ -65,6 +66,25 @@ def test_solve_without_ovrp_does_not_import_numpy(tmp_path):
         assert "numpy" in sys.modules
     """)
     assert len(lines) == 10
+
+
+def test_interval_dp_loads_numpy_only_past_the_gate(tmp_path):
+    from transopt.hampath import N_ARRAY
+
+    def curve(n):
+        return {"schema": SCHEMA, "problem": "curve", "start": 0,
+                "gaps": [1 + i % 3 for i in range(n)],
+                "weights": [i % 2 for i in range(n)]}
+    instances = dict(INSTANCES, below=curve(N_ARRAY - 1), at=curve(N_ARRAY))
+    lines = _run_script(tmp_path, """
+        for tag in ("hampath", "curve", "below"):
+            assert main(["solve", paths[tag]]) == 0, tag
+        assert "numpy" not in sys.modules, "numpy loaded below the array gate"
+        # control: the check above can see numpy once an instance reaches it
+        assert main(["solve", paths["at"]]) == 0
+        assert "numpy" in sys.modules
+    """, instances)
+    assert len(lines) == 4
 
 
 def test_no_command_loads_dataclasses(tmp_path):
