@@ -4,6 +4,12 @@ Subcommands: ``solve`` dispatches a JSON instance file to a named solver,
 ``oracle`` runs the matching brute-force reference, ``check`` runs both and
 reports agreement, ``bench-jeep`` times the two equal-subdivision jeep
 evaluators against each other.  Exit codes: 0 ok, 2 infeasible, 1 error.
+
+``python -m transopt.cli`` runs one command, flushes stdout and stderr and
+ends with ``os._exit``, skipping interpreter teardown; a reader that closes
+the pipe early gets exit code 1 and no traceback.  ``main`` itself returns
+the exit code, so the ``transopt`` console script and in-process callers
+keep a normal exit.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import time
 
 # Solver modules are imported inside the branches that run them, so a
 # process loads only the solver it needs (and numpy only for ovrp-dp2 and
-# the interval DP past its size gate).
+# the interval DP, each past its size gate).
 from .errors import BudgetUnreachableError, InfeasibleError, TransoptError
 
 INSTANCE_SCHEMA = "transopt-instance/1"
@@ -486,4 +492,19 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # One command per process: once its output is flushed, os._exit ends
+    # the process without finalizing the interpreter (tearing down every
+    # module and object), which a one-shot process has no use for.
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse: --help, bad arguments
+            code = exc.code
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early; as the signal module's docs
+        # advise, point stdout at devnull so nothing writes to it again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    os._exit(code)

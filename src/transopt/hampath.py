@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import namedtuple
+from itertools import accumulate
 from operator import add, itemgetter, lt, mul, sub
 
 from .errors import InvalidPolygonError
@@ -379,39 +380,21 @@ def curve_ham_path(inst):
     if inst.start is None:
         return total - max(inst.gaps)
     n, s = inst.n, inst.start
-    pre = _CurvePrefix(inst)
-    best = INF
-    for j in range(n):
-        extra = min(pre.dsum(s, j), pre.dsum((j + 1) % n, s))
-        best = min(best, total - inst.gaps[j] + extra)
-    return best
+    dp = list(accumulate(inst.gaps, initial=0.0))  # dp[i]: arc from 0 to i
 
-
-class _CurvePrefix:
-    """O(1) circular arc sums and weight sums via prefix arrays."""
-
-    def __init__(self, inst):
-        n = inst.n
-        self.n = n
-        self.dp = [0.0] * (n + 1)
-        self.wp = [0.0] * (n + 1)
-        for i in range(n):
-            self.dp[i + 1] = self.dp[i] + inst.gaps[i]
-            self.wp[i + 1] = self.wp[i] + inst.weights[i]
-        self.total = self.dp[n]
-
-    def dsum(self, i, j):
+    def arc(i, j):
         """Arc length from i forward to j (gaps i .. j-1 circularly)."""
         if i == j:
             return 0.0
         if i < j:
-            return self.dp[j] - self.dp[i]
-        return self.total - (self.dp[i] - self.dp[j])
+            return dp[j] - dp[i]
+        return dp[n] - (dp[i] - dp[j])
 
-    def dist(self, a, b):
-        """Shorter of the two arcs between a and b."""
-        fwd = self.dsum(a, b)
-        return min(fwd, self.total - fwd)
+    best = INF
+    for j in range(n):
+        extra = min(arc(s, j), arc((j + 1) % n, s))
+        best = min(best, total - inst.gaps[j] + extra)
+    return best
 
 
 def curve_weighted_ham_path(inst):
@@ -421,7 +404,8 @@ def curve_weighted_ham_path(inst):
     not yet visited, which telescopes into sum of w_i * dt(i).  Returns
     (cost, visit order)."""
     n = inst.n
-    pre = _CurvePrefix(inst)
+    dp = list(accumulate(inst.gaps, initial=0.0))  # dp[i]: arc from 0 to i
+    wp = list(accumulate(inst.weights, initial=0.0))
     if inst.start is None:
         diag = [0.0] * n
     else:
@@ -429,13 +413,14 @@ def curve_weighted_ham_path(inst):
         diag[inst.start] = 0.0
     ops = _engine(n)
     add_, sub_, cat, minimum = ops.add, ops.sub, ops.cat, ops.minimum
-    dp, wp = ops.row(pre.dp), ops.row(pre.wp)
-    w_out = sub_(ops.row([pre.wp[n]] * (n + 1)), wp)  # weight of vertices k .. n-1
-    totals = ops.row([pre.total] * n)
+    w_out = ops.row([wp[n] - x for x in wp])  # weight of vertices k .. n-1
+    totals = ops.row([dp[n]] * n)
+    dp, wp = ops.row(dp), ops.row(wp)
 
     def rows(s):
         # intervals [i, i + s - 1] with i < m do not wrap past vertex n-1;
-        # each slice pair below is one of _CurvePrefix's two cases
+        # the arc from i to j is dp[j] - dp[i] for those, and the curve
+        # minus the arc from j to i for the others
         m = n - s + 1
         inner = cat(sub_(dp[s - 1:n], dp[:m]),
                     sub_(dp[m:n], dp[:s - 1]))  # arc not through the seam
@@ -448,6 +433,6 @@ def curve_weighted_ham_path(inst):
         return cat(flip[:m], short[m:]), cat(short[:m], flip[m:]), \
             cat(mb[1:], mb[:1]), mb
 
-    near_a = ops.row([pre.dist((i + 1) % n, i) for i in range(n)])
-    near_b = ops.row([pre.dist(k, (k + 1) % n) for k in range(n)])
+    # the steps between neighbours are the far steps of the intervals of 2
+    near_a, near_b, _, _ = rows(2)
     return _interval_dp(n, diag, near_a, near_b, rows, ops)

@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from itertools import compress
-from operator import lt, sub
+from operator import add, lt, sub
 
-# numpy is imported inside the dp2 solver, so only ovrp-dp2 runs load it
+# numpy is imported inside the dp2 array merge, so only ovrp-dp2 solves past
+# DP2_ARRAY_WORK load it
 from .tree import (consecutive_leaf_lcas, euler_walk, leaves_dfs_order,
                    postorder)
 
@@ -190,6 +191,86 @@ def solve_knapsack_v1(inst):
     return min(rt[pi][0] for pi in range(1, p + 1))
 
 
+# dp2 solves whose work n (p + 1)^2 reaches this merge on numpy arrays.
+# Below it the list merge finishes before numpy would have been imported:
+# the import costs about 0.17 s, and the crossover was measured end to end
+# on ovrp-dp2 processes with p = 5, 10 and 20 (CHANGES.md).
+DP2_ARRAY_WORK = 600_000
+
+
+def _dp2_engine(n, p):
+    """The merge for an n-vertex dp2 with p vehicles: the gate between the
+    pure-Python and the numpy engine.  Up to three vehicles a list merge is
+    no slower than an array merge, so the import never pays off there."""
+    if p > 3 and n * (p + 1) ** 2 >= DP2_ARRAY_WORK:
+        return _array_merge
+    return _list_merge
+
+
+def solve_knapsack_v2(inst):
+    """O(p^2 n) variant: at most one vehicle ever leaves a subtree.
+
+    ``cur[P_out][P_in]`` is the cheapest partial traversal of T(u) with P_in
+    vehicles entering and P_out (0 or 1) of them leaving, merged child by
+    child.  Both engines form every candidate with the same IEEE additions,
+    so they give identical results.
+    """
+    tree, p = inst.tree, _vehicle_bound(inst)
+    base, merge = _dp2_engine(tree.n, p)(p)
+    edge_len, children = tree.edge_len, tree.children
+    table = {}
+    for u in postorder(tree):
+        cur = base
+        for child in children[u]:
+            cur = merge(cur, table.pop(child), edge_len[child])
+        table[u] = cur
+    return float(min(table[tree.root][0][1:]))
+
+
+def _list_merge(p):
+    """(base, merge) on a pair of Python lists.
+
+    A child with edge length l costs ``t0[d] = k0[d] + d l`` when it takes d
+    vehicles that all stay, and ``t1[d] = (k1[d] + d l) + l`` when one of
+    them leaves again; ``m[d] = min(t0[d], t1[d + 1])`` pays the cheaper way
+    to consume d vehicles net.  With i vehicles already in the parent, the
+    parent's leave-state changes as the leaving vehicle stays in the child
+    (``m[d + 1]``) or comes out of it (``m[d - 1]``), so
+
+        new0[s] = min over i + d = s of m[d] + c0[i], m[d + 1] + c1[i]
+        new1[s] = min over i + d = s of m[d] + c1[i], m[d - 1] + c0[i]
+
+    with m = inf outside 0..p.  Each min runs over ``m`` reversed, sliced
+    to start at d = s, against ``c`` from i = 0; ``map`` stops at the
+    shorter of the two.  P_in = 0 is always inf: no vehicle enters.
+    """
+    base = ([INF] + [0.0] * p,) * 2
+    pad = [INF]
+    sizes = range(1, p + 1)
+
+    def merge(cur, child, l):
+        c0, c1 = cur
+        k0, k1 = child
+        t0 = [x + d * l for d, x in enumerate(k0)]
+        t1 = [(x + d * l) + l for d, x in enumerate(k1)]
+        m = [y if y < x else x for x, y in zip(t0, t1[1:])]
+        m.append(t0[p])
+        mr = m[::-1]  # mr[p - d] = m[d]
+        up, down = pad + mr, mr + pad  # m[d + 1] and m[d - 1] at p - d
+        n0, n1 = [INF], [INF]
+        for s in sizes:
+            stay = mr[p - s:]
+            x = min(map(add, stay, c0))
+            y = min(map(add, up[p - s:], c1))
+            n0.append(y if y < x else x)
+            x = min(map(add, stay, c1))
+            y = min(map(add, down[p - s + 1:], c0))
+            n1.append(y if y < x else x)
+        return n0, n1
+
+    return base, merge
+
+
 def _merge_gathers(p):
     """Flat indices into a child's ``t`` (shape 2 x (p+1)) for a merge.
 
@@ -218,37 +299,25 @@ def _merge_gathers(p):
     return g0, g1
 
 
-def solve_knapsack_v2(inst):
-    """O(p^2 n) variant: at most one vehicle ever leaves a subtree.
-
-    ``cur[P_out, P_in]`` is the cheapest partial traversal of T(u) with P_in
-    vehicles entering and P_out (0 or 1) of them leaving.  Merging a child
-    is one min-plus product over both leave-states, through index arrays
-    built once per solve.
-    """
+def _array_merge(p):
+    """(base, merge) on 2 x (p+1) numpy arrays: one min-plus product over
+    both leave-states, through index arrays built once per solve."""
     import numpy as np
-    tree, p = inst.tree, _vehicle_bound(inst)
     base = np.full((2, p + 1), INF)
     base[:, 1:] = 0.0
     ar = np.arange(p + 1)
     g0, g1 = _merge_gathers(p)
 
-    table = {}
-    for u in postorder(tree):
-        cur = base
-        for child in tree.children[u]:
-            l = tree.edge_len[child]
-            # t[P'out, P'in] = child cost + edge crossings
-            t = table.pop(child) + ar * l
-            t[1] += l
-            cost = t.take(g0)
-            np.minimum(cost, t.take(g1), out=cost)
-            cost += cur[:, :, None, None]
-            cur = cost.min(axis=(0, 1))
-        table[u] = cur
-    rt = table[tree.root]
-    best = rt[0, 1:].min()
-    return float(best)
+    def merge(cur, child, l):
+        # t[P'out, P'in] = child cost + edge crossings
+        t = child + ar * l
+        t[1] += l
+        cost = t.take(g0)
+        np.minimum(cost, t.take(g1), out=cost)
+        cost += cur[:, :, None, None]
+        return cost.min(axis=(0, 1))
+
+    return base, merge
 
 
 def _vehicle_walk(tree, leaf_ids, end_leaf):

@@ -1,6 +1,6 @@
 """The package loads a solver module only when a request runs it, and numpy
-only for ``ovrp-dp2`` and interval DPs past the size gate; no request loads
-``dataclasses``."""
+only for ``ovrp-dp2`` solves and interval DPs past their size gates; no
+request loads ``dataclasses``."""
 
 import json
 import os
@@ -49,6 +49,11 @@ def _run_script(tmp_path, body, instances=INSTANCES):
 
 
 def test_solve_without_ovrp_does_not_import_numpy(tmp_path):
+    from transopt.ovrp import DP2_ARRAY_WORK
+    p = 10
+    n = -(-DP2_ARRAY_WORK // (p + 1) ** 2)  # a star: p is not capped
+    past = {"schema": SCHEMA, "problem": "ovrp", "n": n, "p": p,
+            "edges": [[1, v, 1 + v % 7] for v in range(2, n + 1)]}
     lines = _run_script(tmp_path, """
         for tag in ("fuel", "jeep", "hampath", "curve"):
             assert main(["solve", paths[tag]]) == 0, tag
@@ -61,11 +66,13 @@ def test_solve_without_ovrp_does_not_import_numpy(tmp_path):
         assert main(["solve", paths["ovrp"]]) == 0  # the default, ovrp-interval
         assert main(["check", paths["ovrp"]]) == 0
         assert "numpy" not in sys.modules, "numpy loaded by ovrp solve/check"
-        # control: the check above can see numpy once ovrp-dp2 runs
         assert main(["solve", "--algo", "ovrp-dp2", paths["ovrp"]]) == 0
+        assert "numpy" not in sys.modules, "numpy loaded below the dp2 gate"
+        # control: the checks above can see numpy once a dp2 solve reaches it
+        assert main(["solve", "--algo", "ovrp-dp2", paths["past"]]) == 0
         assert "numpy" in sys.modules
-    """)
-    assert len(lines) == 10
+    """, dict(INSTANCES, past=past))
+    assert len(lines) == 11
 
 
 def test_interval_dp_loads_numpy_only_past_the_gate(tmp_path):

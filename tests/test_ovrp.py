@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from transopt import ovrp
 from transopt.oracles import _REL_TOL, ovrp_brute
 from transopt.ovrp import (
     OvrpInstance,
@@ -227,3 +228,44 @@ def test_interval_routes_pinned(make, n, seed, digest):
         sol = solve_leaf_interval(OvrpInstance(tr, p))
         h.update(repr((sol.total_cost, sol.routes)).encode())
     assert h.hexdigest() == digest
+
+
+def _per_dp2_engine(monkeypatch, inst):
+    """``solve_knapsack_v2(inst)`` once on the list merge and once on the
+    array merge, whatever the gate would pick for the instance."""
+    out = []
+    for merge in (ovrp._list_merge, ovrp._array_merge):
+        monkeypatch.setattr(ovrp, "_dp2_engine", lambda n, p, merge=merge: merge)
+        out.append(solve_knapsack_v2(inst))
+    return out
+
+
+def test_dp2_engine_gate():
+    work, p = ovrp.DP2_ARRAY_WORK, 10
+    below = work // (p + 1) ** 2
+    assert ovrp._dp2_engine(below, p) is ovrp._list_merge
+    assert ovrp._dp2_engine(below + 1, p) is ovrp._array_merge
+    assert ovrp._dp2_engine(1, 1) is ovrp._list_merge
+    # up to three vehicles the lists are used at any size
+    assert ovrp._dp2_engine(10 ** 7, 3) is ovrp._list_merge
+    assert ovrp._dp2_engine(10 ** 7, 4) is ovrp._array_merge
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["int", "real"])
+def test_list_and_array_dp2_engines_agree(monkeypatch, real):
+    rng = random.Random(18 + real)
+    for make in (deep_tree, bushy_tree, star_tree) * 12:
+        tr = make(rng, rng.randint(1, 40), real)
+        leaves = len(leaves_dfs_order(tr))
+        for p in range(1, leaves + 2):
+            lists, arrays = _per_dp2_engine(monkeypatch, OvrpInstance(tr, p))
+            assert lists == arrays, (tr, p)
+            assert type(lists) is float and type(arrays) is float
+    # trees just below and just past the gate at p = 10
+    below = ovrp.DP2_ARRAY_WORK // 121
+    for make, n in ((deep_tree, below), (bushy_tree, below + 1)):
+        inst = OvrpInstance(make(rng, n, real), 10)
+        lists, arrays = _per_dp2_engine(monkeypatch, inst)
+        assert lists == arrays
+        if not real:
+            assert lists == solve_leaf_interval(inst).total_cost
