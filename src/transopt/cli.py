@@ -5,11 +5,11 @@ Subcommands: ``solve`` dispatches a JSON instance file to a named solver,
 reports agreement, ``bench-jeep`` times the two equal-subdivision jeep
 evaluators against each other.  Exit codes: 0 ok, 2 infeasible, 1 error.
 
-``python -m transopt.cli`` runs one command, flushes stdout and stderr and
-ends with ``os._exit``, skipping interpreter teardown; a reader that closes
-the pipe early gets exit code 1 and no traceback.  ``main`` itself returns
-the exit code, so the ``transopt`` console script and in-process callers
-keep a normal exit.
+The ``transopt`` console script and ``python -m transopt.cli`` both call
+``run``: it runs one command, flushes stdout and stderr and ends with
+``os._exit``, skipping interpreter teardown; a reader that closes the pipe
+early gets exit code 1 and no traceback.  ``main`` itself returns the exit
+code, so in-process callers keep a normal exit.
 """
 
 from __future__ import annotations
@@ -491,20 +491,27 @@ def main(argv=None):
             gc.enable()
 
 
-if __name__ == "__main__":
-    # One command per process: once its output is flushed, os._exit ends
-    # the process without finalizing the interpreter (tearing down every
-    # module and object), which a one-shot process has no use for.
+def run():
+    """The process entry point, for the ``transopt`` console script and
+    ``python -m transopt.cli``: one command per process.  Once its output is
+    flushed, ``os._exit`` ends the process without finalizing the
+    interpreter (tearing down every module and object), which a one-shot
+    process has no use for."""
     try:
         try:
             code = main()
         except SystemExit as exc:  # argparse: --help, bad arguments
             code = exc.code
-        sys.stdout.flush()
-        sys.stderr.flush()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when its fd was closed at start
+                stream.flush()
     except BrokenPipeError:
         # the reader closed the pipe early; as the signal module's docs
         # advise, point stdout at devnull so nothing writes to it again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         code = 1
     os._exit(code)
+
+
+if __name__ == "__main__":
+    run()

@@ -200,9 +200,8 @@ DP2_ARRAY_WORK = 600_000
 
 def _dp2_engine(n, p):
     """The merge for an n-vertex dp2 with p vehicles: the gate between the
-    pure-Python and the numpy engine.  Up to three vehicles a list merge is
-    no slower than an array merge, so the import never pays off there."""
-    if p > 3 and n * (p + 1) ** 2 >= DP2_ARRAY_WORK:
+    pure-Python and the numpy engine."""
+    if n * (p + 1) ** 2 >= DP2_ARRAY_WORK:
         return _array_merge
     return _list_merge
 

@@ -1,8 +1,9 @@
-"""``python -m transopt.cli`` as a process of its own.
+"""``transopt`` as a process of its own.
 
-That entry point flushes its output and ends with ``os._exit``, skipping
-interpreter teardown, so these tests read its exit codes and output through
-pipes, as a shell or the benchmark client would.
+Both ways a shell starts it, the console script and ``python -m
+transopt.cli``, go through ``cli.run``, which flushes the output and ends
+with ``os._exit``, skipping interpreter teardown.  So these tests read exit
+codes and output through pipes, as a shell or the benchmark client would.
 """
 
 import json
@@ -37,18 +38,46 @@ ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 ENV["PYTHONPATH"] = SRC
 
 
-def cli(*args):
-    return subprocess.run([sys.executable, "-m", "transopt.cli", *args],
-                          env=ENV, capture_output=True, timeout=120)
+def console_script_target():
+    """The ``module:function`` pyproject.toml gives the console script."""
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml")) as f:
+        return re.search(r'^transopt = "([\w.]+):(\w+)"$', f.read(),
+                         re.M).groups()
 
 
-@pytest.mark.parametrize("payload, code, status", [
+# The console script's wrapper runs sys.exit(<target>()).
+ENTRIES = {
+    "script": [sys.executable, "-c",
+               "import sys; from {0} import {1}; sys.exit({1}())".format(
+                   *console_script_target())],
+    "module": [sys.executable, "-m", "transopt.cli"],
+}
+
+
+@pytest.fixture(params=sorted(ENTRIES))
+def transopt_cmd(request):
+    return ENTRIES[request.param]
+
+
+@pytest.fixture
+def cli(transopt_cmd):
+    def run(*args):
+        return subprocess.run([*transopt_cmd, *args], env=ENV,
+                              capture_output=True, timeout=120)
+    return run
+
+
+INFEASIBLE = {"schema": SCHEMA, "problem": "jeep", "x": 2.5, "k": 0,
+              "m": 1.0, "g": 1.0}
+OUTCOMES = pytest.mark.parametrize("payload, code, status", [
     (STAR, 0, "ok"),
     (dict(STAR, p=0), 1, "error"),
-    ({"schema": SCHEMA, "problem": "jeep", "x": 2.5, "k": 0, "m": 1.0,
-      "g": 1.0}, 2, "infeasible"),
+    (INFEASIBLE, 2, "infeasible"),
 ], ids=["ok", "error", "infeasible"])
-def test_exit_code_and_envelope(tmp_path, payload, code, status):
+
+
+@OUTCOMES
+def test_exit_code_and_envelope(tmp_path, cli, payload, code, status):
     proc = cli("solve", write(tmp_path, payload))
     assert proc.returncode == code
     assert proc.stderr == b""
@@ -58,7 +87,7 @@ def test_exit_code_and_envelope(tmp_path, payload, code, status):
         assert json.loads(line)["objective"] == 5.0
 
 
-def test_bad_argv_and_help(tmp_path):
+def test_bad_argv_and_help(tmp_path, cli):
     bad = cli("solve", "--algo", "no-such-algo", write(tmp_path, STAR))
     assert bad.returncode == 2
     assert bad.stdout == b"" and b"invalid choice" in bad.stderr
@@ -68,7 +97,7 @@ def test_bad_argv_and_help(tmp_path):
     assert helped.stdout.startswith(b"usage: transopt")
 
 
-def test_multi_mb_envelope_reaches_the_pipe(tmp_path, capsys):
+def test_multi_mb_envelope_reaches_the_pipe(tmp_path, cli, capsys):
     path = write(tmp_path, JEEP_BIG)
     proc = cli("solve", "--algo", "jeep-exact", path)
     assert proc.returncode == 0
@@ -82,7 +111,7 @@ def test_multi_mb_envelope_reaches_the_pipe(tmp_path, capsys):
     assert untimed(proc.stdout) == untimed(in_process)
 
 
-def test_parallel_batch_prints_one_line_per_file(tmp_path):
+def test_parallel_batch_prints_one_line_per_file(tmp_path, cli):
     files = [write(tmp_path, dict(STAR, p=p), f"star{p}.json")
              for p in (1, 2, 0, 3)]
     proc = cli("solve", "--jobs", "2", *files)
@@ -94,7 +123,8 @@ def test_parallel_batch_prints_one_line_per_file(tmp_path):
 
 @pytest.mark.parametrize("payload", [STAR, JEEP_BIG],
                          ids=["at-final-flush", "inside-main"])
-def test_closed_pipe_exits_1_without_traceback(tmp_path, payload):
+def test_closed_pipe_exits_1_without_traceback(tmp_path, transopt_cmd,
+                                               payload):
     # The read end is closed before the child starts, so its first write
     # to stdout fails: the short envelope's at the flush after main, the
     # long one's inside print.
@@ -102,7 +132,7 @@ def test_closed_pipe_exits_1_without_traceback(tmp_path, payload):
     os.close(r)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "transopt.cli", "solve", "--algo",
+            [*transopt_cmd, "solve", "--algo",
              "jeep-exact" if payload is JEEP_BIG else "ovrp-interval",
              write(tmp_path, payload)],
             env=ENV, stdout=w, stderr=subprocess.PIPE,
@@ -110,4 +140,16 @@ def test_closed_pipe_exits_1_without_traceback(tmp_path, payload):
     finally:
         os.close(w)
     assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+@OUTCOMES
+def test_closed_stdout_keeps_the_exit_code(tmp_path, transopt_cmd, payload,
+                                           code, status):
+    # With fd 1 closed at start, Python sets sys.stdout to None and print
+    # writes nothing; the command's own exit code must still come through.
+    proc = subprocess.run([*transopt_cmd, "solve", write(tmp_path, payload)],
+                          env=ENV, stderr=subprocess.PIPE,
+                          preexec_fn=lambda: os.close(1), timeout=120)
+    assert proc.returncode == code
     assert proc.stderr == b""

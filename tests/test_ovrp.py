@@ -246,9 +246,6 @@ def test_dp2_engine_gate():
     assert ovrp._dp2_engine(below, p) is ovrp._list_merge
     assert ovrp._dp2_engine(below + 1, p) is ovrp._array_merge
     assert ovrp._dp2_engine(1, 1) is ovrp._list_merge
-    # up to three vehicles the lists are used at any size
-    assert ovrp._dp2_engine(10 ** 7, 3) is ovrp._list_merge
-    assert ovrp._dp2_engine(10 ** 7, 4) is ovrp._array_merge
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["int", "real"])
