@@ -1,9 +1,11 @@
 """Batch command-line front end.
 
-Subcommands: ``solve`` dispatches a JSON instance file to a named solver,
+Subcommands: ``solve`` runs a named solver on JSON instance files,
 ``oracle`` runs the matching brute-force reference, ``check`` runs both and
 reports agreement, ``bench-jeep`` times the two equal-subdivision jeep
 evaluators against each other.  Exit codes: 0 ok, 2 infeasible, 1 error.
+The first three read ``PROBLEMS``: per problem tag, its algos and the one
+function that parses an instance and runs any of them or the oracle.
 
 The ``transopt`` console script and ``python -m transopt.cli`` both call
 ``run``: it runs one command, flushes stdout and stderr and ends with
@@ -30,31 +32,9 @@ from .errors import BudgetUnreachableError, InfeasibleError, TransoptError
 INSTANCE_SCHEMA = "transopt-instance/1"
 RESULT_SCHEMA = "transopt-result/1"
 
-OVRP_ALGOS = ("ovrp-greedy", "ovrp-dp1", "ovrp-dp2", "ovrp-interval")
-JEEP_GRAPH_ALGOS = ("jeep-graph-backward", "jeep-graph-binary",
-                    "jeep-graph-free", "jeep-graph-vertex")
-ALGOS = OVRP_ALGOS + ("fuel", "jeep-exact", "jeep-fast", "jeep-threshold") + \
-    JEEP_GRAPH_ALGOS + ("hampath-fixed", "hampath-free", "curve", "curve-weighted")
-
-DEFAULT_ALGO = {
-    "ovrp": "ovrp-interval",
-    "fuel": "fuel",
-    "jeep": "jeep-exact",
-    "jeep-graph": "jeep-graph-backward",
-    "hampath": "hampath-free",
-    "curve": "curve-weighted",
-}
-
 
 class SchemaError(TransoptError):
     """Instance file does not match its schema."""
-
-
-def _default_algo(payload):
-    problem = payload["problem"]
-    if problem == "hampath" and "start" in payload:
-        return "hampath-fixed"  # the oracle honors the start; stay comparable
-    return DEFAULT_ALGO[problem]
 
 
 def default_eps():
@@ -128,7 +108,7 @@ def load_instance(path):
     if schema != INSTANCE_SCHEMA:
         raise SchemaError(f"field 'schema' must be {INSTANCE_SCHEMA!r}, got {schema!r}")
     problem = _field(payload, "problem", str)
-    if problem not in DEFAULT_ALGO:
+    if problem not in PROBLEMS:
         raise SchemaError(f"field 'problem' has unknown tag {problem!r}")
     return payload
 
@@ -159,15 +139,93 @@ def _jeep_params(payload):
     return jeep.JeepParams(_number(payload, "m"), _number(payload, "g"))
 
 
-def _subdivision_from(payload):
+# One function per problem tag.  Each parses and validates the instance, then
+# runs ``algo``: one of its tag's algos, or "oracle" for the brute-force
+# reference.  It returns (objective, solution, diagnostics) or raises.
+# Solvers are looked up on their module at call time, so a wrapper put on a
+# module attribute (as perfbench/tracing.py does) sees every call.
+
+def _ovrp(payload, algo):
+    from . import ovrp
+    inst = ovrp.OvrpInstance(_tree_from(payload), _field(payload, "p", int))
+    if algo == "oracle":
+        from . import oracles
+        return oracles.ovrp_brute(inst), None, None
+    if algo == "ovrp-dp1":
+        return ovrp.solve_knapsack_v1(inst), None, None
+    if algo == "ovrp-dp2":
+        return ovrp.solve_knapsack_v2(inst), None, None
+    sol = ovrp.solve_greedy(inst) if algo == "ovrp-greedy" else \
+        ovrp.solve_leaf_interval(inst)
+    return sol.total_cost, {"routes": sol.routes}, \
+        {"vehicles_used": sol.vehicles_used}
+
+
+def _fuel(payload, algo):
+    from . import fuel
+    tree = _tree_from(payload)
+    gas = _numbers(payload, "gas")
+    if len(gas) != tree.n:
+        raise SchemaError(f"field 'gas' must list {tree.n} values")
+    # older instance files may carry value_mode and epsilon; both are ignored
+    inst = fuel.make_fuel_instance(tree, gas)
+    if algo == "oracle":
+        from . import oracles
+        return oracles.fuel_brute(inst), None, None
+    c, walk = fuel.min_initial_fuel(inst)
+    return c, {"walk": walk}, None
+
+
+def _jeep(payload, algo):
     from . import jeep
+    params = _jeep_params(payload)
+    mode = _field(payload, "mode", str, "faithful")
+    if algo == "jeep-fast":
+        g0, touched = jeep.eval_equal_fast(_number(payload, "x"),
+                                           _field(payload, "k", int), params)
+        return g0, None, {"points_touched": touched}
+    if algo == "jeep-threshold":
+        k, val = jeep.threshold_search(
+            _number(payload, "x"), params, _number(payload, "budget"),
+            schedule=_field(payload, "schedule", str, "multiplicative"),
+            ct=_field(payload, "ct", int, 2),
+            k1=_field(payload, "k1", int, 0),
+            method=_field(payload, "method", str, "exact"))
+        return val, {"k": k}, None
     if "points" in payload:
-        pts = _numbers(payload, "points")
-        return jeep.Subdivision(tuple(float(p) for p in pts))
-    return jeep.equal_subdivision(_number(payload, "x"), _field(payload, "k", int))
+        d = jeep.Subdivision(tuple(float(p) for p in _numbers(payload, "points")))
+    else:
+        d = jeep.equal_subdivision(_number(payload, "x"), _field(payload, "k", int))
+    f0, plans = jeep.eval_subdivision_exact(d, params, mode=mode)
+    if algo == "oracle":
+        from . import oracles
+        return oracles.jeep_simulate_plan(d, params, plans), None, None
+    return f0, {"plans": [[p.rt, p.q] for p in plans]}, None
 
 
-def _polygon(payload):
+def _jeep_graph(payload, algo):
+    if algo == "oracle":
+        raise SchemaError("no oracle for problem 'jeep-graph'")
+    from . import jeep
+    graph = jeep.JeepGraph(
+        _field(payload, "n", int), tuple(_edges_field(payload)),
+        _field(payload, "source", int, 1), _field(payload, "target", int, -1))
+    params = _jeep_params(payload)
+    if algo == "jeep-graph-backward":
+        val = jeep.graph_min_gas_backward(graph, params)[graph.source]
+    elif algo == "jeep-graph-binary":
+        val = jeep.graph_min_gas_binary_forward(graph, params, eps=default_eps())
+    elif algo == "jeep-graph-free":
+        val = jeep.graph_free_depots(graph, params)
+    else:
+        val = jeep.graph_vertex_depots_continuous(
+            graph, params, _field(payload, "k_per_edge", int, 0))[graph.source]
+    if val == math.inf:
+        raise InfeasibleError("target unreachable with any amount of gas")
+    return val, None, None
+
+
+def _hampath(payload, algo):
     from . import hampath
     verts = _field(payload, "vertices", list)
     for t, p in enumerate(verts):
@@ -175,14 +233,69 @@ def _polygon(payload):
                 and _finite(p[1])):
             raise SchemaError(f"field 'vertices[{t}]' must be a pair of finite "
                               f"numbers")
-    return hampath.SimplePolygon(verts)
+    poly = hampath.SimplePolygon(verts)
+    # a start is checked whichever algo runs; hampath-fixed requires one
+    start = _field(payload, "start", int,
+                   _REQUIRED if algo == "hampath-fixed" else None)
+    if start is not None and not 0 <= start < poly.n:
+        raise SchemaError(f"start {start} outside 0..{poly.n - 1}")
+    if algo == "oracle":
+        from . import oracles
+        length, path = oracles.ham_brute(poly, start)
+    elif algo == "hampath-fixed":
+        length, path = hampath.shortest_ham_path_fixed_start(poly, start)
+    else:
+        length, path = hampath.shortest_ham_path_free_start(poly)
+    if length == math.inf:
+        raise InfeasibleError("no Hamiltonian path stays inside the polygon")
+    return length, {"path": path}, None
 
 
-def _curve(payload):
+def _curve(payload, algo):
     from . import hampath
-    return hampath.CurveInstance(_numbers(payload, "gaps"),
+    inst = hampath.CurveInstance(_numbers(payload, "gaps"),
                                  _numbers(payload, "weights", None),
                                  _field(payload, "start", int, None))
+    if algo == "curve":
+        return hampath.curve_ham_path(inst), None, None
+    if algo == "oracle":
+        from . import oracles
+        cost, path = oracles.curve_zigzag_brute(inst)
+    else:
+        cost, path = hampath.curve_weighted_ham_path(inst)
+    return cost, {"path": path}, None
+
+
+# problem tag -> (its algos, the default first; the function that runs them)
+PROBLEMS = {
+    "ovrp": (("ovrp-interval", "ovrp-greedy", "ovrp-dp1", "ovrp-dp2"), _ovrp),
+    "fuel": (("fuel",), _fuel),
+    "jeep": (("jeep-exact", "jeep-fast", "jeep-threshold"), _jeep),
+    "jeep-graph": (("jeep-graph-backward", "jeep-graph-binary",
+                    "jeep-graph-free", "jeep-graph-vertex"), _jeep_graph),
+    "hampath": (("hampath-free", "hampath-fixed"), _hampath),
+    "curve": (("curve-weighted", "curve"), _curve),
+}
+# every algo -> its problem tag
+ALGOS = {algo: tag for tag, (algos, _) in PROBLEMS.items() for algo in algos}
+
+
+def _default_algo(payload):
+    problem = payload["problem"]
+    if problem == "hampath" and "start" in payload:
+        return "hampath-fixed"  # the oracle honors the start; stay comparable
+    return PROBLEMS[problem][0][0]
+
+
+def _run(payload, algo):
+    """(objective, solution, diagnostics) of ``algo``, or of the oracle for
+    ``"oracle"``, on a loaded instance; raises Infeasible/etc."""
+    problem = payload["problem"]
+    expected = problem if algo == "oracle" else ALGOS.get(algo)
+    if problem != expected:
+        raise SchemaError(f"field 'problem' is {problem!r} but algo {algo!r} "
+                          f"expects {expected!r}")
+    return PROBLEMS[problem][1](payload, algo)
 
 
 def _envelope(solver, status, objective=None, solution=None, diagnostics=None,
@@ -200,154 +313,24 @@ def _envelope(solver, status, objective=None, solution=None, diagnostics=None,
 
 def _failure(solver, exc, t0):
     """(envelope, exit code) for an instance that raised ``exc``."""
-    reason = {"reason": str(exc)}
-    if isinstance(exc, (InfeasibleError, BudgetUnreachableError)):
-        return _envelope(solver, "infeasible", diagnostics=reason,
-                         wall_time=time.perf_counter() - t0), 2
-    return {"schema": RESULT_SCHEMA, "status": "error", "solver": solver,
-            "diagnostics": reason}, 1
-
-
-def _dispatch_solve(payload, algo):
-    """Returns (objective, solution, diagnostics); raises Infeasible/etc."""
-    problem = payload["problem"]
-    expected = "jeep-graph" if algo in JEEP_GRAPH_ALGOS else algo.split("-")[0]
-    if problem != expected:
-        raise SchemaError(f"field 'problem' is {problem!r} but algo {algo!r} "
-                          f"expects {expected!r}")
-
-    if algo in OVRP_ALGOS:
-        from . import ovrp
-        inst = ovrp.OvrpInstance(_tree_from(payload), _field(payload, "p", int))
-        if algo == "ovrp-dp1":
-            return ovrp.solve_knapsack_v1(inst), None, None
-        if algo == "ovrp-dp2":
-            return ovrp.solve_knapsack_v2(inst), None, None
-        sol = ovrp.solve_greedy(inst) if algo == "ovrp-greedy" else \
-            ovrp.solve_leaf_interval(inst)
-        return sol.total_cost, {"routes": sol.routes}, \
-            {"vehicles_used": sol.vehicles_used}
-
-    if algo == "fuel":
-        from . import fuel
-        tree = _tree_from(payload)
-        gas = _numbers(payload, "gas")
-        if len(gas) != tree.n:
-            raise SchemaError(f"field 'gas' must list {tree.n} values")
-        # older instance files may carry value_mode and epsilon; both are ignored
-        inst = fuel.make_fuel_instance(tree, gas)
-        c, walk = fuel.min_initial_fuel(inst)
-        return c, {"walk": walk}, None
-
-    if algo in ("jeep-exact", "jeep-fast", "jeep-threshold"):
-        from . import jeep
-        params = _jeep_params(payload)
-        mode = _field(payload, "mode", str, "faithful")
-        if algo == "jeep-exact":
-            d = _subdivision_from(payload)
-            f0, plans = jeep.eval_subdivision_exact(d, params, mode=mode)
-            return f0, {"plans": [[p.rt, p.q] for p in plans]}, None
-        if algo == "jeep-fast":
-            x = _number(payload, "x")
-            k = _field(payload, "k", int)
-            g0, touched = jeep.eval_equal_fast(x, k, params)
-            return g0, None, {"points_touched": touched}
-        x = _number(payload, "x")
-        budget = _number(payload, "budget")
-        k, val = jeep.threshold_search(
-            x, params, budget,
-            schedule=_field(payload, "schedule", str, "multiplicative"),
-            ct=_field(payload, "ct", int, 2),
-            k1=_field(payload, "k1", int, 0),
-            method=_field(payload, "method", str, "exact"))
-        return val, {"k": k}, None
-
-    if algo in JEEP_GRAPH_ALGOS:
-        from . import jeep
-        graph = jeep.JeepGraph(
-            _field(payload, "n", int), tuple(_edges_field(payload)),
-            _field(payload, "source", int, 1), _field(payload, "target", int, -1))
-        params = _jeep_params(payload)
-        if algo == "jeep-graph-backward":
-            h = jeep.graph_min_gas_backward(graph, params)
-            val = h[graph.source]
-        elif algo == "jeep-graph-binary":
-            val = jeep.graph_min_gas_binary_forward(graph, params,
-                                                    eps=default_eps())
-        elif algo == "jeep-graph-free":
-            val = jeep.graph_free_depots(graph, params)
-        else:
-            h = jeep.graph_vertex_depots_continuous(
-                graph, params, _field(payload, "k_per_edge", int, 0))
-            val = h[graph.source]
-        if val == math.inf:
-            raise InfeasibleError("target unreachable with any amount of gas")
-        return val, None, None
-
-    if algo in ("hampath-fixed", "hampath-free"):
-        from . import hampath
-        poly = _polygon(payload)
-        if algo == "hampath-fixed":
-            start = _field(payload, "start", int)
-            length, path = hampath.shortest_ham_path_fixed_start(poly, start)
-        else:
-            length, path = hampath.shortest_ham_path_free_start(poly)
-        if length == math.inf:
-            raise InfeasibleError("no Hamiltonian path stays inside the polygon")
-        return length, {"path": path}, None
-
-    if algo in ("curve", "curve-weighted"):
-        from . import hampath
-        inst = _curve(payload)
-        if algo == "curve":
-            return hampath.curve_ham_path(inst), None, None
-        cost, path = hampath.curve_weighted_ham_path(inst)
-        return cost, {"path": path}, None
-
-    raise SchemaError(f"unknown algo {algo!r}")
-
-
-def _dispatch_oracle(payload):
-    from . import oracles
-    problem = payload["problem"]
-    if problem == "ovrp":
-        from . import ovrp
-        inst = ovrp.OvrpInstance(_tree_from(payload), _field(payload, "p", int))
-        return oracles.ovrp_brute(inst), None
-    if problem == "fuel":
-        from . import fuel
-        tree = _tree_from(payload)
-        inst = fuel.make_fuel_instance(tree, _numbers(payload, "gas"))
-        return oracles.fuel_brute(inst), None
-    if problem == "jeep":
-        from . import jeep
-        params = _jeep_params(payload)
-        d = _subdivision_from(payload)
-        mode = _field(payload, "mode", str, "faithful")
-        _, plans = jeep.eval_subdivision_exact(d, params, mode=mode)
-        return oracles.jeep_simulate_plan(d, params, plans), None
-    if problem == "hampath":
-        length, path = oracles.ham_brute(_polygon(payload),
-                                         _field(payload, "start", int, None))
-        return length, {"path": path}
-    if problem == "curve":
-        cost, path = oracles.curve_zigzag_brute(_curve(payload))
-        return cost, {"path": path}
-    raise SchemaError(f"no oracle for problem {problem!r}")
+    status, code = ("infeasible", 2) if isinstance(
+        exc, (InfeasibleError, BudgetUnreachableError)) else ("error", 1)
+    return _envelope(solver, status, diagnostics={"reason": str(exc)},
+                     wall_time=time.perf_counter() - t0), code
 
 
 def _run_one(path, algo):
-    """Solve one instance file; returns (envelope, exit code)."""
+    """Run ``algo`` (None: the tag's default; "oracle": the brute-force
+    reference) on one instance file; returns (envelope, exit code)."""
     t0 = time.perf_counter()
     try:
         payload = load_instance(path)
         algo = algo or _default_algo(payload)
-        objective, solution, diagnostics = _dispatch_solve(payload, algo)
+        objective, solution, diagnostics = _run(payload, algo)
     except (TransoptError, ValueError) as exc:
         return _failure(algo or "?", exc, t0)
-    env = _envelope(algo, "ok", objective, solution, diagnostics,
-                    time.perf_counter() - t0)
-    return env, 0
+    return _envelope(algo, "ok", objective, solution, diagnostics,
+                     time.perf_counter() - t0), 0
 
 
 def _cmd_solve(args):
@@ -366,20 +349,6 @@ def _cmd_solve(args):
     return code
 
 
-def _cmd_oracle(args):
-    t0 = time.perf_counter()
-    try:
-        payload = load_instance(args.file)
-        objective, solution = _dispatch_oracle(payload)
-    except (TransoptError, ValueError) as exc:
-        env, code = _failure("oracle", exc, t0)
-    else:
-        env, code = _envelope("oracle", "ok", objective, solution,
-                              wall_time=time.perf_counter() - t0), 0
-    print(json.dumps(env))
-    return code
-
-
 def _cmd_check(args):
     t0 = time.perf_counter()
     algo = None
@@ -387,8 +356,8 @@ def _cmd_check(args):
         payload = load_instance(args.file)
         algo = _default_algo(payload)
         eps = default_eps()
-        s_obj, _, _ = _dispatch_solve(payload, algo)
-        o_obj, _ = _dispatch_oracle(payload)
+        s_obj = _run(payload, algo)[0]
+        o_obj = _run(payload, "oracle")[0]
     except (TransoptError, ValueError) as exc:
         env, code = _failure(algo or "?", exc, t0)
         print(json.dumps(env))
@@ -458,8 +427,8 @@ def build_parser():
     p_solve.set_defaults(func=_cmd_solve)
 
     p_oracle = sub.add_parser("oracle", help="run the brute-force reference")
-    p_oracle.add_argument("file")
-    p_oracle.set_defaults(func=_cmd_oracle)
+    p_oracle.add_argument("files", nargs=1, metavar="file")
+    p_oracle.set_defaults(func=_cmd_solve, algo="oracle", jobs=1)
 
     p_check = sub.add_parser("check", help="compare solver against oracle")
     p_check.add_argument("file")

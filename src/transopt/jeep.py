@@ -275,6 +275,8 @@ def threshold_search(x, params, budget, schedule="multiplicative", ct=2,
     """
     if schedule not in ("multiplicative", "additive"):
         raise ValueError(f"unknown schedule {schedule!r}")
+    if method not in ("exact", "fast"):
+        raise ValueError(f"unknown method {method!r}")
     if ct < (2 if schedule == "multiplicative" else 1):
         raise ValueError("refinement constant too small to make progress")
     floor = continuous_optimum(x, params)

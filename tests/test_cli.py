@@ -1,4 +1,5 @@
 import gc
+import importlib
 import json
 import math
 import time
@@ -228,6 +229,7 @@ def test_check_failure_envelope_matches_solve(tmp_path, capsys, payload, status,
     assert env["schema"] == "transopt-result/1"
     assert env["status"] == status and env["solver"] == solver
     assert env["diagnostics"]["reason"]
+    assert isinstance(env["wall_time"], float)
     solve_code, solved = run(capsys, ["solve", path])
     assert solve_code == code and set(env) == set(solved[0])
 
@@ -324,3 +326,122 @@ def test_bad_eps_env_gives_one_error_envelope(tmp_path, capsys, monkeypatch,
     env = json.loads(lines[0])
     assert env["schema"] == "transopt-result/1" and env["status"] == "error"
     assert "TRANSOPT_EPS" in env["diagnostics"]["reason"]
+
+
+SQUARE = {"schema": "transopt-instance/1", "problem": "hampath",
+          "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
+
+
+@pytest.mark.parametrize("start", [9, -1])
+def test_every_command_rejects_a_start_outside_the_polygon(tmp_path, capsys,
+                                                           start):
+    path = write(tmp_path, dict(SQUARE, start=start))
+    for command in ("oracle", "solve", "check"):
+        code = main([command, path])
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert code == 1 and len(lines) == 1 and err == "", command
+        env = json.loads(lines[0])
+        assert env["status"] == "error"
+        assert f"start {start} outside 0..3" in env["diagnostics"]["reason"]
+
+
+def test_threshold_unknown_method_is_an_error(tmp_path, capsys):
+    path = write(tmp_path, dict(JEEP, x=1.0, budget=2.0, method="zzz"))
+    code, lines = run(capsys, ["solve", "--algo", "jeep-threshold", path])
+    assert code == 1 and len(lines) == 1
+    assert lines[0]["status"] == "error"
+    assert "unknown method 'zzz'" in lines[0]["diagnostics"]["reason"]
+
+
+# one tiny instance per tag, with the fields every algo of the tag reads
+TINY = {
+    "ovrp": STAR,
+    "fuel": {"schema": "transopt-instance/1", "problem": "fuel", "n": 3,
+             "edges": [[1, 2, 1], [1, 3, 5]], "gas": [1, 0, 4]},
+    "jeep": dict(JEEP, x=1.0, k=4, budget=2.0),
+    "jeep-graph": JEEP_GRAPH,
+    "hampath": dict(SQUARE, start=1),
+    "curve": CURVE,
+}
+
+
+def test_problem_table_names_each_algo_once():
+    assert set(cli.PROBLEMS) == set(TINY)
+    assert len(cli.ALGOS) == sum(len(algos) for algos, _ in cli.PROBLEMS.values())
+    assert set(SOLVER_ATTRS) == set(cli.ALGOS)
+
+
+@pytest.mark.parametrize("algo", list(cli.ALGOS))
+def test_every_algo_solves_its_tag_and_rejects_the_others(tmp_path, capsys,
+                                                          algo):
+    tag = cli.ALGOS[algo]
+    code, lines = run(capsys, ["solve", "--algo", algo,
+                               write(tmp_path, TINY[tag])])
+    assert code == 0 and len(lines) == 1
+    assert lines[0]["status"] == "ok" and lines[0]["solver"] == algo
+    for other, payload in TINY.items():
+        if other == tag:
+            continue
+        code, lines = run(capsys, ["solve", "--algo", algo,
+                                   write(tmp_path, payload, f"{other}.json")])
+        assert code == 1 and len(lines) == 1 and lines[0]["solver"] == algo
+        assert lines[0]["diagnostics"]["reason"] == (
+            f"field 'problem' is {other!r} but algo {algo!r} expects {tag!r}")
+
+
+@pytest.mark.parametrize("tag", list(TINY))
+def test_oracle_runs_on_every_tag(tmp_path, capsys, tag):
+    code = main(["oracle", write(tmp_path, TINY[tag])])
+    out, err = capsys.readouterr()
+    lines = [json.loads(l) for l in out.splitlines()]
+    assert len(lines) == 1 and err == "" and lines[0]["solver"] == "oracle"
+    if tag == "jeep-graph":  # no brute-force reference yet
+        assert code == 1 and lines[0]["status"] == "error"
+    else:
+        assert code == 0 and lines[0]["status"] == "ok"
+
+
+# the module attribute each algo (or each tag's oracle) runs
+SOLVER_ATTRS = {
+    "ovrp-interval": ("ovrp", "solve_leaf_interval"),
+    "ovrp-greedy": ("ovrp", "solve_greedy"),
+    "ovrp-dp1": ("ovrp", "solve_knapsack_v1"),
+    "ovrp-dp2": ("ovrp", "solve_knapsack_v2"),
+    "fuel": ("fuel", "min_initial_fuel"),
+    "jeep-exact": ("jeep", "eval_subdivision_exact"),
+    "jeep-fast": ("jeep", "eval_equal_fast"),
+    "jeep-threshold": ("jeep", "threshold_search"),
+    "jeep-graph-backward": ("jeep", "graph_min_gas_backward"),
+    "jeep-graph-binary": ("jeep", "graph_min_gas_binary_forward"),
+    "jeep-graph-free": ("jeep", "graph_free_depots"),
+    "jeep-graph-vertex": ("jeep", "graph_vertex_depots_continuous"),
+    "hampath-free": ("hampath", "shortest_ham_path_free_start"),
+    "hampath-fixed": ("hampath", "shortest_ham_path_fixed_start"),
+    "curve-weighted": ("hampath", "curve_weighted_ham_path"),
+    "curve": ("hampath", "curve_ham_path"),
+}
+ORACLE_ATTRS = {"ovrp": "ovrp_brute", "fuel": "fuel_brute",
+                "jeep": "jeep_simulate_plan", "hampath": "ham_brute",
+                "curve": "curve_zigzag_brute"}
+
+
+@pytest.mark.parametrize("algo, tag, module, attr", [
+    (algo, cli.ALGOS[algo], module, attr)
+    for algo, (module, attr) in SOLVER_ATTRS.items()] + [
+    ("oracle", tag, "oracles", attr) for tag, attr in ORACLE_ATTRS.items()])
+def test_solvers_are_looked_up_at_call_time(tmp_path, capsys, monkeypatch,
+                                            algo, tag, module, attr):
+    mod = importlib.import_module(f"transopt.{module}")
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(attr)
+        return fn(*args, **kwargs)
+
+    fn = getattr(mod, attr)
+    monkeypatch.setattr(mod, attr, wrapper)
+    argv = ["oracle"] if algo == "oracle" else ["solve", "--algo", algo]
+    code, lines = run(capsys, argv + [write(tmp_path, TINY[tag])])
+    assert code == 0 and lines[0]["solver"] == algo
+    assert calls == [attr]

@@ -306,6 +306,13 @@ def test_threshold_search_bad_args():
         threshold_search(1.0, UNIT, 1.0, ct=1)
 
 
+def test_threshold_search_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'zzz'"):
+        threshold_search(4.0 / 3.0, UNIT, 2.05, method="zzz")
+    for method in ("exact", "fast"):
+        assert threshold_search(4.0 / 3.0, UNIT, 2.05, method=method)[1] <= 2.05
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         JeepGraph(2, ((1, 3, 1.0),))

@@ -98,9 +98,8 @@ def test_no_command_loads_dataclasses(tmp_path):
     instances = {tag: dict(payload, **EXTRA.get(tag, {}))
                  for tag, payload in INSTANCES.items()}
     lines = _run_script(tmp_path, """
-        from transopt.cli import ALGOS, JEEP_GRAPH_ALGOS
-        for algo in ALGOS:
-            tag = "jeep-graph" if algo in JEEP_GRAPH_ALGOS else algo.split("-")[0]
+        from transopt.cli import ALGOS
+        for algo, tag in ALGOS.items():
             assert main(["solve", "--algo", algo, paths[tag]]) == 0, algo
         for tag, path in paths.items():
             main(["solve", path])
