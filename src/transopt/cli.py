@@ -5,7 +5,9 @@ Subcommands: ``solve`` runs a named solver on JSON instance files,
 reports agreement, ``bench-jeep`` times the two equal-subdivision jeep
 evaluators against each other.  Exit codes: 0 ok, 2 infeasible, 1 error.
 The first three read ``PROBLEMS``: per problem tag, its algos and the one
-function that parses an instance and runs any of them or the oracle.
+function that parses an instance and runs any of them or the oracle.  Each
+prints one envelope per file from ``_run_one``; ``check``'s is the ``solve``
+envelope plus ``agreement``, ``solver_objective`` and ``oracle_objective``.
 
 The ``transopt`` console script and ``python -m transopt.cli`` both call
 ``run``: it runs one command, flushes stdout and stderr and ends with
@@ -321,16 +323,29 @@ def _failure(solver, exc, t0):
 
 def _run_one(path, algo):
     """Run ``algo`` (None: the tag's default; "oracle": the brute-force
-    reference) on one instance file; returns (envelope, exit code)."""
+    reference; "check": the default, then the oracle, exit code 1 unless they
+    agree) on one instance file; returns (envelope, exit code)."""
     t0 = time.perf_counter()
+    check = algo == "check"
+    if check:
+        algo = None
     try:
         payload = load_instance(path)
         algo = algo or _default_algo(payload)
+        eps = default_eps() if check else None
         objective, solution, diagnostics = _run(payload, algo)
+        if check:
+            o_obj = _run(payload, "oracle")[0]
     except (TransoptError, ValueError) as exc:
         return _failure(algo or "?", exc, t0)
-    return _envelope(algo, "ok", objective, solution, diagnostics,
-                     time.perf_counter() - t0), 0
+    env = _envelope(algo, "ok", objective, solution, diagnostics,
+                    time.perf_counter() - t0)
+    if not check:
+        return env, 0
+    agree = abs(objective - o_obj) <= eps * max(1.0, abs(objective), abs(o_obj))
+    env.update(agreement=agree, solver_objective=objective,
+               oracle_objective=o_obj)
+    return env, 0 if agree else 1
 
 
 def _cmd_solve(args):
@@ -347,27 +362,6 @@ def _cmd_solve(args):
         print(json.dumps(env))
         code = max(code, c)
     return code
-
-
-def _cmd_check(args):
-    t0 = time.perf_counter()
-    algo = None
-    try:
-        payload = load_instance(args.file)
-        algo = _default_algo(payload)
-        eps = default_eps()
-        s_obj = _run(payload, algo)[0]
-        o_obj = _run(payload, "oracle")[0]
-    except (TransoptError, ValueError) as exc:
-        env, code = _failure(algo or "?", exc, t0)
-        print(json.dumps(env))
-        return code
-    agree = abs(s_obj - o_obj) <= eps * max(1.0, abs(s_obj), abs(o_obj))
-    print(json.dumps({
-        "schema": RESULT_SCHEMA, "status": "ok", "solver": algo,
-        "agreement": agree, "solver_objective": s_obj,
-        "oracle_objective": o_obj}))
-    return 0 if agree else 1
 
 
 def bench_jeep(x, m, g, k_list, repeats_budget=20000):
@@ -431,8 +425,8 @@ def build_parser():
     p_oracle.set_defaults(func=_cmd_solve, algo="oracle", jobs=1)
 
     p_check = sub.add_parser("check", help="compare solver against oracle")
-    p_check.add_argument("file")
-    p_check.set_defaults(func=_cmd_check)
+    p_check.add_argument("files", nargs=1, metavar="file")
+    p_check.set_defaults(func=_cmd_solve, algo="check", jobs=1)
 
     p_bench = sub.add_parser("bench-jeep",
                              help="time the two equal-subdivision evaluators")

@@ -7,6 +7,9 @@ produced by exact integer or simple rational coordinates classify stably.
 from __future__ import annotations
 
 EPS = 1e-9
+# the visibility tests split a segment at the vertices it touches and skip
+# pieces at most this long, in the segment's own parameter
+MIN_PIECE = 1e-12
 
 
 def orientation(p, q, r):

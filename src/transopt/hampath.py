@@ -26,6 +26,7 @@ from operator import add, itemgetter, lt, mul, sub
 from .errors import InvalidPolygonError
 from .geometry import (
     EPS,
+    MIN_PIECE,
     on_segment,
     orientation,
     segments_properly_intersect,
@@ -56,7 +57,7 @@ def _validate_simple(v):
         raise InvalidPolygonError(f"need at least 3 vertices, got {n}")
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(v[i][0] - v[j][0]) <= 1e-9 and abs(v[i][1] - v[j][1]) <= 1e-9:
+            if abs(v[i][0] - v[j][0]) <= EPS and abs(v[i][1] - v[j][1]) <= EPS:
                 raise InvalidPolygonError(f"vertices {i} and {j} coincide")
     if signed_area(v) <= 0:
         raise InvalidPolygonError("vertex ring is not counterclockwise")
@@ -114,7 +115,7 @@ def visibility_matrix(poly):
             else:
                 cuts = _touch_cuts(v, rel, s, v[i], v[j])
             for t0, t1 in zip(cuts, cuts[1:]):
-                if t1 - t0 <= 1e-12:
+                if t1 - t0 <= MIN_PIECE:
                     continue
                 tm = 0.5 * (t0 + t1)
                 if not inside(ax + tm * dx, ay + tm * dy):

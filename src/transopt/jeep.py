@@ -93,6 +93,8 @@ def segment_step_exact(f_next, c, params, mode="faithful"):
     ``corrected`` mode additionally lets the final trip deliver up to
     m - g*c (the physical one-way limit) and keeps the cheaper plan.
     """
+    if mode not in ("faithful", "corrected"):
+        raise ValueError(f"unknown mode {mode!r}")
     m, g = params.m, params.g
     gc = g * c
     if f_next + gc <= m:
@@ -119,8 +121,6 @@ def segment_step_exact(f_next, c, params, mode="faithful"):
         f2 = rt2 * m + q2 + gc
         if f2 < f:
             f, rt, q = f2, rt2, q2
-    elif mode != "faithful":
-        raise ValueError(f"unknown mode {mode!r}")
     return f, SegmentPlan(rt, q)
 
 
@@ -340,24 +340,23 @@ class JeepGraph(namedtuple("JeepGraph", "n edges source target adj")):
         return super().__new__(cls, n, edges, source, target,
                                tuple(map(tuple, adj)))
 
-    def neighbors(self, u):
-        return self.adj[u]
 
-
-def _dijkstra_min(graph, start, relax):
-    """Generic label-setting loop: ``relax(h_u, length)`` returns the
-    candidate label for the neighbor or None when the edge is unusable."""
+def _dijkstra_min(graph, start, relax, label=0.0):
+    """The label-setting loop of every graph method: ``start`` gets
+    ``label``, then the smallest unsettled label is settled first, and
+    ``relax(h_u, length)`` returns the candidate label for the neighbor or
+    None when the edge is unusable."""
     n = graph.n
     h = [INF] * (n + 1)
-    h[start] = 0.0
-    heap = [(0.0, start)]
+    h[start] = label
+    heap = [(label, start)]
     done = [False] * (n + 1)
     while heap:
         d, u = heapq.heappop(heap)
         if done[u]:
             continue
         done[u] = True
-        for (v, ln) in graph.neighbors(u):
+        for (v, ln) in graph.adj[u]:
             if done[v]:
                 continue
             cand = relax(d, ln)
@@ -404,39 +403,30 @@ def graph_vertex_depots_continuous(graph, params, k_per_edge, mode="corrected"):
 
 def graph_forward_feasible(graph, params, g_min):
     """Forward feasibility: max gallons deliverable at each vertex when the
-    source holds ``g_min``; the target is reachable iff its value is >= 0."""
+    source holds ``g_min``; the target is reachable iff its value is >= 0.
+
+    Labels are negated gallons, so the vertex with the most gas is settled
+    first; a vertex reached with a deficit passes nothing on."""
     m, g = params.m, params.g
-    n = graph.n
-    hmax = [-INF] * (n + 1)
-    hmax[graph.source] = g_min
-    heap = [(-g_min, graph.source)]
-    done = [False] * (n + 1)
-    while heap:
-        negd, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        hu = -negd
+
+    def relax(neg_hu, ln):
+        hu = -neg_hu
         if hu < 0:
-            continue
-        for (v, ln) in graph.neighbors(u):
-            if done[v]:
-                continue
-            avail = min(hu, m)
-            if 2.0 * g * ln >= avail:
-                cand = avail - g * ln
+            return None
+        avail = min(hu, m)
+        if 2.0 * g * ln >= avail:
+            cand = avail - g * ln
+        else:
+            q = fdiv(hu, m)
+            r = hu - q * m
+            c1 = (q - 1) * (m - 2.0 * g * ln) + m - g * ln
+            if r < g * ln:
+                cand = c1
             else:
-                q = fdiv(hu, m)
-                r = hu - q * m
-                c1 = (q - 1) * (m - 2.0 * g * ln) + m - g * ln
-                if r < g * ln:
-                    cand = c1
-                else:
-                    cand = max(c1, q * (m - 2.0 * g * ln) + r - g * ln)
-            if cand > hmax[v]:
-                hmax[v] = cand
-                heapq.heappush(heap, (-cand, v))
-    return hmax
+                cand = max(c1, q * (m - 2.0 * g * ln) + r - g * ln)
+        return -cand
+
+    return [-h for h in _dijkstra_min(graph, graph.source, relax, -g_min)]
 
 
 def graph_min_gas_binary_forward(graph, params, eps=1e-6):

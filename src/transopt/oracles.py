@@ -13,7 +13,8 @@ import itertools
 import math
 
 from .errors import PlanInfeasibleError, SizeLimitError
-from .geometry import on_segment, point_in_polygon, segments_properly_intersect
+from .geometry import (MIN_PIECE, on_segment, point_in_polygon,
+                       segments_properly_intersect)
 
 INF = math.inf
 
@@ -182,7 +183,7 @@ def _segment_inside(v, a, b):
             cuts.append(((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / den)
     cuts.sort()
     for t0, t1 in zip(cuts, cuts[1:]):
-        if t1 - t0 <= 1e-12:
+        if t1 - t0 <= MIN_PIECE:
             continue
         tm = 0.5 * (t0 + t1)
         if not point_in_polygon(v, (a[0] + tm * dx, a[1] + tm * dy)):

@@ -14,8 +14,7 @@ from operator import add, lt, sub
 
 # numpy is imported inside the dp2 array merge, so only ovrp-dp2 solves past
 # DP2_ARRAY_WORK load it
-from .tree import (consecutive_leaf_lcas, euler_walk, leaves_dfs_order,
-                   postorder)
+from .tree import euler_walk, leaf_ranges, postorder
 
 INF = math.inf
 
@@ -37,33 +36,15 @@ OvrpSolution = namedtuple("OvrpSolution", "total_cost routes vehicles_used")
 def single_vehicle_closed_form(inst):
     """Optimum for p=1: every edge twice, minus the longest root-leaf distance."""
     tree = inst.tree
-    if tree.n == 1:
-        return 0.0
-    deepest = max(tree.droot[l] for l in leaves_dfs_order(tree))
+    deepest = max(d for d, ch in zip(tree.droot[1:], tree.children[1:])
+                  if not ch)
     return 2.0 * tree.total_edge_len() - deepest
 
 
 def _vehicle_bound(inst):
     """``inst.p`` capped at the leaf count; the DPs take the best over "at
     most p" vehicles, and a vehicle beyond one per leaf never helps."""
-    return min(inst.p, len(leaves_dfs_order(inst.tree)))
-
-
-def _leaf_ranges(tree):
-    """Leaves in DFS order, and each vertex's leaves as the slice
-    ``leaves[lo[u]:hi[u]]``, from one pass over the post-order."""
-    lo = [0] * (tree.n + 1)
-    hi = [0] * (tree.n + 1)
-    leaves = []
-    for u in postorder(tree):
-        ch = tree.children[u]
-        if ch:
-            lo[u], hi[u] = lo[ch[0]], hi[ch[-1]]
-        else:
-            lo[u] = len(leaves)
-            leaves.append(u)
-            hi[u] = len(leaves)
-    return leaves, lo, hi
+    return min(inst.p, inst.tree.children[1:].count(()))
 
 
 def solve_greedy(inst):
@@ -88,7 +69,7 @@ def solve_greedy(inst):
     blue[root] = True
     owner = [-1] * (n + 1)
     owner[root] = 0
-    leaves, lo, hi = _leaf_ranges(tree)
+    leaves, lo, hi, _ = leaf_ranges(tree)
     dleaf = [droot[leaf] for leaf in leaves]
     # 2 droot of each leaf's closest blue ancestor; inf once the leaf is blue
     twice_cb = [2.0 * droot[root]] * len(leaves)
@@ -362,12 +343,8 @@ def solve_leaf_interval(inst):
     backtrack keeps one ``bytes`` row of choices per leaf for each.
     """
     tree = inst.tree
-    if tree.n == 1:
-        return OvrpSolution(0.0, [[tree.root]], 1)
-
     droot = tree.droot
-    leaves = leaves_dfs_order(tree)
-    lcas = consecutive_leaf_lcas(tree, leaves)
+    leaves, _, _, joint = leaf_ranges(tree)
     k = len(leaves)
     p = min(inst.p, k)  # as in _vehicle_bound
 
@@ -376,7 +353,7 @@ def solve_leaf_interval(inst):
     new_veh = [b""]  # new_veh[i][j - 1]: leaf i starts vehicle j
     detour = [b""]  # detour[i][j - 1]: leaf i is a detour
     prev = droot[leaves[0]]
-    for leaf, lca in zip(leaves[1:], lcas):
+    for leaf, lca in zip(leaves[1:], joint[1:]):
         d, da = droot[leaf], droot[lca]
         cont = prev + d - 2.0 * da
         cand_a = [x + cont for x in c1]

@@ -1,7 +1,9 @@
 """Rooted weighted trees and the traversals the tree solvers share.
 
-The one post-order walk, the one Euler-walk expansion and the one
-root-distance path length live here; the ovrp and fuel solvers use them.
+The one post-order walk, the one leaf pass, the one Euler-walk expansion
+and the one root-distance path length live here; the ovrp and fuel solvers
+use them.  The leaf pass gives the leaves in DFS order, each vertex's leaves
+as a slice of that order and the LCA of every leaf with its predecessor.
 Vertices are 1-based externally (vertex 1 usually carries the depot) and
 the arrays here are indexed accordingly: position 0 is unused.
 """
@@ -14,7 +16,7 @@ from .errors import CycleError, DisconnectedTreeError, NegativeLengthError
 
 
 class RootedTree(namedtuple("RootedTree",
-                            "n root parent children edge_len droot depth")):
+                            "n root parent children edge_len droot")):
     """Immutable weighted rooted tree.
 
     ``parent[u]`` is 0 for the root, ``edge_len[u]`` is the length of the
@@ -55,7 +57,6 @@ def build_rooted_tree(n, edges, root=1):
     parent = [0] * (n + 1)
     edge_len = [0.0] * (n + 1)
     droot = [0.0] * (n + 1)
-    depth = [0] * (n + 1)
     children = [[] for _ in range(n + 1)]
     seen = [False] * (n + 1)
     seen[root] = True
@@ -72,7 +73,6 @@ def build_rooted_tree(n, edges, root=1):
             parent[v] = u
             edge_len[v] = w
             droot[v] = droot[u] + w
-            depth[v] = depth[u] + 1
             children[u].append(v)
             order.append(v)
             stack.append(v)
@@ -92,7 +92,6 @@ def build_rooted_tree(n, edges, root=1):
         children=children,
         edge_len=tuple(edge_len),
         droot=tuple(droot),
-        depth=tuple(depth),
     )
 
 
@@ -145,35 +144,30 @@ def euler_walk(tree, start, children=None):
     return walk
 
 
-def leaves_dfs_order(tree):
-    """Leaves in the order first reached by a DFS that respects child order."""
-    leaves = []
-    stack = [tree.root]
-    while stack:
-        u = stack.pop()
-        ch = tree.children[u]
-        if not ch:
-            leaves.append(u)
-        else:
-            stack.extend(reversed(ch))
-    return leaves
+def leaf_ranges(tree):
+    """The DFS leaf structure, from one pass over the post-order.
 
-
-def consecutive_leaf_lcas(tree, leaves):
-    """LCA of each consecutive leaf pair from the DFS order.
-
-    Walks both vertices up to equal depth, then in lockstep; across all
-    consecutive pairs every tree edge is climbed at most twice.
+    Returns ``(leaves, lo, hi, joint)``: the leaves in the order a DFS that
+    respects child order reaches them; each vertex's leaves as the slice
+    ``leaves[lo[u]:hi[u]]``; and ``joint[t]``, the LCA of ``leaves[t]`` and
+    ``leaves[t - 1]`` (``joint[0]`` is 0).  That LCA is the vertex u whose
+    children, past the first, include one whose first leaf is
+    ``leaves[t]``.
     """
-    parent, depth = tree.parent, tree.depth
-    out = []
-    for a, b in zip(leaves, leaves[1:]):
-        while depth[a] > depth[b]:
-            a = parent[a]
-        while depth[b] > depth[a]:
-            b = parent[b]
-        while a != b:
-            a = parent[a]
-            b = parent[b]
-        out.append(a)
-    return out
+    children = tree.children
+    lo = [0] * (tree.n + 1)
+    hi = [0] * (tree.n + 1)
+    joint = [0] * (tree.n + 1)
+    leaves = []
+    for u in postorder(tree):
+        ch = children[u]
+        if ch:
+            lo[u], hi[u] = lo[ch[0]], hi[ch[-1]]
+            for c in ch[1:]:
+                joint[lo[c]] = u
+        else:
+            lo[u] = len(leaves)
+            leaves.append(u)
+            hi[u] = len(leaves)
+    del joint[len(leaves):]
+    return leaves, lo, hi, joint

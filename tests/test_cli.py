@@ -150,10 +150,25 @@ def test_oracle(tmp_path, capsys):
 def test_check_agreement(tmp_path, capsys):
     square = {"schema": "transopt-instance/1", "problem": "hampath",
               "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
-    code, lines = run(capsys, ["check", write(tmp_path, square)])
+    path = write(tmp_path, square)
+    code, lines = run(capsys, ["check", path])
     assert code == 0
     assert lines[0]["agreement"] is True
     assert lines[0]["solver_objective"] == lines[0]["oracle_objective"] == 3.0
+    assert lines[0]["objective"] == 3.0
+    _, solved = run(capsys, ["solve", path])
+    assert set(lines[0]) == set(solved[0]) | {
+        "agreement", "solver_objective", "oracle_objective"}
+    assert isinstance(lines[0]["wall_time"], float)
+
+
+def test_check_disagreement_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_run", lambda payload, algo: (
+        (3.0 if algo == "oracle" else 4.0), None, None))
+    code, lines = run(capsys, ["check", write(tmp_path, STAR)])
+    assert code == 1 and len(lines) == 1
+    assert lines[0]["status"] == "ok" and lines[0]["agreement"] is False
+    assert (lines[0]["solver_objective"], lines[0]["oracle_objective"]) == (4.0, 3.0)
 
 
 def test_check_honors_fixed_start(tmp_path, capsys):
@@ -344,6 +359,18 @@ def test_every_command_rejects_a_start_outside_the_polygon(tmp_path, capsys,
         env = json.loads(lines[0])
         assert env["status"] == "error"
         assert f"start {start} outside 0..3" in env["diagnostics"]["reason"]
+
+
+@pytest.mark.parametrize("fields", [
+    {"points": [0, 0.2, 0.4]},  # every segment is one one-way trip
+    {"x": 2.0, "k": 20},  # segments that need round trips
+], ids=["one-way", "round-trips"])
+def test_jeep_unknown_mode_is_an_error(tmp_path, capsys, fields):
+    path = write(tmp_path, dict(JEEP, mode="zzz", **fields))
+    code, lines = run(capsys, ["solve", path])
+    assert code == 1 and len(lines) == 1
+    assert lines[0]["status"] == "error"
+    assert "unknown mode 'zzz'" in lines[0]["diagnostics"]["reason"]
 
 
 def test_threshold_unknown_method_is_an_error(tmp_path, capsys):

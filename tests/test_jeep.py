@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -20,6 +21,7 @@ from transopt.jeep import (
     eval_equal_naive,
     eval_subdivision_exact,
     fdiv,
+    graph_forward_feasible,
     graph_free_depots,
     graph_min_gas_backward,
     graph_min_gas_binary_forward,
@@ -374,6 +376,33 @@ def test_forward_binary_agrees_with_backward():
         assert abs(fwd - back) <= 1e-6, (edges, back, fwd)
         checked += 1
     assert checked >= 20
+
+
+def random_graph(rng, n, extra):
+    edges = [(rng.randint(1, i - 1), i, rng.uniform(0.05, 0.6))
+             for i in range(2, n + 1)]
+    for _ in range(extra):
+        i, j = rng.sample(range(1, n + 1), 2)
+        edges.append((i, j, rng.uniform(0.05, 0.6)))
+    return JeepGraph(n, tuple(edges))
+
+
+# sha256 of repr() of every forward vector over two tanks and six source
+# loads; 0.01 is below every edge's need, and the larger loads take the
+# round-trip branch, so the heap order, the tie order and the cut at a
+# deficit all show here
+@pytest.mark.parametrize("n, extra, seed, digest", [
+    (2, 0, 41, "882fa3bf8aab5a7ff41bb9b6b3c63dfaa53fc44fcca6887d4139c3b26e17a59a"),
+    (12, 0, 42, "72b61342fad86f00c2da897c5f67381d5c7969a78cc40002baa3647f6ee89d20"),
+    (40, 60, 43, "17214135a7d7ab64ad1bc888a048e186e98244ec28438fb6ae4edd0760e34de6"),
+], ids=["edge", "tree", "cyclic"])
+def test_forward_feasible_vectors_pinned(n, extra, seed, digest):
+    g = random_graph(random.Random(seed), n, extra)
+    h = hashlib.sha256()
+    for params in (UNIT, JeepParams(2.5, 0.7)):
+        for g_min in (0.01, 0.3, 1.0, 2.7, 10.0, 123.4):
+            h.update(repr(graph_forward_feasible(g, params, g_min)).encode())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, 1e-300])

@@ -13,7 +13,7 @@ from transopt.ovrp import (
     solve_knapsack_v2,
     solve_leaf_interval,
 )
-from transopt.tree import build_rooted_tree, leaves_dfs_order, walk_cost
+from transopt.tree import build_rooted_tree, leaf_ranges, walk_cost
 
 
 def star():
@@ -134,7 +134,7 @@ def test_vehicle_count_clamped_to_leaves():
     done = 0
     while done < 40:
         tr = random_tree(rng, rng.randint(1, 8))
-        leaves = len(leaves_dfs_order(tr))
+        leaves = len(leaf_ranges(tr)[0])
         if leaves > 3:  # ovrp_brute takes p <= 4
             continue
         for p in (leaves, leaves + 1):
@@ -224,8 +224,27 @@ def bushy_tree(rng, n, real):
 def test_interval_routes_pinned(make, n, seed, digest):
     tr = make(random.Random(seed), n, True)
     h = hashlib.sha256()
-    for p in (1, 3, 10, len(leaves_dfs_order(tr))):
+    for p in (1, 3, 10, len(leaf_ranges(tr)[0])):
         sol = solve_leaf_interval(OvrpInstance(tr, p))
+        h.update(repr((sol.total_cost, sol.routes)).encode())
+    assert h.hexdigest() == digest
+
+
+# the same digests for solve_greedy: the order of its float operations, its
+# smallest-leaf-id tie-break and the order in which it expands each route
+@pytest.mark.parametrize("make, n, seed, digest", [
+    (deep_tree, 3000, 31,
+     "c5ef37107717dd18aa2c33768b7ffd654fb18c499996fb7003d1c8d02970dedc"),
+    (bushy_tree, 1200, 32,
+     "181e387cdd1eaecbbc54804175cfbb8067449ceaa4460a235925bf9dcb47f715"),
+    (star_tree, 200, 33,
+     "5a77d74798665ac134f536e259ca492ec0f9fc1f672b6c2d26ccb38808f68c4b"),
+], ids=["deep", "bushy", "star"])
+def test_greedy_routes_pinned(make, n, seed, digest):
+    tr = make(random.Random(seed), n, True)
+    h = hashlib.sha256()
+    for p in (1, 3, 10, len(leaf_ranges(tr)[0])):
+        sol = solve_greedy(OvrpInstance(tr, p))
         h.update(repr((sol.total_cost, sol.routes)).encode())
     assert h.hexdigest() == digest
 
@@ -253,7 +272,7 @@ def test_list_and_array_dp2_engines_agree(monkeypatch, real):
     rng = random.Random(18 + real)
     for make in (deep_tree, bushy_tree, star_tree) * 12:
         tr = make(rng, rng.randint(1, 40), real)
-        leaves = len(leaves_dfs_order(tr))
+        leaves = len(leaf_ranges(tr)[0])
         for p in range(1, leaves + 2):
             lists, arrays = _per_dp2_engine(monkeypatch, OvrpInstance(tr, p))
             assert lists == arrays, (tr, p)

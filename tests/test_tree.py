@@ -1,11 +1,12 @@
+import random
+
 import pytest
 
 from transopt.errors import CycleError, DisconnectedTreeError, NegativeLengthError
 from transopt.tree import (
     build_rooted_tree,
-    consecutive_leaf_lcas,
     euler_walk,
-    leaves_dfs_order,
+    leaf_ranges,
     path_cost,
     postorder,
     walk_cost,
@@ -17,7 +18,6 @@ def test_build_basic_star():
     assert tr.parent[2] == 1 and tr.parent[3] == 1
     assert tr.edge_len[2] == 2 and tr.edge_len[3] == 3
     assert tr.droot == (0.0, 0.0, 2.0, 3.0)
-    assert tr.depth[3] == 1
     assert tr.is_leaf(2) and not tr.is_leaf(1)
     assert tr.total_edge_len() == 5
 
@@ -76,17 +76,57 @@ def test_children_are_tuples_and_tree_hashes():
 def test_leaves_follow_child_insertion_order():
     # children keep edge-list order, so the DFS leaf order is deterministic
     tr = build_rooted_tree(5, [(1, 2, 1), (1, 3, 1), (2, 4, 1), (2, 5, 1)])
-    assert leaves_dfs_order(tr) == [4, 5, 3]
+    leaves, lo, hi, joint = leaf_ranges(tr)
+    assert leaves == [4, 5, 3]
+    assert (lo[2], hi[2]) == (0, 2) and (lo[1], hi[1]) == (0, 3)
 
 
 def test_consecutive_leaf_lcas():
     tr = build_rooted_tree(7, [(1, 2, 1), (1, 3, 1), (2, 4, 1), (2, 5, 1),
                                (3, 6, 1), (3, 7, 1)])
-    leaves = leaves_dfs_order(tr)
+    leaves, _, _, joint = leaf_ranges(tr)
     assert leaves == [4, 5, 6, 7]
-    assert consecutive_leaf_lcas(tr, leaves) == [2, 1, 3]
+    assert joint == [0, 2, 1, 3]
 
 
+def _ancestors(tr, v):
+    """v and every vertex above it, by the parent chain."""
+    out = [v]
+    while tr.parent[v]:
+        v = tr.parent[v]
+        out.append(v)
+    return out
+
+
+def _dfs_leaves(tr, u):
+    if not tr.children[u]:
+        return [u]
+    return [leaf for c in tr.children[u] for leaf in _dfs_leaves(tr, c)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_leaf_ranges_match_brute_force(seed):
+    rng = random.Random(seed)
+    trees = [build_rooted_tree(1, [])]
+    for _ in range(60):
+        n = rng.randint(2, 40)
+        labels = list(range(1, n + 1))
+        rng.shuffle(labels)  # random ids, so the root is rarely vertex 1
+        edges = [(labels[rng.randrange(max(0, i - rng.choice((1, 3, i))), i)],
+                  labels[i], 1.0) for i in range(1, n)]
+        rng.shuffle(edges)
+        trees.append(build_rooted_tree(n, edges, root=labels[0]))
+    for tr in trees:
+        leaves, lo, hi, joint = leaf_ranges(tr)
+        assert leaves == _dfs_leaves(tr, tr.root)
+        assert len(joint) == len(leaves) and joint[0] == 0
+        for t in range(1, len(leaves)):
+            above = set(_ancestors(tr, leaves[t - 1]))
+            lca = next(v for v in _ancestors(tr, leaves[t]) if v in above)
+            assert joint[t] == lca
+        for u in range(1, tr.n + 1):
+            below = [leaf for leaf in leaves if u in _ancestors(tr, leaf)]
+            assert leaves[lo[u]:hi[u]] == below
 def test_postorder_children_first_in_input_order():
     tr = build_rooted_tree(6, [(1, 2, 1), (1, 3, 1), (2, 4, 1), (2, 5, 1),
                                (3, 6, 1)])
