@@ -1,8 +1,8 @@
 """Exact solvers for tree vehicle routing, fuel caching and polygon paths.
 
 Public names load their submodule on first access (PEP 562), so a process
-that needs one solver does not import the others, nor numpy unless it runs
-``ovrp-dp2`` or an interval DP of at least ``hampath.N_ARRAY`` vertices.
+that needs one solver does not import the others, nor numpy unless a DP
+passes its size gate in ``transopt.rows``.
 """
 
 import importlib

@@ -27,8 +27,7 @@ import sys
 import time
 
 # Solver modules are imported inside the branches that run them, so a
-# process loads only the solver it needs (and numpy only for ovrp-dp2 and
-# the interval DP, each past its size gate).
+# process loads only the solver it needs, and numpy only past a rows gate.
 from .errors import BudgetUnreachableError, InfeasibleError, TransoptError
 
 INSTANCE_SCHEMA = "transopt-instance/1"
@@ -334,6 +333,8 @@ def _run_one(path, algo):
         algo = algo or _default_algo(payload)
         eps = default_eps() if check else None
         objective, solution, diagnostics = _run(payload, algo)
+        if not math.isfinite(objective):  # an overflow, not an answer
+            raise ValueError(f"objective {objective} is not finite")
         if check:
             o_obj = _run(payload, "oracle")[0]
     except (TransoptError, ValueError) as exc:

@@ -8,11 +8,8 @@ problem a closed form and the weighted one the same interval DP with arc
 distances and suffix weight multipliers.
 
 The O(n^3) visibility matrix and the DP both work a whole row at a time.
-The visibility pass is pure Python.  The DP runs on Python lists below
-``N_ARRAY`` vertices and on numpy arrays from there up, with the same IEEE
-operations in the same order, so both give identical results; numpy is
-imported only then, because the import costs a small instance's process
-more than its whole solve.
+The visibility pass is pure Python; the DP runs on the engine that
+``rows.interval`` picks for its size.
 """
 
 from __future__ import annotations
@@ -21,8 +18,9 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import accumulate
-from operator import add, itemgetter, lt, mul, sub
+from operator import mul
 
+from . import rows
 from .errors import InvalidPolygonError
 from .geometry import (
     EPS,
@@ -202,61 +200,14 @@ def euclidean_dist(poly, vis=None):
     return dist
 
 
-# Interval DPs with at least this many vertices run on numpy rows.  Below
-# it the pure-Python rows finish before numpy would have been imported: the
-# import costs about 0.17 s, and the crossover was measured end to end on
-# curve-weighted instances (CHANGES.md).
-N_ARRAY = 450
-
-_Rows = namedtuple("_Rows", "row out add sub mul cat minimum less column")
-
-_LISTS = _Rows(
-    row=list,
-    out=list,
-    add=lambda xs, ys: list(map(add, xs, ys)),
-    sub=lambda xs, ys: list(map(sub, xs, ys)),
-    mul=lambda xs, ys: list(map(mul, xs, ys)),
-    cat=lambda xs, ys: xs + ys,
-    # elementwise min(x, y): y only when strictly smaller (a comprehension,
-    # several times faster than map(min, ...))
-    minimum=lambda xs, ys: [y if y < x else x for x, y in zip(xs, ys)],
-    less=lambda xs, ys: bytes(map(lt, xs, ys)),
-    column=lambda rows, k: list(map(itemgetter(k), rows)),
-)
-
-
-def _arrays():
-    """The same row operations on float64 arrays: each is the IEEE operation
-    the list version applies element by element, so results are identical."""
-    import numpy as np
-
-    return _Rows(
-        row=lambda xs: np.array(xs, dtype=np.float64),
-        out=np.ndarray.tolist,
-        add=np.add,
-        sub=np.subtract,
-        mul=np.multiply,
-        cat=lambda xs, ys: np.concatenate((xs, ys)),
-        minimum=lambda xs, ys: np.where(ys < xs, ys, xs),
-        less=lambda xs, ys: np.less(xs, ys).tobytes(),  # one byte per cell
-        column=lambda rows, k: rows[:, k],
-    )
-
-
-def _engine(n):
-    """The row operations for an n-vertex interval DP: the gate between
-    the pure-Python and the numpy engine."""
-    return _arrays() if n >= N_ARRAY else _LISTS
-
-
-def _interval_dp(n, diag, near_a, near_b, rows, ops):
+def _interval_dp(n, diag, near_a, near_b, steps, ops):
     """Shared circular-interval DP engine, one interval size at a time.
 
     A path over the circular interval [i, j] of size s ends at i (state A)
     or at j (state B); the rows of size s hold both costs at index i, and
     only the rows of the previous size are kept.  ``diag`` seeds size 1 (0
     for allowed starts, infinity otherwise).  ``near_a[i]`` is the step
-    from i+1 to i and ``near_b[k]`` the step from k to k+1.  ``rows(s)``
+    from i+1 to i and ``near_b[k]`` the step from k to k+1.  ``steps(s)``
     returns, indexed by i for the intervals of size s, the step from j to i,
     the step from i to j, and the multipliers of the steps into A and into
     B.  All rows are of the kind ``ops`` works on.  Steps are nonnegative or
@@ -268,7 +219,7 @@ def _interval_dp(n, diag, near_a, near_b, rows, ops):
     near_b = cat(near_b, near_b)  # each size reads a rotation: a slice here
     switched = [None, None]  # per size: one bytes row each for A and B
     for s in range(2, n + 1):
-        far_a, far_b, ma, mb = rows(s)
+        far_a, far_b, ma, mb = steps(s)
         a0 = add_(cat(A[1:], A[:1]), mul_(near_a, ma))
         a1 = add_(cat(B[1:], B[:1]), mul_(far_a, ma))
         b0 = add_(B, mul_(near_b[s - 2:s - 2 + n], mb))
@@ -309,17 +260,16 @@ def _polygon_dp(poly, dist, diag):
     n = poly.n
     if dist is None:
         dist = euclidean_dist(poly)
-    ops = _engine(n)
-    # rot[i][d] = dist(i, i + d): each size reads one column of it
-    rot = ops.row([[dist(p, (p + d) % n) for d in range(n)] for p in range(n)])
+    ops = rows.interval(n)
+    # rot[d][i] = dist(i, i + d): each size reads rows of it
+    rot = ops.row([[dist(p, (p + d) % n) for p in range(n)] for d in range(n)])
     ones = ops.row([1.0] * n)
-    cat, column = ops.cat, ops.column
 
-    def rows(s):
-        back = column(rot, n - s + 1)  # dist(k, k - s + 1)
-        return cat(back[s - 1:], back[:s - 1]), column(rot, s - 1), ones, ones
+    def steps(s):
+        back = rot[n - s + 1]  # dist(k, k - s + 1)
+        return ops.cat(back[s - 1:], back[:s - 1]), rot[s - 1], ones, ones
 
-    return _interval_dp(n, diag, rows(2)[0], column(rot, 1), rows, ops)
+    return _interval_dp(n, diag, steps(2)[0], rot[1], steps, ops)
 
 
 def shortest_ham_path_fixed_start(poly, start, dist=None):
@@ -412,13 +362,13 @@ def curve_weighted_ham_path(inst):
     else:
         diag = [INF] * n
         diag[inst.start] = 0.0
-    ops = _engine(n)
+    ops = rows.interval(n)
     add_, sub_, cat, minimum = ops.add, ops.sub, ops.cat, ops.minimum
     w_out = ops.row([wp[n] - x for x in wp])  # weight of vertices k .. n-1
     totals = ops.row([dp[n]] * n)
     dp, wp = ops.row(dp), ops.row(wp)
 
-    def rows(s):
+    def steps(s):
         # intervals [i, i + s - 1] with i < m do not wrap past vertex n-1;
         # the arc from i to j is dp[j] - dp[i] for those, and the curve
         # minus the arc from j to i for the others
@@ -435,5 +385,5 @@ def curve_weighted_ham_path(inst):
             cat(mb[1:], mb[:1]), mb
 
     # the steps between neighbours are the far steps of the intervals of 2
-    near_a, near_b, _, _ = rows(2)
-    return _interval_dp(n, diag, near_a, near_b, rows, ops)
+    near_a, near_b, _, _ = steps(2)
+    return _interval_dp(n, diag, near_a, near_b, steps, ops)

@@ -318,6 +318,8 @@ class JeepGraph(namedtuple("JeepGraph", "n edges source target adj")):
         for name, v in (("source", source), ("target", target)):
             if not 1 <= v <= n:
                 raise ValueError(f"{name} {v} outside 1..{n}")
+        if len(edges) < n - 1:
+            raise ValueError("graph is not connected")
         for (i, j, ln) in edges:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"edge ({i},{j}) references unknown vertex")

@@ -12,8 +12,7 @@ from collections import namedtuple
 from itertools import compress
 from operator import add, lt, sub
 
-# numpy is imported inside the dp2 array merge, so only ovrp-dp2 solves past
-# DP2_ARRAY_WORK load it
+from . import rows
 from .tree import euler_walk, leaf_ranges, postorder
 
 INF = math.inf
@@ -172,21 +171,6 @@ def solve_knapsack_v1(inst):
     return min(rt[pi][0] for pi in range(1, p + 1))
 
 
-# dp2 solves whose work n (p + 1)^2 reaches this merge on numpy arrays.
-# Below it the list merge finishes before numpy would have been imported:
-# the import costs about 0.17 s, and the crossover was measured end to end
-# on ovrp-dp2 processes with p = 5, 10 and 20 (CHANGES.md).
-DP2_ARRAY_WORK = 600_000
-
-
-def _dp2_engine(n, p):
-    """The merge for an n-vertex dp2 with p vehicles: the gate between the
-    pure-Python and the numpy engine."""
-    if n * (p + 1) ** 2 >= DP2_ARRAY_WORK:
-        return _array_merge
-    return _list_merge
-
-
 def solve_knapsack_v2(inst):
     """O(p^2 n) variant: at most one vehicle ever leaves a subtree.
 
@@ -196,7 +180,8 @@ def solve_knapsack_v2(inst):
     so they give identical results.
     """
     tree, p = inst.tree, _vehicle_bound(inst)
-    base, merge = _dp2_engine(tree.n, p)(p)
+    engine = _array_merge if rows.dp2_arrays(tree.n, p) else _list_merge
+    base, merge = engine(p)
     edge_len, children = tree.edge_len, tree.children
     table = {}
     for u in postorder(tree):
@@ -251,19 +236,23 @@ def _list_merge(p):
     return base, merge
 
 
-def _merge_gathers(p):
-    """Flat indices into a child's ``t`` (shape 2 x (p+1)) for a merge.
+def _array_merge(p):
+    """(base, merge) on 2 x (p+1) numpy arrays: one min-plus product over
+    both leave-states, through index arrays built once per solve.
 
-    Entry ``[o, i, o2, s]`` covers a partial traversal with P_out = o and
-    P_in = i before the merge and P_out = o2, P_in = s after it.  The two
-    indices name the child entries ``t[0, d]`` and ``t[1, d + 1]`` of net
-    vehicle consumption d; the merge pays the smaller.  Index 0 is
-    ``t[0, 0]``, which is always inf (no vehicle enters), and pads every
-    impossible combination.
+    ``g0`` and ``g1`` hold flat indices into a child's ``t`` (shape
+    2 x (p+1)).  Entry ``[o, i, o2, s]`` covers a partial traversal with
+    P_out = o and P_in = i before the merge and P_out = o2, P_in = s after
+    it.  The two indices name the child entries ``t[0, d]`` and
+    ``t[1, d + 1]`` of net vehicle consumption d; the merge pays the
+    smaller.  Index 0 is ``t[0, 0]``, which is always inf (no vehicle
+    enters), and pads every impossible combination.
     """
     import numpy as np
-    i = np.arange(p + 1)[:, None]
-    s = np.arange(p + 1)[None, :]
+    base = np.full((2, p + 1), INF)
+    base[:, 1:] = 0.0
+    ar = np.arange(p + 1)
+    i, s = ar[:, None], ar[None, :]
     g0 = np.zeros((2, p + 1, 2, p + 1), dtype=np.intp)
     g1 = np.zeros_like(g0)
     for o, o2, d, d_lo in (
@@ -276,17 +265,6 @@ def _merge_gathers(p):
         ok = (d >= d_lo) & (d <= p)
         g0[o, :, o2, :] = np.where(ok, d, 0)
         g1[o, :, o2, :] = np.where(ok & (d < p), p + 2 + d, 0)
-    return g0, g1
-
-
-def _array_merge(p):
-    """(base, merge) on 2 x (p+1) numpy arrays: one min-plus product over
-    both leave-states, through index arrays built once per solve."""
-    import numpy as np
-    base = np.full((2, p + 1), INF)
-    base[:, 1:] = 0.0
-    ar = np.arange(p + 1)
-    g0, g1 = _merge_gathers(p)
 
     def merge(cur, child, l):
         # t[P'out, P'in] = child cost + edge crossings

@@ -43,6 +43,8 @@ def build_rooted_tree(n, edges, root=1):
     if not (1 <= root <= n):
         raise DisconnectedTreeError(f"root {root} outside 1..{n}")
     edges = list(edges)
+    if len(edges) < n - 1:  # checked before any array of n entries exists
+        raise DisconnectedTreeError(f"{len(edges)} edges cannot connect {n} vertices")
     adj = [[] for _ in range(n + 1)]
     for (u, v, w) in edges:
         if w < 0:

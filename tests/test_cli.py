@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -274,6 +275,59 @@ def test_malformed_numbers_give_one_error_envelope(tmp_path, capsys, payload):
     env = json.loads(lines[0], parse_constant=lambda c: pytest.fail(c))
     assert env["schema"] == "transopt-result/1"
     assert env["status"] == "error"
+
+
+# objectives that overflow to infinity: every edge or gap is finite
+HUGE = 1e308
+OVERFLOWING = {
+    "ovrp": dict(STAR, edges=[[1, 2, HUGE], [1, 3, HUGE]]),
+    "fuel": {"schema": "transopt-instance/1", "problem": "fuel", "n": 3,
+             "edges": [[1, 2, HUGE], [1, 3, HUGE]], "gas": [0, 0, 0]},
+    "curve": {"schema": "transopt-instance/1", "problem": "curve",
+              "gaps": [HUGE] * 3, "weights": [1, 1, 1]},
+}
+
+
+@pytest.mark.parametrize("tag", list(OVERFLOWING))
+def test_an_overflowing_objective_is_one_error_envelope(tmp_path, capsys, tag):
+    path = write(tmp_path, OVERFLOWING[tag])
+    argvs = [["solve", "--algo", algo, path] for algo in cli.PROBLEMS[tag][0]]
+    for argv in argvs + [["check", path]]:  # check stops before the oracle
+        code = main(argv)
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert code == 1 and len(lines) == 1 and err == "", argv
+        env = json.loads(lines[0], parse_constant=lambda c: pytest.fail(c))
+        assert env["status"] == "error", argv
+        assert env["diagnostics"]["reason"] == "objective inf is not finite"
+
+
+JEEP_GRAPH_1M = {"schema": "transopt-instance/1", "problem": "jeep-graph",
+                 "n": 10 ** 6, "edges": [], "m": 1.0, "g": 1.0}
+
+
+# the edge count is checked before each edge: a negative length alone gives
+# its own error, but too few edges wins
+@pytest.mark.parametrize("payload, reason", [
+    (dict(STAR, n=10 ** 6, edges=[]), "0 edges cannot connect 1000000 vertices"),
+    (dict(STAR, n=10 ** 6, edges=[[1, 2, -1]]),
+     "1 edges cannot connect 1000000 vertices"),
+    (JEEP_GRAPH_1M, "graph is not connected"),
+    (dict(JEEP_GRAPH_1M, edges=[[1, 2, -1]]), "graph is not connected"),
+], ids=["tree", "tree-negative-edge", "jeep-graph", "jeep-graph-negative-edge"])
+def test_too_few_edges_are_rejected_before_allocating(tmp_path, payload,
+                                                       reason):
+    from transopt import jeep, ovrp, tree  # noqa: F401  (imported untraced)
+    path = write(tmp_path, payload)
+    tracemalloc.start()
+    try:
+        env, code = cli._run_one(path, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and env["status"] == "error"
+    assert env["diagnostics"]["reason"].endswith(reason)
+    assert peak < 1 << 20
 
 
 def test_fuel_ignores_legacy_search_fields(tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from transopt import hampath
+from transopt import hampath, rows
 from transopt.errors import InvalidPolygonError
 from transopt.geometry import (
     on_segment,
@@ -249,21 +249,22 @@ def _per_engine(monkeypatch, solve, *args):
     """``solve(*args)`` once on the list rows and once on the numpy rows,
     whatever the gate would pick for the instance's size."""
     out = []
-    for ops in (hampath._LISTS, hampath._arrays()):
-        monkeypatch.setattr(hampath, "_engine", lambda n, ops=ops: ops)
-        out.append(solve(*args))
+    for gate in (math.inf, 0):
+        with monkeypatch.context() as m:
+            m.setattr(rows, "N_ARRAY", gate)
+            out.append(solve(*args))
     return out
 
 
 def test_engine_gate():
-    below = hampath._engine(hampath.N_ARRAY - 1)
-    assert hampath._engine(2) is below is hampath._LISTS
-    assert hampath._engine(hampath.N_ARRAY) is not hampath._LISTS
+    below = rows.interval(rows.N_ARRAY - 1)
+    assert rows.interval(2) is below is rows.LISTS
+    assert rows.interval(rows.N_ARRAY) is not rows.LISTS
 
 
 def test_list_and_array_engines_agree_on_curves(monkeypatch):
     rng = random.Random(49)
-    sizes = [2, 3, 4, 7, 19, 64, 150, hampath.N_ARRAY - 1, hampath.N_ARRAY + 23]
+    sizes = [2, 3, 4, 7, 19, 64, 150, rows.N_ARRAY - 1, rows.N_ARRAY + 23]
     for t, n in enumerate(sizes * 2):
         if t % 2:
             gaps = [rng.randint(1, 9) for _ in range(n)]
@@ -284,7 +285,7 @@ def test_list_and_array_engines_agree_on_polygons(monkeypatch):
     polys = [jittered_star(rng, rng.randint(4, 24), rng.uniform(0.05, 0.85))
              for _ in range(12)] + [rectilinear_histogram(rng) for _ in range(6)]
     # past the gate: a regular polygon, where every pair is visible
-    n = hampath.N_ARRAY + 5
+    n = rows.N_ARRAY + 5
     polys.append(SimplePolygon([(math.cos(2 * math.pi * i / n),
                                  math.sin(2 * math.pi * i / n)) for i in range(n)]))
     reachable = 0

@@ -1,6 +1,6 @@
 """The package loads a solver module only when a request runs it, and numpy
-only for ``ovrp-dp2`` solves and interval DPs past their size gates; no
-request loads ``dataclasses``."""
+only for the DPs past their ``transopt.rows`` gates; no request loads
+``dataclasses``."""
 
 import json
 import os
@@ -49,7 +49,7 @@ def _run_script(tmp_path, body, instances=INSTANCES):
 
 
 def test_solve_without_ovrp_does_not_import_numpy(tmp_path):
-    from transopt.ovrp import DP2_ARRAY_WORK
+    from transopt.rows import DP2_ARRAY_WORK
     p = 10
     n = -(-DP2_ARRAY_WORK // (p + 1) ** 2)  # a star: p is not capped
     past = {"schema": SCHEMA, "problem": "ovrp", "n": n, "p": p,
@@ -76,7 +76,7 @@ def test_solve_without_ovrp_does_not_import_numpy(tmp_path):
 
 
 def test_interval_dp_loads_numpy_only_past_the_gate(tmp_path):
-    from transopt.hampath import N_ARRAY
+    from transopt.rows import N_ARRAY
 
     def curve(n):
         return {"schema": SCHEMA, "problem": "curve", "start": 0,

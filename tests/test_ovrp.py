@@ -1,9 +1,10 @@
 import hashlib
+import math
 import random
 
 import pytest
 
-from transopt import ovrp
+from transopt import rows
 from transopt.oracles import _REL_TOL, ovrp_brute
 from transopt.ovrp import (
     OvrpInstance,
@@ -253,18 +254,19 @@ def _per_dp2_engine(monkeypatch, inst):
     """``solve_knapsack_v2(inst)`` once on the list merge and once on the
     array merge, whatever the gate would pick for the instance."""
     out = []
-    for merge in (ovrp._list_merge, ovrp._array_merge):
-        monkeypatch.setattr(ovrp, "_dp2_engine", lambda n, p, merge=merge: merge)
-        out.append(solve_knapsack_v2(inst))
+    for gate in (math.inf, 0):
+        with monkeypatch.context() as m:
+            m.setattr(rows, "DP2_ARRAY_WORK", gate)
+            out.append(solve_knapsack_v2(inst))
     return out
 
 
 def test_dp2_engine_gate():
-    work, p = ovrp.DP2_ARRAY_WORK, 10
+    work, p = rows.DP2_ARRAY_WORK, 10
     below = work // (p + 1) ** 2
-    assert ovrp._dp2_engine(below, p) is ovrp._list_merge
-    assert ovrp._dp2_engine(below + 1, p) is ovrp._array_merge
-    assert ovrp._dp2_engine(1, 1) is ovrp._list_merge
+    assert not rows.dp2_arrays(below, p)
+    assert rows.dp2_arrays(below + 1, p)
+    assert not rows.dp2_arrays(1, 1)
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["int", "real"])
@@ -278,7 +280,7 @@ def test_list_and_array_dp2_engines_agree(monkeypatch, real):
             assert lists == arrays, (tr, p)
             assert type(lists) is float and type(arrays) is float
     # trees just below and just past the gate at p = 10
-    below = ovrp.DP2_ARRAY_WORK // 121
+    below = rows.DP2_ARRAY_WORK // 121
     for make, n in ((deep_tree, below), (bushy_tree, below + 1)):
         inst = OvrpInstance(make(rng, n, real), 10)
         lists, arrays = _per_dp2_engine(monkeypatch, inst)
