@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .tree import euler_walk, path_cost, postorder
+from .tree import euler_walk, path_cost
 
 
 class FuelInstance(namedtuple("FuelInstance", "tree gas")):
@@ -58,7 +58,7 @@ def min_initial_fuel(inst):
     cmin = [0.0] * (n + 1)
     visit_order = [()] * (n + 1)
 
-    for u in postorder(tree):
+    for u in tree.post:
         ch = tree.children[u]
         if ch:
             for c in ch:

@@ -61,7 +61,7 @@ def ovrp_brute(inst):
             if d < dist.get(key, INF):
                 dist[key] = d
                 heapq.heappush(heap, (d, key))
-    raise AssertionError("search exhausted without covering all vertices")
+    return INF  # lengths overflowed: a move costing inf is never pushed
 
 
 def fuel_brute(inst):
@@ -232,6 +232,14 @@ def ham_brute(poly_or_dist, start=None, n=None):
     return best, best_path
 
 
+def _fsum(gaps):
+    """``math.fsum`` of positive gaps, inf past the float range."""
+    try:
+        return math.fsum(gaps)
+    except OverflowError:
+        return INF
+
+
 def curve_zigzag_brute(inst, objective="weighted"):
     """Curve-restricted Hamiltonian path by exhaustive arc extension.
 
@@ -256,7 +264,7 @@ def curve_zigzag_brute(inst, objective="weighted"):
             if a != b:
                 fwd = [gaps[k % n] for k in range(a, b if a < b else b + n)]
                 back = [gaps[k % n] for k in range(b, a if b < a else a + n)]
-                arc[a][b] = min(math.fsum(fwd), math.fsum(back))
+                arc[a][b] = min(_fsum(fwd), _fsum(back))
     w = inst.weights
     best = [INF, []]
 

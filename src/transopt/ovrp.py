@@ -13,7 +13,7 @@ from itertools import compress
 from operator import add, lt, sub
 
 from . import rows
-from .tree import euler_walk, leaf_ranges, postorder
+from .tree import euler_walk, leaf_ranges
 
 INF = math.inf
 
@@ -98,26 +98,18 @@ def solve_greedy(inst):
             twice_cb[hi[v]:hi[u]] = [d2] * (hi[u] - hi[v])
             v, u = u, parent[u]
         total += best_delta
-        segments.append((u, best_leaf))
+        segments.append(best_leaf)
 
     routes = []
-    for vid, (cb, leaf) in enumerate(segments):
-        # root -> cb prefix (edges owned by earlier vehicles, paid again)
-        prefix = []
-        v = cb
-        while v != root:
-            prefix.append(v)
-            v = parent[v]
-        prefix.append(root)
-        prefix.reverse()
-        descent = []
-        v = leaf
-        while v != cb:
-            descent.append(v)
-            v = parent[v]
-        descent.reverse()
+    for vid, leaf in enumerate(segments):
+        # the leaf's root path; the edges above its closest blue ancestor
+        # belong to earlier vehicles and are paid again
+        path = []
+        while leaf:  # parent[root] is 0
+            path.append(leaf)
+            leaf = parent[leaf]
         walk = []
-        for v in prefix + descent:
+        for v in reversed(path):
             walk.append(v)
             if owner[v] == vid:
                 for c in tree.children[v]:
@@ -143,7 +135,7 @@ def solve_knapsack_v1(inst):
         ]
 
     table = {}
-    for u in postorder(tree):
+    for u in tree.post:
         cur = fresh()
         for child in tree.children[u]:
             l = tree.edge_len[child]
@@ -184,7 +176,7 @@ def solve_knapsack_v2(inst):
     base, merge = engine(p)
     edge_len, children = tree.edge_len, tree.children
     table = {}
-    for u in postorder(tree):
+    for u in tree.post:
         cur = base
         for child in children[u]:
             cur = merge(cur, table.pop(child), edge_len[child])
@@ -285,17 +277,13 @@ def _vehicle_walk(tree, leaf_ids, end_leaf):
     covered = set()
     for leaf in leaf_ids:
         v = leaf
-        while v not in covered:
+        while v and v not in covered:  # parent[root] is 0
             covered.add(v)
-            if v == tree.root:
-                break
             v = parent[v]
     spine = set()
     v = end_leaf
-    while True:
+    while v:
         spine.add(v)
-        if v == tree.root:
-            break
         v = parent[v]
     # entering the spine child last leaves nothing to cover after the first
     # arrival at end_leaf, where the walk stops

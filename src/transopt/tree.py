@@ -1,9 +1,9 @@
 """Rooted weighted trees and the traversals the tree solvers share.
 
-The one post-order walk, the one leaf pass, the one Euler-walk expansion
-and the one root-distance path length live here; the ovrp and fuel solvers
-use them.  The leaf pass gives the leaves in DFS order, each vertex's leaves
-as a slice of that order and the LCA of every leaf with its predecessor.
+One DFS builds the tree and its post-order; the one leaf pass, the one
+Euler-walk expansion and the one root-distance path length live here too.
+The leaf pass gives the leaves in DFS order, each vertex's leaves as a
+slice of that order and the LCA of every leaf with its predecessor.
 Vertices are 1-based externally (vertex 1 usually carries the depot) and
 the arrays here are indexed accordingly: position 0 is unused.
 """
@@ -11,18 +11,19 @@ the arrays here are indexed accordingly: position 0 is unused.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import eq
 
 from .errors import CycleError, DisconnectedTreeError, NegativeLengthError
 
 
 class RootedTree(namedtuple("RootedTree",
-                            "n root parent children edge_len droot")):
+                            "n root parent children edge_len droot post")):
     """Immutable weighted rooted tree.
 
     ``parent[u]`` is 0 for the root, ``edge_len[u]`` is the length of the
     edge (parent(u), u) and is 0.0 for the root.  ``children`` keeps the
-    input order of each vertex's sons, which makes the DFS leaf order
-    deterministic for a given edge list.
+    input order of each vertex's sons; ``post`` lists every vertex after its
+    descendants, children in that order.
     """
 
     __slots__ = ()
@@ -35,66 +36,71 @@ class RootedTree(namedtuple("RootedTree",
 
 
 def build_rooted_tree(n, edges, root=1):
-    """Build a :class:`RootedTree` from an undirected edge list.
+    """Build a :class:`RootedTree` from a list of (u, v, length) edges.
 
     Raises :class:`NegativeLengthError`, :class:`CycleError` or
     :class:`DisconnectedTreeError` on malformed input.
     """
     if not (1 <= root <= n):
         raise DisconnectedTreeError(f"root {root} outside 1..{n}")
-    edges = list(edges)
     if len(edges) < n - 1:  # checked before any array of n entries exists
         raise DisconnectedTreeError(f"{len(edges)} edges cannot connect {n} vertices")
-    adj = [[] for _ in range(n + 1)]
-    for (u, v, w) in edges:
-        if w < 0:
-            raise NegativeLengthError(f"edge ({u},{v}) has negative length {w}")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise DisconnectedTreeError(f"edge ({u},{v}) references unknown vertex")
-        if u == v:
-            raise CycleError(f"self-loop at vertex {u}")
-        adj[u].append((v, float(w)))
-        adj[v].append((u, float(w)))
+    adj = [[] for _ in range(n + 1)]  # flat: [v, length, v, length, ...]
+    if edges:
+        us, vs, ws = zip(*edges)
+        # whole columns checked in C; the scan only names the first bad edge
+        if min(ws) < 0 or min(us) < 1 or min(vs) < 1 or max(us) > n or \
+                max(vs) > n or any(map(eq, us, vs)):
+            for (u, v, w) in edges:
+                if w < 0:
+                    raise NegativeLengthError(
+                        f"edge ({u},{v}) has negative length {float(w)}")
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise DisconnectedTreeError(
+                        f"edge ({u},{v}) references unknown vertex")
+                if u == v:
+                    raise CycleError(f"self-loop at vertex {u}")
+        for u, v, w in zip(us, vs, map(float, ws)):
+            adj[u].extend((v, w))
+            adj[v].extend((u, w))
+        del us, vs, ws
 
-    parent = [0] * (n + 1)
+    parent = [0] + [-1] * n  # -1 until the DFS reaches the vertex
+    parent[root] = 0
     edge_len = [0.0] * (n + 1)
     droot = [0.0] * (n + 1)
-    children = [[] for _ in range(n + 1)]
-    seen = [False] * (n + 1)
-    seen[root] = True
-    order = [root]
+    children = [()] * (n + 1)
+    post = []  # pre-order with the last child first; reversed below
     stack = [root]
     while stack:
         u = stack.pop()
-        for (v, w) in adj[u]:
-            if seen[v]:
-                if v != parent[u]:
+        post.append(u)
+        a = adj[u]
+        if len(a) == 2 and u != root:  # a leaf: its one edge is to its parent
+            continue
+        pu, du = parent[u], droot[u]
+        ch = []
+        it = iter(a)
+        for v, w in zip(it, it):
+            if parent[v] >= 0:
+                # each edge is scanned from both ends, so this catches a
+                # parallel copy of a tree edge too, from the parent's side
+                if v != pu:
                     raise CycleError(f"cycle through edge ({u},{v})")
                 continue
-            seen[v] = True
             parent[v] = u
             edge_len[v] = w
-            droot[v] = droot[u] + w
-            children[u].append(v)
-            order.append(v)
-            stack.append(v)
-    children = tuple(map(tuple, children))
-    if len(order) != n:
+            droot[v] = du + w
+            ch.append(v)
+        children[u] = tuple(ch)
+        stack += ch
+    del adj
+    if len(post) != n:
         raise DisconnectedTreeError(
-            f"only {len(order)} of {n} vertices reachable from root {root}"
-        )
-    if len(edges) != n - 1:
-        # connected with more than n-1 edges: a parallel edge slipped past
-        # the back-edge check (both copies look like the parent link)
-        raise CycleError(f"{len(edges)} edges on {n} vertices")
-    return RootedTree(
-        n=n,
-        root=root,
-        parent=tuple(parent),
-        children=children,
-        edge_len=tuple(edge_len),
-        droot=tuple(droot),
-    )
+            f"only {len(post)} of {n} vertices reachable from root {root}")
+    post.reverse()
+    return RootedTree(n, root, tuple(parent), tuple(children),
+                      tuple(edge_len), tuple(droot), tuple(post))
 
 
 def path_cost(tree, u, v):
@@ -113,36 +119,30 @@ def walk_cost(tree, walk):
     return total
 
 
-def postorder(tree):
-    """Every vertex after all of its descendants, children in input order."""
-    order = []
-    stack = [tree.root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(tree.children[u])
-    order.reverse()
-    return order
-
-
 def euler_walk(tree, start, children=None):
     """Closed DFS walk covering T(start), beginning and ending at start.
 
     ``children[u]`` gives the order in which u's sons are entered; it
-    defaults to the tree's own input order.
+    defaults to the tree's own input order.  Vertices are entered in
+    pre-order off one stack, climbing parent links up to each one's parent.
     """
     children = tree.children if children is None else children
-    walk = [start]
-    stack = [(start, iter(children[start]))]
+    parent = tree.parent
+    walk = []
+    stack = [start]
+    last = parent[start]
     while stack:
-        c = next(stack[-1][1], None)
-        if c is None:
-            stack.pop()
-            if stack:
-                walk.append(stack[-1][0])
-        else:
-            walk.append(c)
-            stack.append((c, iter(children[c])))
+        v = stack.pop()
+        up = parent[v]
+        while last != up:
+            last = parent[last]
+            walk.append(last)
+        walk.append(v)
+        last = v
+        stack += children[v][::-1]
+    while last != start:
+        last = parent[last]
+        walk.append(last)
     return walk
 
 
@@ -161,7 +161,7 @@ def leaf_ranges(tree):
     hi = [0] * (tree.n + 1)
     joint = [0] * (tree.n + 1)
     leaves = []
-    for u in postorder(tree):
+    for u in tree.post:
         ch = children[u]
         if ch:
             lo[u], hi[u] = lo[ch[0]], hi[ch[-1]]

@@ -6,6 +6,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from transopt import cli
 from transopt.cli import bench_jeep, main
@@ -277,6 +279,50 @@ def test_malformed_numbers_give_one_error_envelope(tmp_path, capsys, payload):
     assert env["status"] == "error"
 
 
+# ints whose sum is finite while no entry is: each must be named, not
+# converted to a float past the float range
+CANCELLING = [10 ** 400, -10 ** 400, 1]
+CANCELLING_LISTS = {
+    "gaps": {"schema": "transopt-instance/1", "problem": "curve",
+             "gaps": CANCELLING, "weights": [1, 1, 1]},
+    "weights": {"schema": "transopt-instance/1", "problem": "curve",
+                "gaps": [1, 2, 3], "weights": CANCELLING},
+    "gas": {"schema": "transopt-instance/1", "problem": "fuel", "n": 3,
+            "edges": [[1, 2, 1], [1, 3, 1]], "gas": CANCELLING},
+    "points": {"schema": "transopt-instance/1", "problem": "jeep",
+               "points": CANCELLING, "m": 1.0, "g": 1.0},
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "check"])
+@pytest.mark.parametrize("field", list(CANCELLING_LISTS))
+def test_huge_ints_that_cancel_are_one_error_envelope(tmp_path, capsys, field,
+                                                     command):
+    code = main([command, write(tmp_path, CANCELLING_LISTS[field])])
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 1 and err == ""
+    env = json.loads(lines[0], parse_constant=lambda c: pytest.fail(c))
+    assert env["status"] == "error"
+    assert env["diagnostics"]["reason"] == \
+        f"field '{field}[0]' must be a finite number"
+
+
+# min and max skip a NaN that is not first; the sum catches it, so the bad
+# entry is named rather than left to give a NaN objective
+@pytest.mark.parametrize("payload, reason", [
+    ({"schema": "transopt-instance/1", "problem": "curve",
+      "gaps": [1, 2, math.nan]}, "field 'gaps[2]' must be a finite number"),
+    ({"schema": "transopt-instance/1", "problem": "curve",
+      "gaps": [1, math.nan, 10 ** 400]}, "field 'gaps[1]' must be a finite number"),
+    (NAN_TREE, "field 'edges[1]' must be [u, v, length] with integer vertices "
+               "and a finite length"),
+], ids=["nan-last", "nan-then-huge", "nan-edge-last"])
+def test_a_nan_after_a_number_is_named(tmp_path, capsys, payload, reason):
+    code, lines = run(capsys, ["solve", write(tmp_path, payload)])
+    assert code == 1 and lines[0]["diagnostics"]["reason"] == reason
+
+
 # objectives that overflow to infinity: every edge or gap is finite
 HUGE = 1e308
 OVERFLOWING = {
@@ -292,7 +338,8 @@ OVERFLOWING = {
 def test_an_overflowing_objective_is_one_error_envelope(tmp_path, capsys, tag):
     path = write(tmp_path, OVERFLOWING[tag])
     argvs = [["solve", "--algo", algo, path] for algo in cli.PROBLEMS[tag][0]]
-    for argv in argvs + [["check", path]]:  # check stops before the oracle
+    for argv in argvs + [["oracle", path], ["check", path]]:
+        # check stops before the oracle
         code = main(argv)
         out, err = capsys.readouterr()
         lines = out.splitlines()
@@ -526,3 +573,65 @@ def test_solvers_are_looked_up_at_call_time(tmp_path, capsys, monkeypatch,
     code, lines = run(capsys, argv + [write(tmp_path, TINY[tag])])
     assert code == 0 and lines[0]["solver"] == algo
     assert calls == [attr]
+
+
+# Arbitrary JSON for the edge-list fields, and edge lists close to a tree:
+# right-shaped entries with odd vertices or lengths, extra edges that close
+# a cycle or repeat an edge, n and root off by a little or of any type.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+ODD_LENGTHS = st.sampled_from([-1, -0.0, 1e308, 10 ** 308, 10 ** 400,
+                               -10 ** 400, math.nan, math.inf, True])
+VERTICES = st.integers(-1, 9)
+
+
+def _mostly(draw, good, bad):
+    """A draw from ``good`` about four times in five, else from ``bad``."""
+    return draw(draw(st.sampled_from((good,) * 4 + (bad,))))
+
+
+@st.composite
+def edge_list_fields(draw, tag):
+    n = draw(st.integers(1, 8))
+    lengths = st.integers(0, 9) | st.floats(0, 10)
+    edges = [[draw(st.integers(1, v - 1)), v, _mostly(draw, lengths, ODD_LENGTHS)]
+             for v in range(2, n + 1)]
+    edges = draw(st.permutations(edges)) + draw(st.lists(
+        st.tuples(VERTICES, VERTICES, lengths).map(list) | JSON_VALUES,
+        max_size=1))
+    fields = {"n": _mostly(draw, st.just(n), VERTICES | JSON_VALUES),
+              "edges": _mostly(draw, st.just(edges), JSON_VALUES)}
+    root = _mostly(draw, st.none() | st.integers(1, n), VERTICES | JSON_VALUES)
+    if root is not None:
+        fields["root"] = root
+    if tag == "ovrp":
+        fields["p"] = draw(st.integers(1, 3))
+    elif tag == "fuel":
+        fields["gas"] = _mostly(draw, st.lists(st.integers(0, 9), min_size=n,
+                                               max_size=n), JSON_VALUES)
+    else:
+        fields.update(m=1.0, g=1.0)
+    return fields
+
+
+@pytest.mark.parametrize("tag", ["ovrp", "fuel", "jeep-graph"])
+def test_every_edge_list_gives_one_strict_envelope(tmp_path, capsys, tag):
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edge_list_fields(tag))
+    def one_input(fields):
+        path = write(tmp_path, {"schema": "transopt-instance/1",
+                                "problem": tag, **fields})
+        for command in ("solve", "oracle", "check"):
+            code = main([command, path])
+            out, err = capsys.readouterr()
+            lines = out.splitlines()
+            assert code in (0, 1, 2) and len(lines) == 1 and err == "", command
+            env = json.loads(lines[0], parse_constant=lambda c: pytest.fail(c))
+            assert env["schema"] == "transopt-result/1"
+            assert env["status"] in ("ok", "error", "infeasible")
+
+    one_input()

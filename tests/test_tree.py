@@ -8,7 +8,6 @@ from transopt.tree import (
     euler_walk,
     leaf_ranges,
     path_cost,
-    postorder,
     walk_cost,
 )
 
@@ -48,6 +47,43 @@ def test_build_rejects_self_loop_and_parallel_edge():
 def test_build_rejects_negative_length():
     with pytest.raises(NegativeLengthError):
         build_rooted_tree(2, [(1, 2, -1)])
+
+
+# Each input fails the edge count, a whole-column check or the DFS; the
+# message names the first bad edge in edge-list order, as a scan would.
+@pytest.mark.parametrize("n, edges, root, error, message", [
+    (2, [(1, 2, -1)], 1, NegativeLengthError,
+     "edge (1,2) has negative length -1.0"),
+    (3, [(1, 2, 1.5), (2, 3, -2.5)], 1, NegativeLengthError,
+     "edge (2,3) has negative length -2.5"),
+    (3, [(1, 2, 1), (2, 4, 1)], 1, DisconnectedTreeError,
+     "edge (2,4) references unknown vertex"),
+    (3, [(0, 2, 1), (2, 3, 1)], 1, DisconnectedTreeError,
+     "edge (0,2) references unknown vertex"),
+    (3, [(1, 2, 1), (2, 2, 1)], 1, CycleError, "self-loop at vertex 2"),
+    (4, [(1, 2, 1), (3, 3, 1), (1, 5, 1), (2, 4, -1)], 1, CycleError,
+     "self-loop at vertex 3"),
+    (3, [(1, 2, 1), (2, 3, 1), (3, 1, 1)], 1, CycleError,
+     "cycle through edge (3,2)"),
+    (4, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (1, 4, 1)], 2, CycleError,
+     "cycle through edge (3,1)"),
+    (2, [(1, 2, 1), (2, 1, 3)], 1, CycleError, "cycle through edge (1,2)"),
+    (4, [(1, 2, 1), (3, 4, 1), (4, 3, 2)], 3, CycleError,
+     "cycle through edge (3,4)"),
+    (4, [(1, 2, 1), (3, 4, 1), (3, 4, 2)], 1, DisconnectedTreeError,
+     "only 2 of 4 vertices reachable from root 1"),
+    (4, [(1, 2, 1), (3, 4, 1)], 1, DisconnectedTreeError,
+     "2 edges cannot connect 4 vertices"),
+    (4, [(1, 2, -1)], 1, DisconnectedTreeError,
+     "1 edges cannot connect 4 vertices"),
+], ids=["negative-int", "negative-float", "unknown-vertex", "vertex-zero",
+        "self-loop", "first-bad-edge-wins", "cycle", "cycle-other-root",
+        "parallel-edge", "parallel-edge-below-root", "disconnected",
+        "too-few-edges", "too-few-edges-before-negative"])
+def test_build_errors_name_the_first_bad_edge(n, edges, root, error, message):
+    with pytest.raises(error) as info:
+        build_rooted_tree(n, edges, root)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_path_cost_ancestor_pairs():
@@ -130,8 +166,8 @@ def test_leaf_ranges_match_brute_force(seed):
 def test_postorder_children_first_in_input_order():
     tr = build_rooted_tree(6, [(1, 2, 1), (1, 3, 1), (2, 4, 1), (2, 5, 1),
                                (3, 6, 1)])
-    assert postorder(tr) == [4, 5, 2, 6, 3, 1]
-    assert postorder(build_rooted_tree(1, [])) == [1]
+    assert list(tr.post) == [4, 5, 2, 6, 3, 1]
+    assert list(build_rooted_tree(1, []).post) == [1]
 
 
 def test_euler_walk_default_and_given_child_orders():
@@ -141,3 +177,65 @@ def test_euler_walk_default_and_given_child_orders():
     assert euler_walk(tr, 4) == [4]
     flipped = [tuple(reversed(ch)) for ch in tr.children]
     assert euler_walk(tr, 1, flipped) == [1, 3, 1, 2, 5, 2, 4, 2, 1]
+
+
+def _reference_post(children, u):
+    return [w for c in children[u] for w in _reference_post(children, c)] + [u]
+
+
+def _reference_euler(children, u):
+    walk = [u]
+    for c in children[u]:
+        walk += _reference_euler(children, c) + [u]
+    return walk
+
+
+def _shuffled_tree(rng, n, shape):
+    """(edges, root): a deep, bushy or star tree on shuffled labels, its
+    edges in random order with random endpoint order, and a random root."""
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    edges = []
+    for i in range(1, n):
+        if shape == "deep":
+            j = rng.randrange(max(0, i - 3), i)
+        else:
+            j = rng.randrange(i) if shape == "bushy" else 0
+        u, v = labels[j], labels[i]
+        if rng.random() < 0.5:
+            u, v = v, u
+        edges.append((u, v, rng.choice((0, 1, 2.5, 7))))
+    rng.shuffle(edges)
+    return edges, rng.randint(1, n)
+
+
+@pytest.mark.parametrize("shape", ["deep", "bushy", "star"])
+def test_one_dfs_matches_reference_walks(shape):
+    rng = random.Random(shape)
+    for _ in range(40):
+        n = rng.randint(1, 60)
+        edges, root = _shuffled_tree(rng, n, shape)
+        tr = build_rooted_tree(n, edges, root)
+        # children keep edge-list order; lengths are floats; droot adds up
+        for u in range(1, n + 1):
+            incident = [(b if a == u else a, float(w)) for a, b, w in edges
+                        if u in (a, b)]
+            assert tr.children[u] == tuple(v for v, _ in incident
+                                           if v != tr.parent[u])
+            for v, w in incident:
+                if v in tr.children[u]:
+                    assert tr.parent[v] == u and tr.edge_len[v] == w
+                    assert type(tr.edge_len[v]) is float
+                    assert tr.droot[v] == tr.droot[u] + w
+        assert list(tr.post) == _reference_post(tr.children, root)
+        starts = [root, rng.randint(1, n)]
+        for start in starts:
+            assert euler_walk(tr, start) == _reference_euler(tr.children, start)
+        for _ in range(3):
+            # a random order of a random subset of each vertex's children,
+            # as the ovrp and fuel routes pass
+            order = {u: rng.sample(ch, rng.randint(0, len(ch)))
+                     for u, ch in enumerate(tr.children)}
+            for start in starts:
+                assert euler_walk(tr, start, order) == \
+                    _reference_euler(order, start)
