@@ -75,13 +75,6 @@ def _finite(v):
     return type(v) in (int, float) and -_MAX <= v <= _MAX
 
 
-def _finite_column(col):
-    """all(map(_finite, col)) for a nonempty list, in C (``sum`` catches a
-    NaN); False also when the sum overflows, so a caller scans to be exact."""
-    return set(map(type, col)) <= {int, float} and -_MAX <= min(col) \
-        and max(col) <= _MAX and -_MAX <= sum(col, 0.0) <= _MAX
-
-
 def _number(payload, name, default=_REQUIRED):
     """Scalar field as a float; a SchemaError unless it is a finite number."""
     v = _field(payload, name, (int, float), default)
@@ -93,7 +86,10 @@ def _number(payload, name, default=_REQUIRED):
 def _numbers(payload, name, default=_REQUIRED):
     """List field whose entries must all be finite numbers, returned as is."""
     v = _field(payload, name, list, default)
-    if v and not _finite_column(v):
+    # Fast path in C: int/float entries with min, max and sum in float range
+    # are all finite (a NaN fails the sum).  Anything else gets the scan.
+    if v and not (set(map(type, v)) <= {int, float} and -_MAX <= min(v)
+                  and max(v) <= _MAX and -_MAX <= sum(v, 0.0) <= _MAX):
         for t, x in enumerate(v):
             if not _finite(x):
                 raise SchemaError(f"field '{name}[{t}]' must be a finite number")
@@ -121,17 +117,13 @@ def load_instance(path):
 
 def _edges_field(payload):
     raw = _field(payload, "edges", list)
-    # whole columns checked in C; the scan only names the first bad entry
-    ok = set(map(type, raw)) <= {list} and set(map(len, raw)) <= {3}
-    if ok and raw:
-        us, vs, ws = zip(*raw)
-        ok = {*map(type, us), *map(type, vs)} == {int} and _finite_column(ws)
-    if not ok:
-        for t, e in enumerate(raw):
-            u, v, w = e if type(e) is list and len(e) == 3 else (None, None, None)
-            if type(u) is not int or type(v) is not int or not _finite(w):
-                raise SchemaError(f"field 'edges[{t}]' must be [u, v, length] "
-                                  f"with integer vertices and a finite length")
+    for t, e in enumerate(raw):
+        u, v, w = e if type(e) is list and len(e) == 3 else (None, None, None)
+        # _finite(w) inlined: this loop runs once per edge of trees up to 1e5
+        if type(u) is not int or type(v) is not int or \
+                type(w) not in (int, float) or not -_MAX <= w <= _MAX:
+            raise SchemaError(f"field 'edges[{t}]' must be [u, v, length] with "
+                              f"integer vertices and a finite length")
     return raw
 
 

@@ -44,6 +44,7 @@ def ovrp_brute(inst):
     start = (1 << (root - 1), root, 1)
     dist = {start: 0.0}
     heap = [(0.0, start)]
+    overflowed = False  # a move whose cost is inf is never pushed
     while heap:
         d, (mask, u, used) = heapq.heappop(heap)
         if d > dist.get((mask, u, used), INF):
@@ -53,6 +54,7 @@ def ovrp_brute(inst):
         for (v, w) in adj[u]:
             key = (mask | (1 << (v - 1)), v, used)
             nd = d + w
+            overflowed |= nd == INF
             if nd < dist.get(key, INF):
                 dist[key] = nd
                 heapq.heappush(heap, (nd, key))
@@ -61,7 +63,9 @@ def ovrp_brute(inst):
             if d < dist.get(key, INF):
                 dist[key] = d
                 heapq.heappush(heap, (d, key))
-    return INF  # lengths overflowed: a move costing inf is never pushed
+    if overflowed:
+        return INF
+    raise AssertionError("search exhausted without covering all vertices")
 
 
 def fuel_brute(inst):

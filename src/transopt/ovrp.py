@@ -98,18 +98,26 @@ def solve_greedy(inst):
             twice_cb[hi[v]:hi[u]] = [d2] * (hi[u] - hi[v])
             v, u = u, parent[u]
         total += best_delta
-        segments.append(best_leaf)
+        segments.append((u, best_leaf))
 
     routes = []
-    for vid, leaf in enumerate(segments):
-        # the leaf's root path; the edges above its closest blue ancestor
-        # belong to earlier vehicles and are paid again
-        path = []
-        while leaf:  # parent[root] is 0
-            path.append(leaf)
-            leaf = parent[leaf]
+    for vid, (cb, leaf) in enumerate(segments):
+        # root -> cb prefix (edges owned by earlier vehicles, paid again)
+        prefix = []
+        v = cb
+        while v != root:
+            prefix.append(v)
+            v = parent[v]
+        prefix.append(root)
+        prefix.reverse()
+        descent = []
+        v = leaf
+        while v != cb:
+            descent.append(v)
+            v = parent[v]
+        descent.reverse()
         walk = []
-        for v in reversed(path):
+        for v in prefix + descent:
             walk.append(v)
             if owner[v] == vid:
                 for c in tree.children[v]:
@@ -277,13 +285,17 @@ def _vehicle_walk(tree, leaf_ids, end_leaf):
     covered = set()
     for leaf in leaf_ids:
         v = leaf
-        while v and v not in covered:  # parent[root] is 0
+        while v not in covered:
             covered.add(v)
+            if v == tree.root:
+                break
             v = parent[v]
     spine = set()
     v = end_leaf
-    while v:
+    while True:
         spine.add(v)
+        if v == tree.root:
+            break
         v = parent[v]
     # entering the spine child last leaves nothing to cover after the first
     # arrival at end_leaf, where the walk stops

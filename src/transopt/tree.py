@@ -11,7 +11,6 @@ the arrays here are indexed accordingly: position 0 is unused.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import eq
 
 from .errors import CycleError, DisconnectedTreeError, NegativeLengthError
 
@@ -46,24 +45,16 @@ def build_rooted_tree(n, edges, root=1):
     if len(edges) < n - 1:  # checked before any array of n entries exists
         raise DisconnectedTreeError(f"{len(edges)} edges cannot connect {n} vertices")
     adj = [[] for _ in range(n + 1)]  # flat: [v, length, v, length, ...]
-    if edges:
-        us, vs, ws = zip(*edges)
-        # whole columns checked in C; the scan only names the first bad edge
-        if min(ws) < 0 or min(us) < 1 or min(vs) < 1 or max(us) > n or \
-                max(vs) > n or any(map(eq, us, vs)):
-            for (u, v, w) in edges:
-                if w < 0:
-                    raise NegativeLengthError(
-                        f"edge ({u},{v}) has negative length {float(w)}")
-                if not (1 <= u <= n and 1 <= v <= n):
-                    raise DisconnectedTreeError(
-                        f"edge ({u},{v}) references unknown vertex")
-                if u == v:
-                    raise CycleError(f"self-loop at vertex {u}")
-        for u, v, w in zip(us, vs, map(float, ws)):
-            adj[u].extend((v, w))
-            adj[v].extend((u, w))
-        del us, vs, ws
+    for u, v, w in edges:
+        if w < 0:
+            raise NegativeLengthError(f"edge ({u},{v}) has negative length {float(w)}")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise DisconnectedTreeError(f"edge ({u},{v}) references unknown vertex")
+        if u == v:
+            raise CycleError(f"self-loop at vertex {u}")
+        w = float(w)
+        adj[u] += v, w
+        adj[v] += u, w
 
     parent = [0] + [-1] * n  # -1 until the DFS reaches the vertex
     parent[root] = 0
@@ -82,9 +73,7 @@ def build_rooted_tree(n, edges, root=1):
         ch = []
         it = iter(a)
         for v, w in zip(it, it):
-            if parent[v] >= 0:
-                # each edge is scanned from both ends, so this catches a
-                # parallel copy of a tree edge too, from the parent's side
+            if parent[v] >= 0:  # also a parallel edge, seen from the parent
                 if v != pu:
                     raise CycleError(f"cycle through edge ({u},{v})")
                 continue
@@ -98,9 +87,8 @@ def build_rooted_tree(n, edges, root=1):
     if len(post) != n:
         raise DisconnectedTreeError(
             f"only {len(post)} of {n} vertices reachable from root {root}")
-    post.reverse()
     return RootedTree(n, root, tuple(parent), tuple(children),
-                      tuple(edge_len), tuple(droot), tuple(post))
+                      tuple(edge_len), tuple(droot), tuple(reversed(post)))
 
 
 def path_cost(tree, u, v):

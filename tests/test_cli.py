@@ -349,6 +349,22 @@ def test_an_overflowing_objective_is_one_error_envelope(tmp_path, capsys, tag):
         assert env["diagnostics"]["reason"] == "objective inf is not finite"
 
 
+# ovrp_brute answers inf only after a move overflowed; with a finite optimum
+# its search covers the tree (some moves may still overflow on the way), so
+# the oracle agrees with solve and never reports an exhausted search
+@pytest.mark.parametrize("n, edges, p", [
+    (3, [[1, 2, 2], [2, 3, 0]], 1),
+    (4, [[1, 2, 1], [2, 3, 2], [2, 4, 3]], 2),
+    (2, [[1, 2, HUGE]], 1),
+    (3, [[1, 2, 5e307], [1, 3, 5e307]], 1),
+], ids=["zero-length", "two-vehicles", "one-huge-edge", "huge-walk"])
+def test_oracle_on_a_finite_ovrp_optimum_is_ok(tmp_path, capsys, n, edges, p):
+    path = write(tmp_path, dict(STAR, n=n, edges=edges, p=p))
+    code, lines = run(capsys, ["oracle", path])
+    assert code == 0 and lines[0]["status"] == "ok"
+    assert lines[0]["objective"] == run(capsys, ["solve", path])[1][0]["objective"]
+
+
 JEEP_GRAPH_1M = {"schema": "transopt-instance/1", "problem": "jeep-graph",
                  "n": 10 ** 6, "edges": [], "m": 1.0, "g": 1.0}
 

@@ -49,8 +49,8 @@ def test_build_rejects_negative_length():
         build_rooted_tree(2, [(1, 2, -1)])
 
 
-# Each input fails the edge count, a whole-column check or the DFS; the
-# message names the first bad edge in edge-list order, as a scan would.
+# Each input fails the edge count, the per-edge check or the DFS; the
+# message names the first bad edge in edge-list order.
 @pytest.mark.parametrize("n, edges, root, error, message", [
     (2, [(1, 2, -1)], 1, NegativeLengthError,
      "edge (1,2) has negative length -1.0"),
