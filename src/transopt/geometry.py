@@ -10,6 +10,9 @@ EPS = 1e-9
 # the visibility tests split a segment at the vertices it touches and skip
 # pieces at most this long, in the segment's own parameter
 MIN_PIECE = 1e-12
+# the fast visibility pass hands a row to the pair test when any cross
+# product it decides on is this close to zero (well clear of EPS)
+DEFER_TOL = 1e-8
 
 
 def orientation(p, q, r):

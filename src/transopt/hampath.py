@@ -7,8 +7,8 @@ variants restrict travel to the curve itself, which makes the unweighted
 problem a closed form and the weighted one the same interval DP with arc
 distances and suffix weight multipliers.
 
-The O(n^3) visibility matrix and the DP both work a whole row at a time.
-The visibility pass is pure Python; the DP runs on the engine that
+Validation and the visibility matrix (``transopt.visibility``) are O(n^2)
+in general position, like the DP, which runs on the engine that
 ``rows.interval`` picks for its size.
 """
 
@@ -18,18 +18,17 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import accumulate
-from operator import mul
 
 from . import rows
 from .errors import InvalidPolygonError
 from .geometry import (
     EPS,
-    MIN_PIECE,
     on_segment,
     orientation,
     segments_properly_intersect,
     signed_area,
 )
+from .visibility import visibility_matrix
 
 INF = math.inf
 
@@ -50,15 +49,40 @@ class SimplePolygon(namedtuple("SimplePolygon", "vertices")):
 
 
 def _validate_simple(v):
+    """Raise InvalidPolygonError on the first fault, in the order of the
+    all-pairs scan: coinciding vertices, a clockwise ring, then per edge i a
+    fold-back at its end and each edge j, ascending, that crosses it or
+    whose first vertex lies on it.
+
+    Only pairs that could fail are tested, found from sorted x: vertices
+    within 2 EPS in x, and edges whose x- and y-ranges, each widened by
+    EPS, overlap.  Farther pairs can neither coincide, cross, nor put a
+    vertex on an edge.
+    """
     n = len(v)
     if n < 3:
         raise InvalidPolygonError(f"need at least 3 vertices, got {n}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(v[i][0] - v[j][0]) <= EPS and abs(v[i][1] - v[j][1]) <= EPS:
-                raise InvalidPolygonError(f"vertices {i} and {j} coincide")
+    by_x = sorted(range(n), key=lambda k: v[k][0])
+    xs = [v[k][0] for k in by_x]
+    same = [(min(i, j), max(i, j)) for t, i in enumerate(by_x)
+            for j in by_x[t + 1:bisect_right(xs, xs[t] + 2 * EPS)]
+            if abs(v[i][0] - v[j][0]) <= EPS and abs(v[i][1] - v[j][1]) <= EPS]
+    if same:
+        raise InvalidPolygonError("vertices {} and {} coincide".format(*min(same)))
     if signed_area(v) <= 0:
         raise InvalidPolygonError("vertex ring is not counterclockwise")
+    box = [(min(p[0], q[0]) - EPS, max(p[0], q[0]) + EPS,
+            min(p[1], q[1]) - EPS, max(p[1], q[1]) + EPS)
+           for p, q in zip(v, v[1:] + v[:1])]
+    by_lo = sorted(range(n), key=lambda e: box[e][0])
+    los = [box[e][0] for e in by_lo]
+    near = [[] for _ in range(n)]
+    for t, i in enumerate(by_lo):
+        _, x_hi, y_lo, y_hi = box[i]
+        for j in by_lo[t + 1:bisect_right(los, x_hi)]:
+            if box[j][2] <= y_hi and y_lo <= box[j][3]:
+                near[i].append(j)
+                near[j].append(i)
     for i in range(n):
         a, b = v[i], v[(i + 1) % n]
         # a zero-turn spike folds an edge back over its predecessor
@@ -66,124 +90,14 @@ def _validate_simple(v):
         if orientation(a, b, c) == 0:
             if (a[0] - b[0]) * (c[0] - b[0]) + (a[1] - b[1]) * (c[1] - b[1]) > 0:
                 raise InvalidPolygonError(f"edges at vertex {(i + 1) % n} fold back")
-        for j in range(n):
-            if j in (i, (i - 1) % n, (i + 1) % n):
+        for j in sorted(near[i]):
+            if j in ((i - 1) % n, (i + 1) % n):
                 continue
             c2, d2 = v[j], v[(j + 1) % n]
             if segments_properly_intersect(a, b, c2, d2):
                 raise InvalidPolygonError(f"edges {i} and {j} cross")
             if j != (i + 2) % n and on_segment(v[j], a, b):
                 raise InvalidPolygonError(f"vertex {j} lies on edge {i}")
-
-
-def visibility_matrix(poly):
-    """Boolean n x n matrix: segment (i, j) stays inside the closed polygon.
-
-    O(n^3), one line-side pass per pair: the sign of every vertex against
-    the line v[i]v[j], with the cross product and tolerance of
-    ``geometry.orientation``, finds both the edges that may cross the
-    segment properly (endpoint signs opposite and nonzero) and the vertices
-    it touches.  A pair fails on a proper crossing; otherwise the segment is
-    cut at every touched vertex and each piece's midpoint must test inside.
-    ``oracles.visibility_reference`` is the same test predicate by
-    predicate.
-    """
-    v = poly.vertices
-    n = poly.n
-    vis = [[False] * n for _ in range(n)]
-    for i in range(n):
-        vis[i][i] = True
-        vis[i][(i + 1) % n] = True
-        vis[(i + 1) % n][i] = True
-    inside = _inside_test(v)
-    eps, neg = EPS, -EPS
-    for i in range(n - 2):
-        ax, ay = v[i]
-        rel = [(x - ax, y - ay) for x, y in v]
-        for j in range(i + 2, n if i else n - 1):
-            dx, dy = rel[j]
-            s = [1 if (c := dx * ry - dy * rx) > eps else -1 if c < neg else 0
-                 for rx, ry in rel]
-            touched = s.count(0)  # i and j always; more when the segment grazes
-            s.append(s[0])
-            if -1 in map(mul, s, s[1:]) and _crosses(v, s, v[i], v[j]):
-                continue
-            if touched == 2:
-                cuts = (0.0, 1.0)
-            else:
-                cuts = _touch_cuts(v, rel, s, v[i], v[j])
-            for t0, t1 in zip(cuts, cuts[1:]):
-                if t1 - t0 <= MIN_PIECE:
-                    continue
-                tm = 0.5 * (t0 + t1)
-                if not inside(ax + tm * dx, ay + tm * dy):
-                    break
-            else:
-                vis[i][j] = vis[j][i] = True
-    return vis
-
-
-def _crosses(v, s, a, b):
-    """Some edge whose endpoints lie strictly on opposite sides of line ab
-    also has a and b strictly on opposite sides of its own line."""
-    n = len(v)
-    for e in range(n):
-        if s[e] * s[e + 1] == -1:
-            c, d = v[e], v[(e + 1) % n]
-            if orientation(c, d, a) * orientation(c, d, b) == -1:
-                return True
-    return False
-
-
-def _touch_cuts(v, rel, s, a, b):
-    """Sorted segment parameters of the vertices on the closed segment ab,
-    endpoints included: ``geometry.on_segment``'s bounding-box test on the
-    vertices of sign 0."""
-    x_lo, x_hi = min(a[0], b[0]) - EPS, max(a[0], b[0]) + EPS
-    y_lo, y_hi = min(a[1], b[1]) - EPS, max(a[1], b[1]) + EPS
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    den = dx * dx + dy * dy
-    cuts = [0.0, 1.0]
-    for (x, y), (rx, ry), sk in zip(v, rel, s):
-        if sk == 0 and x_lo <= x <= x_hi and y_lo <= y <= y_hi:
-            cuts.append((rx * dx + ry * dy) / den)
-    cuts.sort()
-    return cuts
-
-
-def _inside_test(v):
-    """``geometry.point_in_polygon(v, (x, y))`` as a function of x and y
-    that looks only at the edges whose y-range can matter.
-
-    The distinct vertex ordinates cut the plane into horizontal slabs; a
-    bisection finds the slab of y.  The crossing-parity edges are those with
-    min(y) <= y < max(y), which holds for the whole slab or none of it; the
-    boundary candidates are every edge whose y-range widened by EPS meets
-    the slab, a superset that ``on_segment`` then filters exactly.
-    """
-    n = len(v)
-    edges = [(v[e], v[(e + 1) % n]) for e in range(n)]
-    ys = sorted({y for _, y in v})
-    near, parity = [], []
-    for lo, hi in zip([-INF] + ys, ys + [INF]):
-        near.append([(c, d) for c, d in edges
-                     if min(c[1], d[1]) - EPS <= hi and max(c[1], d[1]) + EPS >= lo])
-        parity.append([(c, d) for c, d in edges
-                       if min(c[1], d[1]) <= lo and max(c[1], d[1]) >= hi])
-
-    def inside(x, y):
-        k = bisect_right(ys, y)
-        p = (x, y)
-        for c, d in near[k]:
-            if on_segment(p, c, d):
-                return True
-        odd = False
-        for (x1, y1), (x2, y2) in parity[k]:
-            if x1 + (y - y1) * (x2 - x1) / (y2 - y1) > x:
-                odd = not odd
-        return odd
-
-    return inside
 
 
 def euclidean_dist(poly, vis=None):
@@ -309,6 +223,10 @@ class CurveInstance(namedtuple("CurveInstance", "gaps weights start")):
             raise ValueError("weights must match the vertex count")
         if any(x < 0 for x in w):
             raise ValueError("weights must be nonnegative")
+        # the solvers' prefix sums overflow where the oracle's arcs may not
+        for name, xs in (("gaps", gaps), ("weights", w)):
+            if not math.isfinite(sum(xs)):
+                raise ValueError(f"{name} must sum to a finite number")
         if start is not None and not (0 <= start < n):
             raise ValueError(f"start {start} outside 0..{n - 1}")
         return super().__new__(cls, gaps, w, start)

@@ -334,6 +334,11 @@ OVERFLOWING = {
 }
 
 
+# gaps that sum past the float range are rejected with the curve itself,
+# before any algo or the oracle runs
+OVERFLOW_REASON = {"curve": "gaps must sum to a finite number"}
+
+
 @pytest.mark.parametrize("tag", list(OVERFLOWING))
 def test_an_overflowing_objective_is_one_error_envelope(tmp_path, capsys, tag):
     path = write(tmp_path, OVERFLOWING[tag])
@@ -346,7 +351,38 @@ def test_an_overflowing_objective_is_one_error_envelope(tmp_path, capsys, tag):
         assert code == 1 and len(lines) == 1 and err == "", argv
         env = json.loads(lines[0], parse_constant=lambda c: pytest.fail(c))
         assert env["status"] == "error", argv
-        assert env["diagnostics"]["reason"] == "objective inf is not finite"
+        assert env["diagnostics"]["reason"] == \
+            OVERFLOW_REASON.get(tag, "objective inf is not finite")
+
+
+# the solver's prefix sums overflow on these while the oracle, summing each
+# arc on its own, once found a finite optimum: every command must reject them
+CURVE_SUMS = {
+    "gaps": ({"schema": "transopt-instance/1", "problem": "curve",
+              "gaps": [HUGE, HUGE, 1.0], "weights": [1, 1, 1]},
+             "gaps must sum to a finite number"),
+    "weights": ({"schema": "transopt-instance/1", "problem": "curve",
+                 "gaps": [1, 2, 3], "weights": [HUGE, HUGE, 1]},
+                "weights must sum to a finite number"),
+    # finite sums: the weighted objective itself overflows, under every command
+    "objective": ({"schema": "transopt-instance/1", "problem": "curve",
+                   "gaps": [5e307] * 3, "weights": [2, 2, 2]},
+                  "objective inf is not finite"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "check"])
+@pytest.mark.parametrize("case", list(CURVE_SUMS))
+def test_curve_sums_past_the_float_range_agree_across_commands(
+        tmp_path, capsys, case, command):
+    payload, reason = CURVE_SUMS[case]
+    code = main([command, write(tmp_path, payload)])
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 1 and err == ""
+    env = json.loads(lines[0], parse_constant=lambda c: pytest.fail(c))
+    assert env["status"] == "error"
+    assert env["diagnostics"]["reason"] == reason
 
 
 # ovrp_brute answers inf only after a move overflowed; with a finite optimum

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from transopt import hampath, rows
+from transopt import rows, visibility
 from transopt.errors import InvalidPolygonError
 from transopt.geometry import (
+    DEFER_TOL,
     on_segment,
     orientation,
     point_in_polygon,
@@ -77,6 +78,102 @@ def test_polygon_validation():
         SimplePolygon(((0, 0), (2, 0), (1, 0), (1, 1)))
     with pytest.raises(InvalidPolygonError):  # vertex sits on another edge
         SimplePolygon(((0, 0), (2, 0), (2, 2), (1, 0), (0, 2)))
+
+
+# each fault kind, and polygons with several faults: the message of the
+# first one the all-pairs scan met is pinned
+FIRST_FAULT = [
+    (((0, 0), (1, 0)), "need at least 3 vertices, got 2"),
+    (((0, 0), (1, 0), (1, 1e-10)), "vertices 1 and 2 coincide"),
+    (((0, 0), (0, 1), (1, 1), (1, 0)), "vertex ring is not counterclockwise"),
+    (((0, 0), (2, 0), (1, 0), (1, 1)), "edges at vertex 1 fold back"),
+    (((0, 0), (4, 0), (4, 3), (1, -1), (0, 3)), "edges 0 and 2 cross"),
+    (((0, 0), (2, 0), (2, 2), (1, 0), (0, 2)), "vertex 3 lies on edge 0"),
+    (((0, 0), (2, 0), (2, 2), (1, 0.5e-9), (0, 2)), "vertex 3 lies on edge 0"),
+    # several faults
+    (((0, 0), (3, 0), (3, 3), (5e-10, -5e-10), (3, 4e-10), (0, 3)),
+     "vertices 0 and 3 coincide"),
+    (((0, 0), (0, 1), (1, 1), (1, 0), (1, 1e-10)), "vertices 3 and 4 coincide"),
+    (((0, 0), (1, 1), (1, 0), (0, 1)), "vertex ring is not counterclockwise"),
+    (((0, 0), (0, 3), (3, 3), (3, 0), (1, 4)), "vertex ring is not counterclockwise"),
+    (((0, 0), (2, 0), (1, 0), (1, 1), (3, 2), (3, -1), (4, 3), (0, 3)),
+     "edges at vertex 1 fold back"),
+    (((0, 0), (4, 0), (4, 3), (1, -1), (1, 2), (1, 1), (0, 3)),
+     "edges 0 and 2 cross"),
+    (((0, 0), (6, 0), (6, 4), (5, -1), (4, 4), (3, 0), (0, 4)),
+     "edges 0 and 2 cross"),
+    (((0, 0), (6, 0), (6, 4), (3, 0), (2, 5), (1, -1), (0, 4)),
+     "vertex 3 lies on edge 0"),
+    (((0, 0), (6, 0), (6, 6), (5, 6), (5, -1), (4, -1), (4, 6), (0, 6)),
+     "edges 0 and 3 cross"),
+    # a notch tip within EPS right of a vertical edge, its own edges running
+    # right: their x-ranges meet only through the EPS widening
+    (((0, 0), (4, 0), (4, 2.8), (1 + 2e-10, 3), (4, 3.2), (4, 4), (1, 4),
+      (1, 2), (0.5, 2), (0.5, 4), (0, 4)), "vertex 3 lies on edge 6"),
+]
+
+
+@pytest.mark.parametrize("ring, message", FIRST_FAULT)
+def test_polygon_validation_names_the_first_fault(ring, message):
+    with pytest.raises(InvalidPolygonError) as info:
+        SimplePolygon(ring)
+    assert str(info.value) == message
+
+
+def _first_fault_all_pairs(v):
+    """The all-pairs validation scan: every pair of vertices, then per edge
+    i the fold-back and every edge j in order."""
+    n = len(v)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(v[i][0] - v[j][0]) <= 1e-9 and abs(v[i][1] - v[j][1]) <= 1e-9:
+                return f"vertices {i} and {j} coincide"
+    if signed_area(v) <= 0:
+        return "vertex ring is not counterclockwise"
+    for i in range(n):
+        a, b, c = v[i], v[(i + 1) % n], v[(i + 2) % n]
+        if orientation(a, b, c) == 0 and \
+                (a[0] - b[0]) * (c[0] - b[0]) + (a[1] - b[1]) * (c[1] - b[1]) > 0:
+            return f"edges at vertex {(i + 1) % n} fold back"
+        for j in range(n):
+            if j in (i, (i - 1) % n, (i + 1) % n):
+                continue
+            if segments_properly_intersect(a, b, v[j], v[(j + 1) % n]):
+                return f"edges {i} and {j} cross"
+            if j != (i + 2) % n and on_segment(v[j], a, b):
+                return f"vertex {j} lies on edge {i}"
+    return None
+
+
+def test_polygon_validation_matches_the_all_pairs_scan():
+    # small integer rings hit every fault kind, often several at once;
+    # stars with one vertex pulled onto another vertex or an edge
+    # (or within the tolerance of one) fail only there
+    rng = random.Random(52)
+    rings = [[(rng.randint(0, 4), rng.randint(0, 4))
+              for _ in range(rng.randint(3, 9))] for _ in range(600)]
+    for _ in range(300):
+        v = list(jittered_star(rng, rng.randint(5, 30), 0.3).vertices)
+        n = len(v)
+        k, e = rng.randrange(n), rng.randrange(n)
+        (x0, y0), (x1, y1) = v[e], v[(e + 1) % n]
+        u = rng.choice((0.0, 0.5, rng.random()))
+        off = rng.choice((0.0, 0.5e-9, -2e-9, 1e-3))
+        v[k] = (x0 + u * (x1 - x0) + off, y0 + u * (y1 - y0) - off)
+        rings.append(v)
+    kinds = {"coincide", "counterclockwise", "fold back", "cross", "lies on edge"}
+    seen = set()
+    for ring in rings:
+        expected = _first_fault_all_pairs(ring) if len(ring) >= 3 else None
+        try:
+            SimplePolygon(ring)
+            got = None
+        except InvalidPolygonError as exc:
+            got = str(exc)
+        assert got == expected, ring
+        seen |= {kind for kind in kinds if expected and kind in expected}
+        seen.add(expected is None)
+    assert seen == kinds | {True, False}
 
 
 def test_visibility_dart():
@@ -203,6 +300,138 @@ def test_visibility_matches_reference_entry_for_entry():
     assert blocked > 0 and grazing > 0
 
 
+def test_visibility_matches_reference_on_random_stars():
+    # every tenth star runs up to n = 60; the reference is cubic
+    rng = random.Random(53)
+    for t in range(500):
+        n = rng.randint(4, 60 if t % 10 == 0 else 24)
+        poly = jittered_star(rng, n, rng.uniform(0.05, 0.85))
+        vis = visibility_matrix(poly)
+        assert vis == [list(col) for col in zip(*vis)]
+        assert vis == visibility_reference(poly), poly.vertices
+
+
+def _notch(off, rng, mirror=False):
+    """A room whose notch tip lies ``off`` * EPS, as a cross product, to the
+    left of the chord from vertex 0 to vertex 5, in a random rotation and
+    scale; mirrored, the chord runs from vertex 0 to vertex 2 instead."""
+    a, s = rng.uniform(0, 2 * math.pi), rng.choice((1.0, rng.uniform(0.5, 3)))
+    w, h = rng.uniform(4, 8), rng.uniform(2, 4)
+    xr = rng.uniform(0.3, 0.7) * w
+    (px, py), (qx, qy) = (w, 0.0), (0.0, h)
+    shift = off * 1e-9 / (s * math.hypot(qx - px, qy - py)) ** 2
+    t = (w - xr) / w  # the chord's parameter at x = xr
+    tip = (px + t * (qx - px) - shift * (qy - py),
+           py + t * (qy - py) + shift * (qx - px))
+    ring = [(w, 0), (w, h), (xr + 0.2, h), tip, (xr - 0.2, h), (0, h), (0, 0)]
+    c, d = s * math.cos(a), s * math.sin(a)
+    ring = [(c * x - d * y, d * x + c * y) for x, y in ring]
+    if mirror:  # the tip then lies as far to the chord's right; the ring
+        # is reversed to stay counterclockwise
+        ring = [(-x, y) for x, y in ring[:1] + ring[:0:-1]]
+    return SimplePolygon(ring)
+
+
+def test_visibility_matches_reference_near_degenerate(monkeypatch):
+    rng = random.Random(54)
+    polys = []
+    # a notch tip moved off a chord by a multiple of the tolerance
+    for off in (0, 0.5, -0.5, 0.8, -0.8, 1.5, -1.5, 10, -10, 100, -100):
+        polys += [_notch(off, rng, mirror) for mirror in (False, True) * 2]
+    # collinear runs: stars with points inserted along some edges
+    for _ in range(10):
+        v = jittered_star(rng, rng.randint(4, 12), 0.3).vertices
+        ring = []
+        for k, (x0, y0) in enumerate(v):
+            x1, y1 = v[(k + 1) % len(v)]
+            ring.append((x0, y0))
+            if rng.random() < 0.5:
+                ring += [(x0 + (x1 - x0) * u / 3, y0 + (y1 - y0) * u / 3)
+                         for u in (1, 2)]
+        polys.append(SimplePolygon(ring))
+    # vertices on a chord: lattice combs whose teeth line up
+    for _ in range(10):
+        k = rng.randint(2, 5)
+        ring = [(0, 0), (2 * k, 0)]
+        for c in range(k, 0, -1):
+            ring += [(2 * c, 2), (2 * c - 1, rng.choice((1, 2)))]
+        ring.append((0, 2))
+        polys.append(SimplePolygon(ring))
+    # a star vertex moved onto, or just off, the chord between two others:
+    # here the walks, not the triangulation, meet the near-zero cross
+    # products, and defer some rows only
+    while len(polys) < 200:
+        v = list(jittered_star(rng, rng.randint(6, 16), 0.7).vertices)
+        n = len(v)
+        i, gap = rng.randrange(n), rng.randint(3, n - 3)
+        (xi, yi), (xj, yj) = v[i], v[(i + gap) % n]
+        u, length = rng.uniform(0.3, 0.7), math.hypot(xj - xi, yj - yi)
+        off = rng.choice((0, 0.5, -0.8, 1.5, -10, 100)) * 1e-9 / length ** 2
+        v[(i + rng.randint(1, gap - 1)) % n] = (xi + u * (xj - xi) - off * (yj - yi),
+                                              yi + u * (yj - yi) + off * (xj - xi))
+        try:
+            polys.append(SimplePolygon(v))
+        except InvalidPolygonError:
+            pass
+    partial = 0
+    pair_rows = visibility._pair_rows
+
+    def counted(v, vis, rows):
+        nonlocal partial
+        partial += len(rows) < len(v)
+        return pair_rows(v, vis, rows)
+
+    monkeypatch.setattr(visibility, "_pair_rows", counted)
+    for poly in polys:
+        assert visibility_matrix(poly) == visibility_reference(poly), poly.vertices
+    assert partial > 0
+
+
+def test_fast_pass_decides_general_position_rows(monkeypatch):
+    calls = []
+    pair_rows = visibility._pair_rows
+
+    def counted(v, vis, rows):
+        calls.append(len(rows))
+        return pair_rows(v, vis, rows)
+
+    def refuse(v, vis, rows):
+        raise AssertionError("a row went to the pair test")
+
+    rng = random.Random(55)
+    monkeypatch.setattr(visibility, "_pair_rows", refuse)
+    for _ in range(40):
+        poly = jittered_star(rng, rng.randint(4, 60), rng.uniform(0.05, 0.85))
+        shortest_ham_path_free_start(poly)
+    monkeypatch.setattr(visibility, "_pair_rows", counted)
+    for _ in range(20):
+        poly = rectilinear_histogram(rng)
+        calls.clear()
+        assert visibility_matrix(poly) == visibility_reference(poly)
+        assert calls  # collinear runs defer
+    # the L-shaped room: a chord through the reflex corner defers every row
+    room = SimplePolygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
+    calls.clear()
+    assert visibility_matrix(room) == visibility_reference(room)
+    assert calls == [6]
+
+
+def test_triangulation_covers_the_polygon():
+    rng = random.Random(56)
+    for _ in range(100):
+        poly = jittered_star(rng, rng.randint(3, 80), rng.uniform(0.05, 0.85))
+        v, n = poly.vertices, poly.n
+        tris = visibility._triangulate(v, DEFER_TOL)
+        assert len(tris) == n - 2
+        areas = [signed_area([v[a], v[b], v[c]]) for a, b, c in tris]
+        assert min(areas) > 0
+        assert math.isclose(math.fsum(areas), signed_area(v), rel_tol=1e-12)
+        # every polygon edge borders exactly one triangle
+        edges = {(a, b) for t in tris for a, b in zip(t, t[1:] + t[:1])}
+        assert len(edges) == 3 * (n - 2)
+        assert all((k, (k + 1) % n) in edges for k in range(n))
+
+
 def test_slab_containment_matches_point_in_polygon():
     # points within the collinearity tolerance of vertices and edges, where
     # the slab lookup must still find every boundary candidate
@@ -215,7 +444,7 @@ def test_slab_containment_matches_point_in_polygon():
               jittered_star(rng, rng.randint(4, 12), 0.3) for t in range(40)]
     for poly in polys:
         v, n = poly.vertices, poly.n
-        inside = hampath._inside_test(v)
+        inside = visibility._inside_test(v)
         probes = list(v) + [((v[e][0] + v[(e + 1) % n][0]) / 2,
                              (v[e][1] + v[(e + 1) % n][1]) / 2) for e in range(n)]
         for x, y in probes:
@@ -350,6 +579,10 @@ def test_curve_validation():
         CurveInstance((1.0, 1.0), weights=(1.0, -1.0))
     with pytest.raises(ValueError):
         CurveInstance((1.0, 1.0), start=2)
+    with pytest.raises(ValueError, match="gaps must sum"):
+        CurveInstance((1e308, 1e308, 1.0))
+    with pytest.raises(ValueError, match="weights must sum"):
+        CurveInstance((1.0, 1.0, 1.0), weights=(1e308, 1e308, 1.0))
 
 
 def test_curve_closed_forms():
