@@ -6,7 +6,9 @@ arrival and returns to the root without the tank ever dropping below zero.
 
 The smallest workable initial fill has a closed form, computed in one
 bottom-up pass.  Servicing the subtree of a child c from its parent changes
-the tank by ``profit[c]`` and needs at least ``need[c]`` on entry.  At each
+the tank by ``profit[c]`` and needs at least ``need[c]`` on entry, where
+``profit[u] = gas[u] + sum of profit[c] over u's children - 2 edge_len[u]``
+is the tank at the end of u's child order less twice the edge to u.  At each
 vertex the best child order does not depend on the fuel level: gainers
 (``profit >= 0``) go first in ascending ``need``, since fuel only rises
 while they are serviced; spenders follow in decreasing ``need + profit``,
@@ -43,27 +45,23 @@ def make_fuel_instance(tree, gas_values):
 def min_initial_fuel(inst):
     """Minimum initial tank fill at the depot, plus a route realizing it.
 
-    For each vertex u, bottom-up:
-    ``cmin[u] = max(0, max over the child order of
-    (need[c] - gas[u] - profit of the children before c))``.
-    The same orders, expanded into an Euler walk, give the route.  Exact on
-    integer and real data alike.
+    For each vertex u, bottom-up, the tank runs from ``gas[u]`` through the
+    child order, gaining ``profit[c]`` per child; the fill u needs is the
+    largest shortfall ``need[c] - tank`` on the way, or 0, and the tank at
+    the end, less ``2 edge_len[u]``, is ``profit[u]``.  The same orders,
+    expanded into an Euler walk, give the route.  Exact on integer and real
+    data alike.
     """
     tree, gas = inst.tree, inst.gas
     n, edge_len = tree.n, tree.edge_len
-    gsum = list(gas)  # gas in the subtree
-    lsum = [0.0] * (n + 1)  # edge length in the subtree
     profit = [0.0] * (n + 1)  # net fuel change of servicing T(c) from its parent
     need = [0.0] * (n + 1)  # tank level needed at the parent to service T(c)
-    cmin = [0.0] * (n + 1)
     visit_order = [()] * (n + 1)
 
-    for u in tree.post:
+    for u in tree.post:  # the root comes last, so its worst is the answer
         ch = tree.children[u]
+        fuel, worst = gas[u], 0.0
         if ch:
-            for c in ch:
-                lsum[u] += edge_len[c] + lsum[c]
-                gsum[u] += gsum[c]
             if len(ch) == 1:
                 order = ch
             else:
@@ -71,18 +69,15 @@ def min_initial_fuel(inst):
                                key=lambda c: (need[c], c))
                 order += sorted((c for c in ch if profit[c] < 0),
                                 key=lambda c: (-(need[c] + profit[c]), need[c], c))
-            fuel, worst = gas[u], 0.0
             for c in order:
                 if need[c] - fuel > worst:
                     worst = need[c] - fuel
                 fuel += profit[c]
-            cmin[u] = worst
             visit_order[u] = order
-        if u != tree.root:
-            profit[u] = gsum[u] - 2.0 * lsum[u] - 2.0 * edge_len[u]
-            need[u] = max(cmin[u] + edge_len[u], -profit[u])
+        profit[u] = fuel - 2.0 * edge_len[u]
+        need[u] = max(worst + edge_len[u], -profit[u])
 
-    return cmin[tree.root], euler_walk(tree, tree.root, visit_order)
+    return worst, euler_walk(tree, tree.root, visit_order)
 
 
 def simulate_route(inst, initial_fuel, walk):

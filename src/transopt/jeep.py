@@ -368,26 +368,26 @@ def _dijkstra_min(graph, start, relax, label=0.0):
     return h
 
 
-def graph_min_gas_backward(graph, params, mode="corrected"):
+def graph_min_gas_backward(graph, params):
     """Per-vertex gas needed to reach the target, depots at vertices only.
 
     Backward Dijkstra from the target; relaxing an edge treats it as a
     one-segment subdivision via the exact segment step (which is monotone in
-    its downstream requirement, so label setting is sound).  The default is
-    ``corrected`` mode, the exact inverse of the forward feasibility formula
-    used by :func:`graph_min_gas_binary_forward` — the two methods then
+    its downstream requirement, so label setting is sound).  The step runs
+    in ``corrected`` mode, the exact inverse of the forward feasibility
+    formula used by :func:`graph_min_gas_binary_forward`, so the two methods
     agree; ``faithful`` mode can overestimate multi-trip edges."""
 
     def relax(h_u, ln):
         try:
-            return segment_step_exact(h_u, ln, params, mode)[0]
+            return segment_step_exact(h_u, ln, params, "corrected")[0]
         except InfeasibleError:
             return None
 
     return _dijkstra_min(graph, graph.target, relax)
 
 
-def graph_vertex_depots_continuous(graph, params, k_per_edge, mode="corrected"):
+def graph_vertex_depots_continuous(graph, params, k_per_edge):
     """Like the backward method, but each edge may cache fuel at
     ``k_per_edge`` equally spaced interior points (forced vertex depots)."""
     if k_per_edge < 0:
@@ -396,7 +396,8 @@ def graph_vertex_depots_continuous(graph, params, k_per_edge, mode="corrected"):
     def relax(h_u, ln):
         try:
             d = equal_subdivision(ln, k_per_edge)
-            return eval_subdivision_exact(d, params, terminal=h_u, mode=mode)[0]
+            return eval_subdivision_exact(d, params, terminal=h_u,
+                                          mode="corrected")[0]
         except InfeasibleError:
             return None
 
@@ -434,25 +435,25 @@ def graph_forward_feasible(graph, params, g_min):
 def graph_min_gas_binary_forward(graph, params, eps=1e-6):
     """Minimum source gas by binary search over the forward feasibility test.
 
-    The bracket's upper end comes from the backward method; the two must
-    agree up to the search tolerance.  The search stops once the bracket is
-    at most ``eps`` wide or spans two adjacent floats, so it ends for any
-    ``eps``."""
-    upper = graph_min_gas_backward(graph, params)[graph.source]
-    if upper == INF:
-        return INF
+    The bracket shares nothing with the backward method, which it checks:
+    its upper end starts at :func:`graph_free_depots`' value, since depots
+    anywhere never need more gas, and doubles until the target is reachable;
+    after 60 doublings the target counts as unreachable.  The search stops
+    once the bracket is at most ``eps`` wide or spans two adjacent floats,
+    so it ends for any ``eps``."""
 
     def ok(gval):
         return graph_forward_feasible(graph, params, gval)[graph.target] >= 0.0
 
-    hi = upper
-    grow = 0
-    while not ok(hi):
-        hi = max(2.0 * hi, 1.0)
-        grow += 1
-        if grow > 60:
+    lo, hi = 0.0, graph_free_depots(graph, params)
+    for _ in range(61):
+        if hi == INF:
             return INF
-    lo = 0.0
+        if ok(hi):
+            break
+        lo, hi = hi, max(2.0 * hi, 1.0)
+    else:
+        return INF
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink

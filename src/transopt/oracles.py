@@ -195,7 +195,7 @@ def _segment_inside(v, a, b):
     return True
 
 
-def ham_brute(poly_or_dist, start=None, n=None):
+def ham_brute(poly_or_dist, start=None):
     """Shortest Hamiltonian path by permutation enumeration.
 
     Accepts a polygon (Euclidean distances gated by
@@ -204,10 +204,7 @@ def ham_brute(poly_or_dist, start=None, n=None):
     consecutive pair.
     """
     is_poly = hasattr(poly_or_dist, "vertices")
-    if is_poly:
-        n = len(poly_or_dist.vertices)
-    elif n is None:
-        n = len(poly_or_dist)
+    n = len(poly_or_dist.vertices if is_poly else poly_or_dist)
     if n > 9:
         raise SizeLimitError(f"ham_brute limited to n <= 9, got {n}")
     dist = poly_or_dist

@@ -64,9 +64,7 @@ def solve_greedy(inst):
         return OvrpSolution(0.0, [[root]], 1)
 
     droot, parent = tree.droot, tree.parent
-    blue = [False] * (n + 1)
-    blue[root] = True
-    owner = [-1] * (n + 1)
+    owner = [-1] * (n + 1)  # the vehicle that turned the vertex blue; -1: red
     owner[root] = 0
     leaves, lo, hi, _ = leaf_ranges(tree)
     dleaf = [droot[leaf] for leaf in leaves]
@@ -86,12 +84,10 @@ def solve_greedy(inst):
             break
         best_leaf = min(compress(leaves, map(best_delta.__eq__, deltas)))
         vid = len(segments)
-        blue[best_leaf] = True
         owner[best_leaf] = vid
         twice_cb[lo[best_leaf]] = INF
         v, u = best_leaf, parent[best_leaf]
-        while not blue[u]:
-            blue[u] = True
+        while owner[u] < 0:
             owner[u] = vid
             d2 = 2.0 * droot[u]
             twice_cb[lo[u]:lo[v]] = [d2] * (lo[v] - lo[u])
@@ -121,7 +117,7 @@ def solve_greedy(inst):
             walk.append(v)
             if owner[v] == vid:
                 for c in tree.children[v]:
-                    if not blue[c]:
+                    if owner[c] < 0:
                         walk.extend(euler_walk(tree, c))
                         walk.append(v)
         routes.append(walk)

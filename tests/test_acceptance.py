@@ -52,6 +52,8 @@ from transopt.ovrp import (
 )
 from transopt.tree import build_rooted_tree, walk_cost
 
+from treegen import random_tree
+
 UNIT = JeepParams(1.0, 1.0)
 
 
@@ -67,19 +69,6 @@ def criterion(num):
             print(f"[criterion {num}] PASS")
         return wrapper
     return deco
-
-
-def random_tree(rng, n, max_len=9, max_children=None):
-    childcount = {}
-    edges = []
-    for i in range(2, n + 1):
-        while True:
-            par = rng.randint(1, i - 1)
-            if max_children is None or childcount.get(par, 0) < max_children:
-                break
-        childcount[par] = childcount.get(par, 0) + 1
-        edges.append((par, i, rng.randint(1, max_len)))
-    return build_rooted_tree(n, edges)
 
 
 @criterion(1)

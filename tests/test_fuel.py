@@ -12,6 +12,8 @@ from transopt.fuel import (
 from transopt.oracles import _REL_TOL, fuel_brute
 from transopt.tree import build_rooted_tree
 
+from treegen import bushy_tree, deep_tree, random_tree, star_tree
+
 
 def ab_star():
     # depot 1 (no gas), child 2 at distance 1 holding 10, child 3 at 5 empty
@@ -58,16 +60,7 @@ def test_costly_child_first_when_both_lose_fuel():
 
 
 def random_instance(rng, n):
-    childcount = {}
-    edges = []
-    for i in range(2, n + 1):
-        while True:
-            par = rng.randint(1, i - 1)
-            if childcount.get(par, 0) < 4:
-                break
-        childcount[par] = childcount.get(par, 0) + 1
-        edges.append((par, i, rng.randint(1, 9)))
-    tr = build_rooted_tree(n, edges)
+    tr = random_tree(rng, n, max_children=4)
     gas = [rng.randint(0, 9) for _ in range(n)]
     return make_fuel_instance(tr, gas)
 
@@ -128,3 +121,24 @@ def test_real_valued_matches_oracle():
         assert abs(c - ref) <= _REL_TOL * max(1.0, abs(ref))
         assert simulate_route(inst, c, walk) >= -_REL_TOL * max(1.0, c)
         done += 1
+
+
+@pytest.mark.parametrize("make", [deep_tree, bushy_tree, star_tree])
+def test_route_is_tight_past_the_oracle_limit(make):
+    # integer data: the optimal fill leaves the tank at exactly 0 somewhere
+    # on the route, unless the depot's own gas covers everything
+    rng = random.Random(27)
+    tight = 0
+    for _ in range(20):
+        n = rng.randint(500, 4000)
+        gas_hi = rng.choice((9, 30))
+        inst = make_fuel_instance(make(rng, n, False),
+                                  [rng.randint(0, gas_hi) for _ in range(n)])
+        c, walk = min_initial_fuel(inst)
+        low = simulate_route(inst, c, walk)
+        if c > 0:
+            assert low == 0.0
+            tight += 1
+        else:
+            assert low >= 0.0
+    assert 0 < tight < 20  # both branches ran

@@ -301,6 +301,19 @@ def test_threshold_search_unreachable_budget():
     assert ei.value.best_value > 1.9
 
 
+def test_threshold_search_additive_steps():
+    # k = 0, 1 and 2 admit no transfer; 3 and 4 miss the budget; 5 meets it
+    assert threshold_search(1.5, UNIT, 3.0, schedule="additive", ct=1) == (5, 3.0)
+
+
+def test_threshold_search_cap_reports_best_k():
+    # the budget lies above the continuous optimum (2.8333...), and k = 17
+    # would meet it, but the cap stops the search at k = 16
+    with pytest.raises(BudgetUnreachableError) as ei:
+        threshold_search(1.5, UNIT, 2.84, schedule="additive", ct=1, cap=16)
+    assert (ei.value.best_k, ei.value.best_value) == (14, 2.9)
+
+
 def test_threshold_search_bad_args():
     with pytest.raises(ValueError):
         threshold_search(1.0, UNIT, 1.0, schedule="bogus")
@@ -322,6 +335,9 @@ def test_graph_validation():
         JeepGraph(2, ((1, 2, 0.0),))
     with pytest.raises(ValueError):
         JeepGraph(3, ((1, 2, 1.0),))
+    # n - 1 edges, one of them parallel, leave vertices 3 and 4 unreached
+    with pytest.raises(ValueError, match="not connected"):
+        JeepGraph(4, ((1, 2, 1.0), (2, 1, 2.0), (3, 4, 1.0)))
 
 
 def test_out_of_range_inputs_rejected_up_front():
@@ -357,6 +373,16 @@ def test_backward_picks_cheaper_route():
 def test_backward_infeasible_edge():
     h = graph_min_gas_backward(path_graph([1.2]), UNIT)
     assert h[1] == math.inf
+
+
+def test_forward_binary_unreachable_target():
+    # no gas crosses an edge longer than a tank: 60 doublings, then inf
+    assert graph_min_gas_binary_forward(path_graph([1.2]), UNIT) == math.inf
+    # the free-depot bound itself is past the float range; no probe may
+    # start from it, since the forward step cannot divide an infinite load
+    far = path_graph([0.4] * 1000)
+    assert graph_free_depots(far, UNIT) == math.inf
+    assert graph_min_gas_binary_forward(far, UNIT) == math.inf
 
 
 def test_forward_binary_agrees_with_backward():

@@ -16,15 +16,11 @@ from transopt.ovrp import (
 )
 from transopt.tree import build_rooted_tree, leaf_ranges, walk_cost
 
+from treegen import bushy_tree, deep_tree, random_tree, star_tree
+
 
 def star():
     return build_rooted_tree(3, [(1, 2, 2), (1, 3, 3)])
-
-
-def random_tree(rng, n, max_len=9):
-    edges = [(rng.randint(1, i - 1), i, rng.randint(1, max_len))
-             for i in range(2, n + 1)]
-    return build_rooted_tree(n, edges)
 
 
 ALL_SOLVERS = (
@@ -150,20 +146,6 @@ def test_vehicle_count_clamped_to_leaves():
     assert solve_leaf_interval(huge).total_cost == 5.0
 
 
-def deep_tree(rng, n, real):
-    """Each parent within 10 ids of its child: depth about n/5.5."""
-    edges = [(rng.randint(max(1, i - 10), i - 1), i,
-              rng.uniform(0.5, 9.0) if real else rng.randint(1, 9))
-             for i in range(2, n + 1)]
-    return build_rooted_tree(n, edges)
-
-
-def star_tree(rng, n, real):
-    edges = [(1, i, rng.uniform(0.5, 9.0) if real else rng.randint(1, 9))
-             for i in range(2, n + 1)]
-    return build_rooted_tree(n, edges)
-
-
 @pytest.mark.parametrize("real", [False, True], ids=["int", "real"])
 def test_greedy_on_deep_trees_matches_interval_dp(real):
     rng = random.Random(14 + real)
@@ -201,13 +183,6 @@ def test_dp2_matches_dp1_and_interval_on_deep_and_star_trees(real):
             v2 = solve_knapsack_v2(inst)
             ref = solve_leaf_interval(inst).total_cost
             assert v2 == ref if not real else _close(v2, ref)
-
-
-def bushy_tree(rng, n, real):
-    edges = [(rng.randint(1, i - 1), i,
-              rng.uniform(0.5, 9.0) if real else rng.randint(1, 9))
-             for i in range(2, n + 1)]
-    return build_rooted_tree(n, edges)
 
 
 # sha256 of repr((total_cost, routes)) of solve_leaf_interval for
