@@ -240,7 +240,8 @@ def continuous_optimum(x, params):
         return g * x
     target = g * x / m  # required odd-harmonic partial sum
     s = 0.0
-    t = 0
+    # the exact terms sum to about 7.8895; a larger target skips to the expansion
+    t = 0 if target <= _odd_harmonic_asym(_EXACT_TERMS) + 1e-8 else _EXACT_TERMS
     while t < _EXACT_TERMS:
         t += 1
         s_prev = s
@@ -407,6 +408,7 @@ def graph_vertex_depots_continuous(graph, params, k_per_edge):
 def graph_forward_feasible(graph, params, g_min):
     """Forward feasibility: max gallons deliverable at each vertex when the
     source holds ``g_min``; the target is reachable iff its value is >= 0.
+    ``g_min`` may be inf, which shows whether any load reaches the target.
 
     Labels are negated gallons, so the vertex with the most gas is settled
     first; a vertex reached with a deficit passes nothing on."""
@@ -419,6 +421,8 @@ def graph_forward_feasible(graph, params, g_min):
         avail = min(hu, m)
         if 2.0 * g * ln >= avail:
             cand = avail - g * ln
+        elif hu == INF:  # an unbounded load stays unbounded
+            return -INF
         else:
             q = fdiv(hu, m)
             r = hu - q * m
@@ -435,25 +439,22 @@ def graph_forward_feasible(graph, params, g_min):
 def graph_min_gas_binary_forward(graph, params, eps=1e-6):
     """Minimum source gas by binary search over the forward feasibility test.
 
-    The bracket shares nothing with the backward method, which it checks:
-    its upper end starts at :func:`graph_free_depots`' value, since depots
-    anywhere never need more gas, and doubles until the target is reachable;
-    after 60 doublings the target counts as unreachable.  The search stops
-    once the bracket is at most ``eps`` wide or spans two adjacent floats,
-    so it ends for any ``eps``."""
+    The bracket shares nothing with the backward method, which it checks.
+    One probe with an unbounded load decides whether the target is reachable
+    at all.  The upper end then starts at :func:`graph_free_depots`' value,
+    since depots anywhere never need more gas, and doubles until the target
+    is reachable, at the latest once it reaches inf.  The search stops once
+    the bracket is at most ``eps`` wide or spans two adjacent floats, so it
+    ends for any ``eps``."""
 
     def ok(gval):
         return graph_forward_feasible(graph, params, gval)[graph.target] >= 0.0
 
-    lo, hi = 0.0, graph_free_depots(graph, params)
-    for _ in range(61):
-        if hi == INF:
-            return INF
-        if ok(hi):
-            break
-        lo, hi = hi, max(2.0 * hi, 1.0)
-    else:
+    if not ok(INF):
         return INF
+    lo, hi = 0.0, graph_free_depots(graph, params)
+    while not ok(hi):
+        lo, hi = hi, max(2.0 * hi, 1.0)
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink

@@ -376,13 +376,42 @@ def test_backward_infeasible_edge():
 
 
 def test_forward_binary_unreachable_target():
-    # no gas crosses an edge longer than a tank: 60 doublings, then inf
+    # no load crosses an edge longer than a tank: the probe with an
+    # unbounded load fails, so no bracket is built
     assert graph_min_gas_binary_forward(path_graph([1.2]), UNIT) == math.inf
-    # the free-depot bound itself is past the float range; no probe may
-    # start from it, since the forward step cannot divide an infinite load
+    # the free-depot bound itself is past the float range, so the vertex-depot
+    # answer is too; the forward step carries the infinite load
     far = path_graph([0.4] * 1000)
     assert graph_free_depots(far, UNIT) == math.inf
     assert graph_min_gas_binary_forward(far, UNIT) == math.inf
+
+
+def test_forward_binary_far_above_free_depot_bound():
+    # each edge just under half a tank multiplies the vertex-depot answer by
+    # about 49 but the free-depot bound by about 2.66, so the answer is more
+    # than 2**60 times the bracket's start; doubling must still reach it
+    g = path_graph([0.49] * 20)
+    back = graph_min_gas_backward(g, UNIT)[1]
+    assert back > 2.0 ** 60 * graph_free_depots(g, UNIT)
+    fwd = graph_min_gas_binary_forward(g, UNIT)
+    assert abs(fwd - back) <= 1e-6 * back
+
+
+def test_forward_feasible_unbounded_load():
+    # an unbounded load stays unbounded over edges under half a tank and
+    # arrives with m - g*len past the first longer one
+    h = graph_forward_feasible(path_graph([0.3, 0.7, 0.2]), UNIT, math.inf)
+    assert h[1:3] == [math.inf, math.inf]
+    assert abs(h[3] - 0.3) < 1e-12 and abs(h[4] - 0.1) < 1e-12
+
+
+def test_continuous_optimum_skips_exact_terms_past_their_reach():
+    # 10**6 exact terms sum to about 7.89; a larger target goes straight to
+    # the asymptotic inversion instead of adding every term first
+    t0 = time.perf_counter()
+    assert continuous_optimum(400.0, UNIT) == math.inf
+    assert continuous_optimum(30.0, UNIT) > 1e25
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_forward_binary_agrees_with_backward():
