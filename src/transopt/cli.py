@@ -5,9 +5,10 @@ Subcommands: ``solve`` runs a named solver on JSON instance files,
 reports agreement, ``bench-jeep`` times the two equal-subdivision jeep
 evaluators against each other.  Exit codes: 0 ok, 2 infeasible, 1 error.
 The first three read ``PROBLEMS``: per problem tag, its algos and the one
-function that parses an instance and runs any of them or the oracle.  Each
-prints one envelope per file from ``_run_one``; ``check``'s is the ``solve``
-envelope plus ``agreement``, ``solver_objective`` and ``oracle_objective``.
+function that parses an instance once and returns the ``solve`` that runs
+any of them or the oracle on it, so ``check`` runs both on one instance.  Each prints one
+envelope per file from ``_run_one``; ``check``'s is the ``solve`` envelope
+plus ``agreement``, ``solver_objective`` and ``oracle_objective``.
 
 The ``transopt`` console script and ``python -m transopt.cli`` both call
 ``run``: it runs one command, flushes stdout and stderr and ends with
@@ -116,6 +117,7 @@ def load_instance(path):
 
 
 def _edges_field(payload):
+    """The checked edge list, popped so that its user holds the only reference."""
     raw = _field(payload, "edges", list)
     for t, e in enumerate(raw):
         u, v, w = e if type(e) is list and len(e) == 3 else (None, None, None)
@@ -124,13 +126,15 @@ def _edges_field(payload):
                 type(w) not in (int, float) or not -_MAX <= w <= _MAX:
             raise SchemaError(f"field 'edges[{t}]' must be [u, v, length] with "
                               f"integer vertices and a finite length")
-    return raw
+    return payload.pop("edges")
 
 
 def _tree_from(payload):
     from . import tree
     n = _field(payload, "n", int)
     root = _field(payload, "root", int, 1)
+    # on CPython 3.11+ the call moves that reference into the build, which
+    # frees the lists once its adjacency holds the edges
     return tree.build_rooted_tree(n, _edges_field(payload), root)
 
 
@@ -139,26 +143,31 @@ def _jeep_params(payload):
     return jeep.JeepParams(_number(payload, "m"), _number(payload, "g"))
 
 
-# One function per problem tag.  Each parses and validates the instance, then
-# runs ``algo``: one of its tag's algos, or "oracle" for the brute-force
-# reference.  It returns (objective, solution, diagnostics) or raises.
-# Solvers are looked up on their module at call time, so a wrapper put on a
-# module attribute (as perfbench/tracing.py does) sees every call.
+# One function per problem tag.  Each parses and validates the instance for
+# ``algo`` (one of its tag's algos, or "oracle" for the brute-force
+# reference) and returns ``solve``: solve(algo), for that algo or the oracle,
+# returns (objective, solution, diagnostics) or raises.  So ``check`` runs
+# both on one parsed instance.  Solvers are looked up on their module at call
+# time, so a wrapper put on a module attribute (as perfbench/tracing.py does)
+# sees every call.
 
 def _ovrp(payload, algo):
     from . import ovrp
     inst = ovrp.OvrpInstance(_tree_from(payload), _field(payload, "p", int))
-    if algo == "oracle":
-        from . import oracles
-        return oracles.ovrp_brute(inst), None, None
-    if algo == "ovrp-dp1":
-        return ovrp.solve_knapsack_v1(inst), None, None
-    if algo == "ovrp-dp2":
-        return ovrp.solve_knapsack_v2(inst), None, None
-    sol = ovrp.solve_greedy(inst) if algo == "ovrp-greedy" else \
-        ovrp.solve_leaf_interval(inst)
-    return sol.total_cost, {"routes": sol.routes}, \
-        {"vehicles_used": sol.vehicles_used}
+
+    def solve(algo):
+        if algo == "oracle":
+            from . import oracles
+            return oracles.ovrp_brute(inst), None, None
+        if algo == "ovrp-dp1":
+            return ovrp.solve_knapsack_v1(inst), None, None
+        if algo == "ovrp-dp2":
+            return ovrp.solve_knapsack_v2(inst), None, None
+        sol = ovrp.solve_greedy(inst) if algo == "ovrp-greedy" else \
+            ovrp.solve_leaf_interval(inst)
+        return sol.total_cost, {"routes": sol.routes}, \
+            {"vehicles_used": sol.vehicles_used}
+    return solve
 
 
 def _fuel(payload, algo):
@@ -169,11 +178,14 @@ def _fuel(payload, algo):
         raise SchemaError(f"field 'gas' must list {tree.n} values")
     # older instance files may carry value_mode and epsilon; both are ignored
     inst = fuel.make_fuel_instance(tree, gas)
-    if algo == "oracle":
-        from . import oracles
-        return oracles.fuel_brute(inst), None, None
-    c, walk = fuel.min_initial_fuel(inst)
-    return c, {"walk": walk}, None
+
+    def solve(algo):
+        if algo == "oracle":
+            from . import oracles
+            return oracles.fuel_brute(inst), None, None
+        c, walk = fuel.min_initial_fuel(inst)
+        return c, {"walk": walk}, None
+    return solve
 
 
 def _jeep(payload, algo):
@@ -181,49 +193,66 @@ def _jeep(payload, algo):
     params = _jeep_params(payload)
     mode = _field(payload, "mode", str, "faithful")
     if algo == "jeep-fast":
-        g0, touched = jeep.eval_equal_fast(_number(payload, "x"),
-                                           _field(payload, "k", int), params)
-        return g0, None, {"points_touched": touched}
-    if algo == "jeep-threshold":
-        k, val = jeep.threshold_search(
-            _number(payload, "x"), params, _number(payload, "budget"),
-            schedule=_field(payload, "schedule", str, "multiplicative"),
-            ct=_field(payload, "ct", int, 2),
-            k1=_field(payload, "k1", int, 0),
-            method=_field(payload, "method", str, "exact"))
-        return val, {"k": k}, None
-    if "points" in payload:
+        x, k = _number(payload, "x"), _field(payload, "k", int)
+    elif algo == "jeep-threshold":
+        x, budget = _number(payload, "x"), _number(payload, "budget")
+        search = dict(schedule=_field(payload, "schedule", str, "multiplicative"),
+                      ct=_field(payload, "ct", int, 2),
+                      k1=_field(payload, "k1", int, 0),
+                      method=_field(payload, "method", str, "exact"))
+    elif "points" in payload:
         d = jeep.Subdivision(tuple(float(p) for p in _numbers(payload, "points")))
     else:
         d = jeep.equal_subdivision(_number(payload, "x"), _field(payload, "k", int))
-    f0, plans = jeep.eval_subdivision_exact(d, params, mode=mode)
-    if algo == "oracle":
-        from . import oracles
-        return oracles.jeep_simulate_plan(d, params, plans), None, None
-    return f0, {"plans": [[p.rt, p.q] for p in plans]}, None
+
+    def solve(algo):
+        if algo == "jeep-fast":
+            g0, touched = jeep.eval_equal_fast(x, k, params)
+            return g0, None, {"points_touched": touched}
+        if algo == "jeep-threshold":
+            k_found, val = jeep.threshold_search(x, params, budget, **search)
+            return val, {"k": k_found}, None
+        f0, plans = jeep.eval_subdivision_exact(d, params, mode=mode)
+        if algo == "oracle":
+            from . import oracles
+            return oracles.jeep_simulate_plan(d, params, plans), None, None
+        # json writes each SegmentPlan tuple as its [rt, q] array
+        return f0, {"plans": plans}, None
+    return solve
+
+
+_NO_GRAPH_ORACLE = "no oracle for problem 'jeep-graph'"
 
 
 def _jeep_graph(payload, algo):
     if algo == "oracle":
-        raise SchemaError("no oracle for problem 'jeep-graph'")
+        raise SchemaError(_NO_GRAPH_ORACLE)
     from . import jeep
     graph = jeep.JeepGraph(
         _field(payload, "n", int),
         tuple((u, v, float(w)) for u, v, w in _edges_field(payload)),
         _field(payload, "source", int, 1), _field(payload, "target", int, -1))
     params = _jeep_params(payload)
-    if algo == "jeep-graph-backward":
-        val = jeep.graph_min_gas_backward(graph, params)[graph.source]
-    elif algo == "jeep-graph-binary":
-        val = jeep.graph_min_gas_binary_forward(graph, params, eps=default_eps())
-    elif algo == "jeep-graph-free":
-        val = jeep.graph_free_depots(graph, params)
-    else:
-        val = jeep.graph_vertex_depots_continuous(
-            graph, params, _field(payload, "k_per_edge", int, 0))[graph.source]
-    if val == math.inf:
-        raise InfeasibleError("target unreachable with any amount of gas")
-    return val, None, None
+    if algo == "jeep-graph-vertex":
+        k_per_edge = _field(payload, "k_per_edge", int, 0)
+
+    def solve(algo):
+        if algo == "oracle":  # under check
+            raise SchemaError(_NO_GRAPH_ORACLE)
+        if algo == "jeep-graph-backward":
+            val = jeep.graph_min_gas_backward(graph, params)[graph.source]
+        elif algo == "jeep-graph-binary":
+            val = jeep.graph_min_gas_binary_forward(graph, params,
+                                                    eps=default_eps())
+        elif algo == "jeep-graph-free":
+            val = jeep.graph_free_depots(graph, params)
+        else:
+            val = jeep.graph_vertex_depots_continuous(
+                graph, params, k_per_edge)[graph.source]
+        if val == math.inf:
+            raise InfeasibleError("target unreachable with any amount of gas")
+        return val, None, None
+    return solve
 
 
 def _hampath(payload, algo):
@@ -240,16 +269,19 @@ def _hampath(payload, algo):
                    _REQUIRED if algo == "hampath-fixed" else None)
     if start is not None and not 0 <= start < poly.n:
         raise SchemaError(f"start {start} outside 0..{poly.n - 1}")
-    if algo == "oracle":
-        from . import oracles
-        length, path = oracles.ham_brute(poly, start)
-    elif algo == "hampath-fixed":
-        length, path = hampath.shortest_ham_path_fixed_start(poly, start)
-    else:
-        length, path = hampath.shortest_ham_path_free_start(poly)
-    if length == math.inf:
-        raise InfeasibleError("no Hamiltonian path stays inside the polygon")
-    return length, {"path": path}, None
+
+    def solve(algo):
+        if algo == "oracle":
+            from . import oracles
+            length, path = oracles.ham_brute(poly, start)
+        elif algo == "hampath-fixed":
+            length, path = hampath.shortest_ham_path_fixed_start(poly, start)
+        else:
+            length, path = hampath.shortest_ham_path_free_start(poly)
+        if length == math.inf:
+            raise InfeasibleError("no Hamiltonian path stays inside the polygon")
+        return length, {"path": path}, None
+    return solve
 
 
 def _curve(payload, algo):
@@ -257,17 +289,21 @@ def _curve(payload, algo):
     inst = hampath.CurveInstance(_numbers(payload, "gaps"),
                                  _numbers(payload, "weights", None),
                                  _field(payload, "start", int, None))
-    if algo == "curve":
-        return hampath.curve_ham_path(inst), None, None
-    if algo == "oracle":
-        from . import oracles
-        cost, path = oracles.curve_zigzag_brute(inst)
-    else:
-        cost, path = hampath.curve_weighted_ham_path(inst)
-    return cost, {"path": path}, None
+
+    def solve(algo):
+        if algo == "curve":
+            return hampath.curve_ham_path(inst), None, None
+        if algo == "oracle":
+            from . import oracles
+            cost, path = oracles.curve_zigzag_brute(inst)
+        else:
+            cost, path = hampath.curve_weighted_ham_path(inst)
+        return cost, {"path": path}, None
+    return solve
 
 
-# problem tag -> (its algos, the default first; the function that runs them)
+# problem tag -> (its algos, the default first; the function that parses an
+# instance for one of them and returns its solve)
 PROBLEMS = {
     "ovrp": (("ovrp-interval", "ovrp-greedy", "ovrp-dp1", "ovrp-dp2"), _ovrp),
     "fuel": (("fuel",), _fuel),
@@ -288,9 +324,10 @@ def _default_algo(payload):
     return PROBLEMS[problem][0][0]
 
 
-def _run(payload, algo):
-    """(objective, solution, diagnostics) of ``algo``, or of the oracle for
-    ``"oracle"``, on a loaded instance; raises Infeasible/etc."""
+def _parse(payload, algo):
+    """The ``solve`` of a loaded instance, parsed once for ``algo`` (or the
+    oracle for ``"oracle"``): solve(algo) returns (objective, solution,
+    diagnostics) or raises Infeasible/etc."""
     problem = payload["problem"]
     expected = problem if algo == "oracle" else ALGOS.get(algo)
     if problem != expected:
@@ -332,11 +369,12 @@ def _run_one(path, algo):
         payload = load_instance(path)
         algo = algo or _default_algo(payload)
         eps = default_eps() if check else None
-        objective, solution, diagnostics = _run(payload, algo)
+        solve = _parse(payload, algo)
+        objective, solution, diagnostics = solve(algo)
         if not math.isfinite(objective):  # an overflow, not an answer
             raise ValueError(f"objective {objective} is not finite")
-        if check:
-            o_obj = _run(payload, "oracle")[0]
+        if check:  # the oracle on the same parsed instance
+            o_obj = solve("oracle")[0]
     except (TransoptError, ValueError) as exc:
         return _failure(algo or "?", exc, t0)
     env = _envelope(algo, "ok", objective, solution, diagnostics,

@@ -245,9 +245,13 @@ def curve_ham_path(inst):
     covered arc is walked twice, so the skipped gap minimizes total minus
     gap plus that doubled approach (skipping a gap adjacent to the start is
     not always best)."""
-    total = sum(inst.gaps)
     if inst.start is None:
-        return total - max(inst.gaps)
+        # the correctly rounded sum of the kept gaps: subtracting the largest
+        # from the total would cancel the small ones beside it
+        kept = list(inst.gaps)
+        kept.remove(max(kept))
+        return math.fsum(kept)
+    total = sum(inst.gaps)
     n, s = inst.n, inst.start
     dp = list(accumulate(inst.gaps, initial=0.0))  # dp[i]: arc from 0 to i
 

@@ -70,17 +70,25 @@ SegmentPlan = namedtuple("SegmentPlan", "rt q")
 
 
 def _check_equal(x, k):
+    """The spacing x/(k+1) of an equal subdivision; a ValueError unless it is
+    a positive float."""
     if x <= 0:
         raise ValueError("distance must be positive")
     if k < 0:
         raise ValueError("point count must be nonnegative")
+    try:
+        c = x / (k + 1)
+    except OverflowError:  # k + 1 past the float range
+        c = 0.0
+    if c == 0.0:
+        raise ValueError("point spacing x/(k+1) underflows to 0")
+    return c
 
 
 def equal_subdivision(x, k):
     """k interior cache points evenly spaced on [0, x]; the endpoint is set
     to x exactly rather than accumulated."""
-    _check_equal(x, k)
-    c = x / (k + 1)
+    c = _check_equal(x, k)
     return Subdivision(tuple(i * c for i in range(k + 1)) + (x,))
 
 
@@ -197,8 +205,8 @@ def eval_equal_fast(x, k, params):
             denom = l * 2.0 * a + a
             try:
                 dif = fdiv(room, denom)
-            except OverflowError:  # room / denom is infinite: the run reaches 1
-                dif = idx
+            except (OverflowError, ZeroDivisionError):
+                dif = idx  # room / denom is infinite (a = 0): the run reaches 1
             else:
                 if abs(room - dif * denom) <= _DIV_TOL * max(1.0, abs(room)):
                     dif -= 1

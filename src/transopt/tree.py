@@ -37,7 +37,10 @@ class RootedTree(namedtuple("RootedTree",
 def build_rooted_tree(n, edges, root=1):
     """Build a :class:`RootedTree` from a list of (u, v, length) edges.
 
-    Raises :class:`NegativeLengthError`, :class:`CycleError` or
+    No reference to ``edges`` outlives the adjacency loop, so when the caller
+    hands over its only reference (as the CLI does), the edge lists are freed
+    before the DFS allocates the tree's arrays.  Raises
+    :class:`NegativeLengthError`, :class:`CycleError` or
     :class:`DisconnectedTreeError` on malformed input.
     """
     if not (1 <= root <= n):
@@ -55,6 +58,7 @@ def build_rooted_tree(n, edges, root=1):
         w = float(w)
         adj[u] += v, w
         adj[v] += u, w
+    del edges
 
     parent = [0] + [-1] * n  # -1 until the DFS reaches the vertex
     parent[root] = 0

@@ -2,14 +2,16 @@ import gc
 import importlib
 import json
 import math
+import sys
 import time
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from transopt import cli
+from transopt import cli, tree
 from transopt.cli import bench_jeep, main
 
 STAR = {
@@ -166,7 +168,7 @@ def test_check_agreement(tmp_path, capsys):
 
 
 def test_check_disagreement_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_run", lambda payload, algo: (
+    monkeypatch.setattr(cli, "_parse", lambda payload, algo: lambda algo: (
         (3.0 if algo == "oracle" else 4.0), None, None))
     code, lines = run(capsys, ["check", write(tmp_path, STAR)])
     assert code == 1 and len(lines) == 1
@@ -451,8 +453,9 @@ JEEP = {"schema": "transopt-instance/1", "problem": "jeep", "m": 1.0, "g": 1.0}
     (dict(JEEP, x=1.0, k=-1), "jeep-fast"),
     (dict(JEEP, x=-1.0, k=3), "jeep-fast"),
     (dict(JEEP, x=1.0, budget=0.5), "jeep-threshold"),
+    (dict(JEEP_GRAPH, k_per_edge=10 ** 400), "jeep-graph-vertex"),
 ], ids=["graph-target", "graph-source", "fast-x0", "fast-k-1", "fast-x-1",
-        "threshold-below-optimum"])
+        "threshold-below-optimum", "vertex-k-past-float-range"])
 def test_jeep_out_of_range_gives_one_envelope(tmp_path, capsys, payload, algo):
     t0 = time.perf_counter()
     code, lines = run(capsys, ["solve", "--algo", algo, write(tmp_path, payload)])
@@ -625,6 +628,113 @@ def test_solvers_are_looked_up_at_call_time(tmp_path, capsys, monkeypatch,
     code, lines = run(capsys, argv + [write(tmp_path, TINY[tag])])
     assert code == 0 and lines[0]["solver"] == algo
     assert calls == [attr]
+
+
+# the constructor that builds each tag's instance
+INSTANCE_BUILDERS = {"ovrp": ("tree", "build_rooted_tree"),
+                     "fuel": ("tree", "build_rooted_tree"),
+                     "jeep": ("jeep", "Subdivision"),
+                     "jeep-graph": ("jeep", "JeepGraph"),
+                     "hampath": ("hampath", "SimplePolygon"),
+                     "curve": ("hampath", "CurveInstance")}
+
+
+@pytest.mark.parametrize("tag", list(TINY))
+def test_check_parses_and_builds_each_instance_once(tmp_path, capsys,
+                                                   monkeypatch, tag):
+    calls = []
+    for module, attr in set(INSTANCE_BUILDERS.values()):
+        mod = importlib.import_module(f"transopt.{module}")
+
+        def counted(*args, _fn=getattr(mod, attr), _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, attr, counted)
+    code, lines = run(capsys, ["check", write(tmp_path, TINY[tag])])
+    assert len(lines) == 1 and calls == [INSTANCE_BUILDERS[tag][1]]
+    if tag == "jeep-graph":  # no brute-force reference yet
+        assert code == 1 and lines[0]["diagnostics"]["reason"] == \
+            "no oracle for problem 'jeep-graph'"
+    else:
+        assert code == 0 and lines[0]["agreement"] is True
+
+
+@pytest.mark.parametrize("tag", ["ovrp", "fuel", "jeep-graph"])
+def test_the_parse_takes_the_edge_list_out_of_the_payload(tag):
+    payload = json.loads(json.dumps(TINY[tag]))
+    cli._parse(payload, cli.PROBLEMS[tag][0][0])
+    assert "edges" not in payload and "n" in payload
+
+
+class _Edges(list):
+    """A list that can be weakly referenced."""
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+    "before CPython 3.11 the caller's frame holds a call's arguments until "
+    "it returns, so the build cannot free a handed-over list"))
+def test_a_handed_over_edge_list_is_freed_before_the_dfs():
+    seen = []
+
+    def freed(_):
+        frame = sys._getframe(1)  # the frame that dropped the last reference
+        seen.append((frame.f_code, set(frame.f_locals)))
+
+    def handed_over():
+        edges = _Edges([[1, 2, 1], [1, 3, 5], [3, 4, 2.5]])
+        seen.append(weakref.ref(edges, freed))
+        return edges
+
+    payload = {"n": 4, "edges": handed_over()}
+    built = cli._tree_from(payload)
+    assert built.post == (2, 4, 3, 1) and "edges" not in payload
+    ref, (code, names) = seen
+    assert ref() is None
+    # freed inside the build, after its adjacency loop and before the DFS
+    assert code is tree.build_rooted_tree.__code__
+    assert "adj" in names and "parent" not in names
+
+
+# Values each field other than the edge list is set to, one field at a
+# time: wrong types and shapes, then numbers at the edges of the float range
+# and, as JSON integers, past it.  Count fields only reach 0, -1 or past the
+# float range, so no input asks for a huge allocation.
+ODD_FIELD_VALUES = [None, True, "a", [], [[1, 2, 3]], 0, -1, 0.5, 5e-324,
+                    1e308, 10 ** 400, -10 ** 400]
+# per tag, a payload with every field its algos read ("points" is added)
+FIELD_BASES = {
+    "ovrp": dict(STAR, root=1),
+    "fuel": dict(TINY["fuel"], root=1),
+    "jeep": dict(TINY["jeep"], mode="faithful", schedule="multiplicative",
+                 ct=2, k1=0, method="exact"),
+    "jeep-graph": dict(JEEP_GRAPH, source=1, target=3, k_per_edge=1),
+    "hampath": TINY["hampath"],
+    "curve": dict(CURVE, start=0),
+}
+
+
+@pytest.mark.parametrize("tag", list(FIELD_BASES))
+def test_every_non_edge_field_gives_one_strict_envelope(tmp_path, capsys, tag):
+    base = FIELD_BASES[tag]
+    fields = [f for f in base if f not in ("schema", "problem", "edges")]
+    if tag == "jeep":
+        fields.append("points")
+    commands = [["solve", "--algo", algo] for algo in cli.PROBLEMS[tag][0]]
+    commands += [["oracle"], ["check"]]
+    for field in fields:
+        for value in ODD_FIELD_VALUES:
+            path = write(tmp_path, dict(base, **{field: value}))
+            for command in commands:
+                code = main(command + [path])
+                out, err = capsys.readouterr()
+                lines = out.splitlines()
+                where = (field, value, command)
+                assert code in (0, 1, 2) and len(lines) == 1 and err == "", where
+                env = json.loads(lines[0], parse_constant=lambda c: pytest.fail(
+                    f"{c} in the envelope of {where}"))
+                assert env["schema"] == "transopt-result/1", where
+                assert env["status"] in ("ok", "error", "infeasible"), where
 
 
 # Arbitrary JSON for the edge-list fields, and edge lists close to a tree:

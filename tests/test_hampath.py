@@ -4,6 +4,7 @@ import random
 import pytest
 
 from transopt import rows, visibility
+from transopt.cli import default_eps
 from transopt.errors import InvalidPolygonError
 from transopt.geometry import (
     DEFER_TOL,
@@ -607,6 +608,23 @@ def test_curve_matches_zigzag_brute():
         start = rng.randrange(n) if rng.random() < 0.7 else None
         inst = CurveInstance(gaps, start=start)
         assert curve_ham_path(inst) == curve_zigzag_brute(inst, "length")[0]
+
+
+def test_curve_free_start_keeps_the_small_gaps_beside_a_large_one():
+    # total - max(gaps) cancels both unit gaps against 1e17
+    inst = CurveInstance((1e17, 1, 1))
+    assert curve_ham_path(inst) == 2.0 == curve_zigzag_brute(inst, "length")[0]
+
+
+def test_curve_free_start_matches_brute_over_spread_gaps():
+    eps = default_eps()
+    rng = random.Random(45)
+    for _ in range(300):
+        gaps = [rng.choice((1e-9, 1e-3, 1, 1e8, 1e16, 1e17))
+                for _ in range(rng.randint(2, 7))]
+        inst = CurveInstance(gaps)
+        got, want = curve_ham_path(inst), curve_zigzag_brute(inst, "length")[0]
+        assert abs(got - want) <= eps * max(1.0, abs(got), abs(want)), gaps
 
 
 def test_weighted_curve_examples():

@@ -205,6 +205,47 @@ def test_fast_huge_tank_gives_one_ok_envelope(tmp_path, capsys):
             eval_equal_naive(1.0, k, JeepParams(1e308, 1.0))
 
 
+def _envelopes(tmp_path, capsys, payload, argvs):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(payload, schema="transopt-instance/1")))
+    out = []
+    for argv in argvs:
+        code = main(argv + [str(path)])
+        captured = capsys.readouterr()
+        (line,) = captured.out.splitlines()
+        assert captured.err == ""
+        out.append((code, json.loads(line)))
+    return out
+
+
+def test_fast_gas_per_segment_underflowing_to_0_gives_exact_answer(tmp_path,
+                                                                  capsys):
+    # a = g x/(k+1) rounds to 0, so the closed form's divisor (2l+1) a is 0:
+    # like an infinite quotient, the run reaches index 1
+    payload = {"problem": "jeep", "x": 1.5, "k": 4, "m": 1, "g": 5e-324}
+    for code, env in _envelopes(tmp_path, capsys, payload, [
+            ["solve", "--algo", "jeep-fast"], ["solve", "--algo", "jeep-exact"]]):
+        assert code == 0 and (env["status"], env["objective"]) == ("ok", 0.0)
+    params = JeepParams(1.0, 5e-324)
+    assert eval_equal_fast(1.5, 4, params) == (0.0, 2)
+    assert eval_equal_naive(1.5, 4, params) == 0.0
+
+
+@pytest.mark.parametrize("payload", [
+    {"problem": "jeep", "x": 5e-324, "k": 1, "m": 1e308, "g": 1},
+    {"problem": "jeep", "x": 1.0, "k": 10 ** 400, "m": 1, "g": 1},
+], ids=["spacing-underflows", "k-past-float-range"])
+def test_a_spacing_that_is_not_a_positive_float_is_one_error(tmp_path, capsys,
+                                                            payload):
+    results = _envelopes(tmp_path, capsys, payload, [
+        ["solve", "--algo", "jeep-exact"], ["solve", "--algo", "jeep-fast"],
+        ["oracle"], ["check"]])
+    for code, env in results:
+        assert code == 1 and env["status"] == "error"
+        assert env["diagnostics"]["reason"] == \
+            "point spacing x/(k+1) underflows to 0"
+
+
 def _runs_by_binsearch(x, k, params):
     """Method 2 with index skipping, each run's first index found by
     bisection on the division the naive loop makes: the reference for the
@@ -342,7 +383,9 @@ def test_graph_validation():
 
 def test_out_of_range_inputs_rejected_up_front():
     for evaluate in (eval_equal_fast, eval_equal_naive):
-        for x, k in ((0.0, 3), (-1.0, 3), (1.0, -1)):
+        # the last two have a spacing x/(k+1) that is not a positive float
+        for x, k in ((0.0, 3), (-1.0, 3), (1.0, -1),
+                     (5e-324, 1), (1.0, 10 ** 400)):
             with pytest.raises(ValueError):
                 evaluate(x, k, UNIT)
     for ends in ({"target": 3}, {"source": 0}):
