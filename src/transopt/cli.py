@@ -205,6 +205,8 @@ def _jeep(payload, algo):
     else:
         d = jeep.equal_subdivision(_number(payload, "x"), _field(payload, "k", int))
 
+    method1 = []  # Method 1's (f0, plans), made once: the oracle replays them
+
     def solve(algo):
         if algo == "jeep-fast":
             g0, touched = jeep.eval_equal_fast(x, k, params)
@@ -212,7 +214,9 @@ def _jeep(payload, algo):
         if algo == "jeep-threshold":
             k_found, val = jeep.threshold_search(x, params, budget, **search)
             return val, {"k": k_found}, None
-        f0, plans = jeep.eval_subdivision_exact(d, params, mode=mode)
+        if not method1:
+            method1.append(jeep.eval_subdivision_exact(d, params, mode=mode))
+        f0, plans = method1[0]
         if algo == "oracle":
             from . import oracles
             return oracles.jeep_simulate_plan(d, params, plans), None, None

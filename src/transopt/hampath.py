@@ -241,33 +241,21 @@ def curve_ham_path(inst):
 
     The path covers the whole curve except one skipped gap; with a free
     start, skipping the largest gap and starting at its edge is optimal.
-    With a fixed start the stretch from the start to the nearer end of the
-    covered arc is walked twice, so the skipped gap minimizes total minus
-    gap plus that doubled approach (skipping a gap adjacent to the start is
-    not always best)."""
+    With a fixed start, skipping gap j leaves the arc a from the start to
+    vertex j and the arc b from vertex j+1 round to the start, and the path
+    walks the shorter one twice: a + b + min(a, b).  Both are running sums
+    from the start, so no small gap cancels against a large one."""
     if inst.start is None:
         # the correctly rounded sum of the kept gaps: subtracting the largest
         # from the total would cancel the small ones beside it
         kept = list(inst.gaps)
         kept.remove(max(kept))
         return math.fsum(kept)
-    total = sum(inst.gaps)
-    n, s = inst.n, inst.start
-    dp = list(accumulate(inst.gaps, initial=0.0))  # dp[i]: arc from 0 to i
-
-    def arc(i, j):
-        """Arc length from i forward to j (gaps i .. j-1 circularly)."""
-        if i == j:
-            return 0.0
-        if i < j:
-            return dp[j] - dp[i]
-        return dp[n] - (dp[i] - dp[j])
-
-    best = INF
-    for j in range(n):
-        extra = min(arc(s, j), arc((j + 1) % n, s))
-        best = min(best, total - inst.gaps[j] + extra)
-    return best
+    # renumbered from the start: gap j follows the j-th vertex after it
+    gaps = inst.gaps[inst.start:] + inst.gaps[:inst.start]
+    fwd = accumulate(gaps, initial=0.0)  # a for j = 0, 1, ...
+    back = list(accumulate(reversed(gaps[1:]), initial=0.0))  # b for j = n-1, n-2, ...
+    return min(a + b + min(a, b) for a, b in zip(fwd, reversed(back)))
 
 
 def curve_weighted_ham_path(inst):

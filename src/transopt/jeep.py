@@ -88,8 +88,13 @@ def _check_equal(x, k):
 def equal_subdivision(x, k):
     """k interior cache points evenly spaced on [0, x]; the endpoint is set
     to x exactly rather than accumulated."""
+    return Subdivision(_equal_points(x, k))
+
+
+def _equal_points(x, k):
+    """The points of :func:`equal_subdivision`, increasing by construction."""
     c = _check_equal(x, k)
-    return Subdivision(tuple(i * c for i in range(k + 1)) + (x,))
+    return tuple(i * c for i in range(k + 1)) + (x,)
 
 
 def segment_step_exact(f_next, c, params, mode="faithful"):
@@ -141,7 +146,12 @@ def eval_subdivision_exact(d, params, terminal=0.0, mode="faithful",
     and the per-segment plans (None when ``collect_plans`` is off, which
     benchmarks use to keep huge subdivisions out of memory).
     """
-    pts = d.points
+    return _method1(d.points, params, terminal, mode, collect_plans)
+
+
+def _method1(pts, params, terminal, mode, collect_plans):
+    """Method 1 on a bare point tuple, such as each edge's equal points in
+    the vertex-depot relax."""
     nseg = len(pts) - 1
     plans = [None] * nseg if collect_plans else None
     f = terminal
@@ -298,7 +308,8 @@ def threshold_search(x, params, budget, schedule="multiplicative", ct=2,
             if method == "fast":
                 val, _ = eval_equal_fast(x, k, params)
             else:
-                val, _ = eval_subdivision_exact(equal_subdivision(x, k), params)
+                val, _ = eval_subdivision_exact(equal_subdivision(x, k), params,
+                                                collect_plans=False)
         except InfeasibleError:
             val = INF
         if val < best_val:
@@ -378,35 +389,26 @@ def _dijkstra_min(graph, start, relax, label=0.0):
 
 
 def graph_min_gas_backward(graph, params):
-    """Per-vertex gas needed to reach the target, depots at vertices only.
-
-    Backward Dijkstra from the target; relaxing an edge treats it as a
-    one-segment subdivision via the exact segment step (which is monotone in
-    its downstream requirement, so label setting is sound).  The step runs
-    in ``corrected`` mode, the exact inverse of the forward feasibility
-    formula used by :func:`graph_min_gas_binary_forward`, so the two methods
-    agree; ``faithful`` mode can overestimate multi-trip edges."""
-
-    def relax(h_u, ln):
-        try:
-            return segment_step_exact(h_u, ln, params, "corrected")[0]
-        except InfeasibleError:
-            return None
-
-    return _dijkstra_min(graph, graph.target, relax)
+    """Per-vertex gas needed to reach the target, depots at vertices only:
+    :func:`graph_vertex_depots_continuous` with no interior points."""
+    return graph_vertex_depots_continuous(graph, params, 0)
 
 
 def graph_vertex_depots_continuous(graph, params, k_per_edge):
-    """Like the backward method, but each edge may cache fuel at
-    ``k_per_edge`` equally spaced interior points (forced vertex depots)."""
+    """Per-vertex gas needed to reach the target when each edge may also
+    cache fuel at ``k_per_edge`` equally spaced interior points: a backward
+    Dijkstra whose relax runs Method 1 over the edge (monotone in the
+    downstream requirement, so label setting is sound).  Its ``corrected``
+    steps are, at ``k_per_edge = 0``, the exact inverse of the forward
+    feasibility test of :func:`graph_min_gas_binary_forward`, so the two
+    methods agree; ``faithful`` mode can overestimate multi-trip edges."""
     if k_per_edge < 0:
         raise ValueError("k_per_edge must be nonnegative")
 
     def relax(h_u, ln):
         try:
-            d = equal_subdivision(ln, k_per_edge)
-            return eval_subdivision_exact(d, params, terminal=h_u,
-                                          mode="corrected")[0]
+            return _method1(_equal_points(ln, k_per_edge), params, h_u,
+                            "corrected", False)[0]
         except InfeasibleError:
             return None
 

@@ -71,7 +71,7 @@ def solve_greedy(inst):
     # 2 droot of each leaf's closest blue ancestor; inf once the leaf is blue
     twice_cb = [2.0 * droot[root]] * len(leaves)
     total = 2.0 * tree.total_edge_len()
-    segments = []
+    ends = []  # each vehicle's end leaf
 
     for _ in range(p):
         deltas = list(map(sub, twice_cb, dleaf))
@@ -80,10 +80,10 @@ def solve_greedy(inst):
             break
         # the first step is always taken (delta <= 0 by construction, and a
         # delta of exactly 0 still yields the canonical one-vehicle route)
-        if segments and best_delta >= 0:
+        if ends and best_delta >= 0:
             break
         best_leaf = min(compress(leaves, map(best_delta.__eq__, deltas)))
-        vid = len(segments)
+        vid = len(ends)
         owner[best_leaf] = vid
         twice_cb[lo[best_leaf]] = INF
         v, u = best_leaf, parent[best_leaf]
@@ -94,34 +94,16 @@ def solve_greedy(inst):
             twice_cb[hi[v]:hi[u]] = [d2] * (hi[u] - hi[v])
             v, u = u, parent[u]
         total += best_delta
-        segments.append((u, best_leaf))
+        ends.append(best_leaf)
 
-    routes = []
-    for vid, (cb, leaf) in enumerate(segments):
-        # root -> cb prefix (edges owned by earlier vehicles, paid again)
-        prefix = []
-        v = cb
-        while v != root:
-            prefix.append(v)
-            v = parent[v]
-        prefix.append(root)
-        prefix.reverse()
-        descent = []
-        v = leaf
-        while v != cb:
-            descent.append(v)
-            v = parent[v]
-        descent.reverse()
-        walk = []
-        for v in prefix + descent:
-            walk.append(v)
-            if owner[v] == vid:
-                for c in tree.children[v]:
-                    if owner[c] < 0:
-                        walk.extend(euler_walk(tree, c))
-                        walk.append(v)
-        routes.append(walk)
-    return OvrpSolution(total, routes, len(segments))
+    # a vehicle covers whole the red subtrees that hang off the vertices it
+    # owns, and nothing else beside its own path
+    children = tree.children
+    routes = [_route(tree, leaf, lambda v, vid=vid: (
+                  [c for c in children[v] if owner[c] < 0], ())
+                  if owner[v] == vid else ((), ()))
+              for vid, leaf in enumerate(ends)]
+    return OvrpSolution(total, routes, len(ends))
 
 
 def solve_knapsack_v1(inst):
@@ -274,34 +256,54 @@ def _array_merge(p):
     return base, merge
 
 
-def _vehicle_walk(tree, leaf_ids, end_leaf):
-    """Walk from root covering the union of root paths to ``leaf_ids``,
-    traversing the root->end_leaf spine once and everything else twice."""
+def _route(tree, end_leaf, enter):
+    """One vehicle's route, from the root to ``end_leaf``.  Each vertex on
+    the way first enters its other children whose subtrees the vehicle
+    covers, in input order: ``enter(v)`` returns those children and the
+    ones among them it covers only in part.  A whole subtree is walked by
+    :func:`~transopt.tree.euler_walk`, a part one by :func:`_part_walk`."""
+    parent, children = tree.parent, tree.children
+    path = [end_leaf]
+    while parent[path[-1]]:  # up to the root, whose parent is 0
+        path.append(parent[path[-1]])
+    path.reverse()
+    walk = []
+    for v, nxt in zip(path, path[1:]):
+        walk.append(v)
+        if len(children[v]) == 1:  # only the child on the path
+            continue
+        kids, part = enter(v)
+        for c in kids:
+            if c != nxt:
+                walk += _part_walk(tree, c, enter) if c in part else euler_walk(tree, c)
+                walk.append(v)
+    walk.append(end_leaf)
+    return walk
+
+
+def _part_walk(tree, start, enter):
+    """Closed walk over the part of T(start) a vehicle covers, by the
+    ``enter`` rule of :func:`_route`, climbing back up between subtrees."""
     parent = tree.parent
-    covered = set()
-    for leaf in leaf_ids:
-        v = leaf
-        while v not in covered:
-            covered.add(v)
-            if v == tree.root:
-                break
-            v = parent[v]
-    spine = set()
-    v = end_leaf
-    while True:
-        spine.add(v)
-        if v == tree.root:
-            break
-        v = parent[v]
-    # entering the spine child last leaves nothing to cover after the first
-    # arrival at end_leaf, where the walk stops
-    order = {}
-    for u in covered:
-        ch = [c for c in tree.children[u] if c in covered]
-        ch.sort(key=spine.__contains__)
-        order[u] = ch
-    walk = euler_walk(tree, tree.root, order)
-    return walk[: walk.index(end_leaf) + 1]
+    walk = []
+    stack = [(start, False)]  # (vertex, covered whole), the next on top
+    last = parent[start]
+    while stack:
+        v, whole = stack.pop()
+        while last != parent[v]:
+            last = parent[last]
+            walk.append(last)
+        if whole:
+            walk += euler_walk(tree, v)
+        else:
+            walk.append(v)
+            kids, part = enter(v)
+            stack += [(c, c not in part) for c in reversed(kids)]
+        last = v
+    while last != start:
+        last = parent[last]
+        walk.append(last)
+    return walk
 
 
 def solve_leaf_interval(inst):
@@ -318,7 +320,7 @@ def solve_leaf_interval(inst):
     """
     tree = inst.tree
     droot = tree.droot
-    leaves, _, _, joint = leaf_ranges(tree)
+    leaves, lo, hi, joint = leaf_ranges(tree)
     k = len(leaves)
     p = min(inst.p, k)  # as in _vehicle_bound
 
@@ -340,30 +342,31 @@ def solve_leaf_interval(inst):
         c0 = [y if y < x else x for x, y in zip(c1, cand_c)]
         prev = d
 
-    # backtrack from the last leaf: each vehicle's leaf positions, last first
-    vehicles = []
-    path, det = [], []
-    i, j, on_path = k - 1, p - 1, False
+    # backtrack from the last leaf: each vehicle's block leaves[first:last]
+    # and the position of its end leaf, the last vehicle first
+    blocks = []
+    i, j, last, end = k - 1, p - 1, k, None
     while i:
-        if not on_path:
-            if detour[i][j]:
-                det.append(i)
-                i -= 1
-            else:
-                on_path = True
-        else:
-            path.append(i)
-            if new_veh[i][j]:
-                vehicles.append((path, det))
-                path, det = [], []
-                j -= 1
-                on_path = False
-            i -= 1
-    path.append(0)
-    vehicles.append((path, det))
-    vehicles.reverse()
+        if end is None:  # on the block's trailing detours
+            if not detour[i][j]:
+                end = i
+                continue
+        elif new_veh[i][j]:
+            blocks.append((i, end, last))
+            last, end = i, None
+            j -= 1
+        i -= 1
+    blocks.append((0, 0 if end is None else end, last))
 
-    routes = [_vehicle_walk(tree, [leaves[t] for t in path + det],
-                            leaves[path[0]])
-              for path, det in vehicles]
-    return OvrpSolution(c0[-1], routes, len(vehicles))
+    def block(first, last):
+        """The ``enter`` rule of a vehicle serving leaves[first:last]: it
+        covers T(c) whole when c's leaves lie inside, in part otherwise."""
+        def enter(v):
+            kids = [c for c in children[v] if lo[c] < last and first < hi[c]]
+            return kids, [c for c in kids if lo[c] < first or last < hi[c]]
+        return enter
+
+    children = tree.children
+    routes = [_route(tree, leaves[end], block(first, last))
+              for first, end, last in reversed(blocks)]
+    return OvrpSolution(c0[-1], routes, len(blocks))

@@ -660,6 +660,25 @@ def test_check_parses_and_builds_each_instance_once(tmp_path, capsys,
         assert code == 0 and lines[0]["agreement"] is True
 
 
+@pytest.mark.parametrize("command", ["check", "oracle", "solve"])
+def test_a_jeep_file_runs_method_1_once(tmp_path, capsys, monkeypatch,
+                                        command):
+    # check's oracle replays the plans the solver just made
+    from transopt import jeep
+    calls = []
+
+    def counted(*args, _fn=jeep.eval_subdivision_exact, **kwargs):
+        calls.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(jeep, "eval_subdivision_exact", counted)
+    code, lines = run(capsys, [command, write(tmp_path, TINY["jeep"])])
+    assert code == 0 and len(lines) == 1 and len(calls) == 1
+    if command == "check":
+        assert lines[0]["agreement"] is True
+        assert lines[0]["solution"]["plans"]
+
+
 @pytest.mark.parametrize("tag", ["ovrp", "fuel", "jeep-graph"])
 def test_the_parse_takes_the_edge_list_out_of_the_payload(tag):
     payload = json.loads(json.dumps(TINY[tag]))

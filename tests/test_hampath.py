@@ -616,15 +616,26 @@ def test_curve_free_start_keeps_the_small_gaps_beside_a_large_one():
     assert curve_ham_path(inst) == 2.0 == curve_zigzag_brute(inst, "length")[0]
 
 
+def test_curve_fixed_start_keeps_the_small_gaps_beside_a_large_one():
+    # a difference of sums such as total - gaps[j] cancels the unit gaps
+    # against 1e17
+    inst = CurveInstance((1e17, 1, 1), start=1)
+    assert curve_ham_path(inst) == 2.0 == curve_zigzag_brute(inst, "length")[0]
+
+
 def test_curve_free_start_matches_brute_over_spread_gaps():
+    # each curve also runs from every fixed start
     eps = default_eps()
     rng = random.Random(45)
     for _ in range(300):
         gaps = [rng.choice((1e-9, 1e-3, 1, 1e8, 1e16, 1e17))
                 for _ in range(rng.randint(2, 7))]
-        inst = CurveInstance(gaps)
-        got, want = curve_ham_path(inst), curve_zigzag_brute(inst, "length")[0]
-        assert abs(got - want) <= eps * max(1.0, abs(got), abs(want)), gaps
+        for start in [None, *range(len(gaps))]:
+            inst = CurveInstance(gaps, start=start)
+            got = curve_ham_path(inst)
+            want = curve_zigzag_brute(inst, "length")[0]
+            assert abs(got - want) <= eps * max(1.0, abs(got), abs(want)), \
+                (gaps, start)
 
 
 def test_weighted_curve_examples():

@@ -14,7 +14,7 @@ from transopt.ovrp import (
     solve_knapsack_v2,
     solve_leaf_interval,
 )
-from transopt.tree import build_rooted_tree, leaf_ranges, walk_cost
+from transopt.tree import build_rooted_tree, euler_walk, leaf_ranges, walk_cost
 
 from treegen import bushy_tree, deep_tree, random_tree, star_tree
 
@@ -223,6 +223,76 @@ def test_greedy_routes_pinned(make, n, seed, digest):
         sol = solve_greedy(OvrpInstance(tr, p))
         h.update(repr((sol.total_cost, sol.routes)).encode())
     assert h.hexdigest() == digest
+
+
+def _reference_walk(tree, leaf_ids, end_leaf):
+    """The set-based walk both solvers once built their routes with: the
+    Euler walk over the union of the root paths to ``leaf_ids``, entering
+    the child towards ``end_leaf`` last, cut at its first arrival there."""
+    parent = tree.parent
+    covered = set()
+    for leaf in leaf_ids:
+        v = leaf
+        while v not in covered:
+            covered.add(v)
+            if v == tree.root:
+                break
+            v = parent[v]
+    spine = set()
+    v = end_leaf
+    while True:
+        spine.add(v)
+        if v == tree.root:
+            break
+        v = parent[v]
+    order = {}
+    for u in covered:
+        ch = [c for c in tree.children[u] if c in covered]
+        ch.sort(key=spine.__contains__)
+        order[u] = ch
+    walk = euler_walk(tree, tree.root, order)
+    return walk[: walk.index(end_leaf) + 1]
+
+
+def _reroot_with_zeros(rng, tree):
+    """``tree`` hung from a random root, with about a third of its edges
+    set to length 0."""
+    edges = [(tree.parent[v], v, 0 if rng.random() < 0.3 else tree.edge_len[v])
+             for v in range(1, tree.n + 1) if v != tree.root]
+    return build_rooted_tree(tree.n, edges, rng.randint(1, tree.n))
+
+
+def _reference_trees():
+    rng = random.Random(41)
+    for _ in range(30):
+        n = rng.randint(2, 40)
+        yield from (deep_tree(rng, n, True), bushy_tree(rng, n, False),
+                    star_tree(rng, n, True), random_tree(rng, n, 3))
+    for make, n in ((deep_tree, 800), (bushy_tree, 600), (star_tree, 200)):
+        yield make(rng, n, True)
+        yield make(rng, n, False)
+
+
+@pytest.mark.parametrize("solve", [solve_greedy, solve_leaf_interval],
+                         ids=["greedy", "interval"])
+def test_routes_match_the_set_based_reference(solve):
+    rng = random.Random(42)
+    for tree in _reference_trees():
+        for tr in (tree, _reroot_with_zeros(rng, tree)):
+            _, lo, _, _ = leaf_ranges(tr)
+            leaf_count = tr.children[1:].count(())
+            for p in (1, 2, 3, 7, leaf_count, leaf_count + 2):
+                served = []  # each vehicle's leaves, as DFS leaf positions
+                for route in solve(OvrpInstance(tr, p)).routes:
+                    leaves = [v for v in route if tr.is_leaf(v)]
+                    assert route == _reference_walk(tr, leaves, route[-1])
+                    served.append(sorted(lo[v] for v in leaves))
+                # every leaf is served by one vehicle; the interval DP's
+                # vehicles serve consecutive blocks, in order
+                if solve is solve_leaf_interval:
+                    assert sum(served, []) == list(range(leaf_count))
+                else:
+                    assert sorted(sum(served, [])) == list(range(leaf_count))
 
 
 def _per_dp2_engine(monkeypatch, inst):
