@@ -18,6 +18,7 @@ fill at the vertex is then the largest shortfall along that order.
 
 from __future__ import annotations
 
+from array import array
 from collections import namedtuple
 
 from .tree import euler_walk, path_cost
@@ -25,7 +26,7 @@ from .tree import euler_walk, path_cost
 
 class FuelInstance(namedtuple("FuelInstance", "tree gas")):
     """A :class:`~transopt.tree.RootedTree` and its per-vertex gas, 1-based
-    (index 0 unused)."""
+    (index 0 unused), float64 from :func:`make_fuel_instance`."""
 
     __slots__ = ()
 
@@ -39,7 +40,7 @@ class FuelInstance(namedtuple("FuelInstance", "tree gas")):
 
 def make_fuel_instance(tree, gas_values):
     """Convenience constructor taking a plain per-vertex gas list (1..n)."""
-    return FuelInstance(tree, (0.0,) + tuple(float(g) for g in gas_values))
+    return FuelInstance(tree, array("d", [0.0, *gas_values]))
 
 
 def min_initial_fuel(inst):
@@ -49,33 +50,37 @@ def min_initial_fuel(inst):
     child order, gaining ``profit[c]`` per child; the fill u needs is the
     largest shortfall ``need[c] - tank`` on the way, or 0, and the tank at
     the end, less ``2 edge_len[u]``, is ``profit[u]``.  The same orders,
-    expanded into an Euler walk, give the route.  Exact on integer and real
-    data alike.
+    expanded into an Euler walk, give the route.  On float64 columns the
+    answer is exact for integer data while partial sums stay below 2**53.
     """
     tree, gas = inst.tree, inst.gas
-    n, edge_len = tree.n, tree.edge_len
-    profit = [0.0] * (n + 1)  # net fuel change of servicing T(c) from its parent
-    need = [0.0] * (n + 1)  # tank level needed at the parent to service T(c)
+    n, children, edge_len = tree.n, tree.children, tree.edge_len
+    profit = array("d", [0.0]) * (n + 1)  # net fuel change of a trip into T(c)
+    need = array("d", [0.0]) * (n + 1)  # tank needed at c's parent for that trip
     visit_order = [()] * (n + 1)
 
     for u in tree.post:  # the root comes last, so its worst is the answer
-        ch = tree.children[u]
+        ch = children[u]
         fuel, worst = gas[u], 0.0
         if ch:
             if len(ch) == 1:
                 order = ch
-            else:
-                order = sorted((c for c in ch if profit[c] >= 0),
-                               key=lambda c: (need[c], c))
-                order += sorted((c for c in ch if profit[c] < 0),
-                                key=lambda c: (-(need[c] + profit[c]), need[c], c))
+            else:  # each child's sort key, read from the columns once
+                gain, spend = [], []
+                for c in ch:
+                    p = profit[c]
+                    if p >= 0:
+                        gain.append((need[c], c))
+                    elif p < 0:
+                        spend.append((-(need[c] + p), need[c], c))
+                order = [key[-1] for key in sorted(gain) + sorted(spend)]
             for c in order:
                 if need[c] - fuel > worst:
                     worst = need[c] - fuel
                 fuel += profit[c]
             visit_order[u] = order
-        profit[u] = fuel - 2.0 * edge_len[u]
-        need[u] = max(worst + edge_len[u], -profit[u])
+        profit[u] = fuel = fuel - 2.0 * edge_len[u]
+        need[u] = max(worst + edge_len[u], -fuel)
 
     return worst, euler_walk(tree, tree.root, visit_order)
 

@@ -273,9 +273,10 @@ def _route(tree, end_leaf, enter):
         if len(children[v]) == 1:  # only the child on the path
             continue
         kids, part = enter(v)
-        for c in kids:
+        for c in kids:  # a covered leaf's walk is itself
             if c != nxt:
-                walk += _part_walk(tree, c, enter) if c in part else euler_walk(tree, c)
+                walk += _part_walk(tree, c, enter) if c in part else \
+                    euler_walk(tree, c) if children[c] else (c,)
                 walk.append(v)
     walk.append(end_leaf)
     return walk
@@ -294,7 +295,7 @@ def _part_walk(tree, start, enter):
             last = parent[last]
             walk.append(last)
         if whole:
-            walk += euler_walk(tree, v)
+            walk += euler_walk(tree, v) if tree.children[v] else (v,)
         else:
             walk.append(v)
             kids, part = enter(v)

@@ -10,7 +10,9 @@ the arrays here are indexed accordingly: position 0 is unused.
 
 from __future__ import annotations
 
+from array import array
 from collections import namedtuple
+from itertools import accumulate
 
 from .errors import CycleError, DisconnectedTreeError, NegativeLengthError
 
@@ -37,17 +39,18 @@ class RootedTree(namedtuple("RootedTree",
 def build_rooted_tree(n, edges, root=1):
     """Build a :class:`RootedTree` from a list of (u, v, length) edges.
 
-    No reference to ``edges`` outlives the adjacency loop, so when the caller
-    hands over its only reference (as the CLI does), the edge lists are freed
-    before the DFS allocates the tree's arrays.  Raises
-    :class:`NegativeLengthError`, :class:`CycleError` or
-    :class:`DisconnectedTreeError` on malformed input.
+    One pass checks the edges and counts degrees; a second lays out one
+    compressed adjacency: u's neighbours, in input order, are
+    ``nbr[start[u]:start[u + 1]]``, their lengths the same slice of ``wt``.
+    No reference to ``edges`` outlives it, so a handed-over list (as the CLI's)
+    is freed before the DFS.  Raises :class:`NegativeLengthError`,
+    :class:`CycleError` or :class:`DisconnectedTreeError` on malformed input.
     """
     if not (1 <= root <= n):
         raise DisconnectedTreeError(f"root {root} outside 1..{n}")
     if len(edges) < n - 1:  # checked before any array of n entries exists
         raise DisconnectedTreeError(f"{len(edges)} edges cannot connect {n} vertices")
-    adj = [[] for _ in range(n + 1)]  # flat: [v, length, v, length, ...]
+    deg = [0] * (n + 2)
     for u, v, w in edges:
         if w < 0:
             raise NegativeLengthError(f"edge ({u},{v}) has negative length {float(w)}")
@@ -55,10 +58,22 @@ def build_rooted_tree(n, edges, root=1):
             raise DisconnectedTreeError(f"edge ({u},{v}) references unknown vertex")
         if u == v:
             raise CycleError(f"self-loop at vertex {u}")
-        w = float(w)
-        adj[u] += v, w
-        adj[v] += u, w
+        deg[u] += 1
+        deg[v] += 1
+
+    # cursors run down from each block's end, edges last to first, so each
+    # block keeps input order
+    cursor = list(accumulate(deg))
+    nbr = array("q", [0]) * (2 * len(edges))
+    wt = array("d", [0.0]) * (2 * len(edges))
+    for u, v, w in reversed(edges):
+        cursor[u] = k = cursor[u] - 1
+        nbr[k], wt[k] = v, w
+        cursor[v] = k = cursor[v] - 1
+        nbr[k], wt[k] = u, w
     del edges
+    start = array("q", cursor)
+    del cursor
 
     parent = [0] + [-1] * n  # -1 until the DFS reaches the vertex
     parent[root] = 0
@@ -70,24 +85,24 @@ def build_rooted_tree(n, edges, root=1):
     while stack:
         u = stack.pop()
         post.append(u)
-        a = adj[u]
-        if len(a) == 2 and u != root:  # a leaf: its one edge is to its parent
+        d = deg[u]
+        if d == 1 and u != root:  # a leaf: its one edge is to its parent
             continue
-        pu, du = parent[u], droot[u]
+        pu, du, a = parent[u], droot[u], start[u]
         ch = []
-        it = iter(a)
-        for v, w in zip(it, it):
+        for k in range(a, a + d):
+            v = nbr[k]
             if parent[v] >= 0:  # also a parallel edge, seen from the parent
                 if v != pu:
                     raise CycleError(f"cycle through edge ({u},{v})")
                 continue
             parent[v] = u
-            edge_len[v] = w
+            edge_len[v] = w = wt[k]
             droot[v] = du + w
             ch.append(v)
         children[u] = tuple(ch)
         stack += ch
-    del adj
+    del deg, start, nbr, wt
     if len(post) != n:
         raise DisconnectedTreeError(
             f"only {len(post)} of {n} vertices reachable from root {root}")

@@ -2,6 +2,7 @@ import gc
 import importlib
 import json
 import math
+import random
 import sys
 import time
 import tracemalloc
@@ -690,9 +691,12 @@ class _Edges(list):
     """A list that can be weakly referenced."""
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+needs_handover = pytest.mark.skipif(sys.version_info < (3, 11), reason=(
     "before CPython 3.11 the caller's frame holds a call's arguments until "
     "it returns, so the build cannot free a handed-over list"))
+
+
+@needs_handover
 def test_a_handed_over_edge_list_is_freed_before_the_dfs():
     seen = []
 
@@ -710,9 +714,32 @@ def test_a_handed_over_edge_list_is_freed_before_the_dfs():
     assert built.post == (2, 4, 3, 1) and "edges" not in payload
     ref, (code, names) = seen
     assert ref() is None
-    # freed inside the build, after its adjacency loop and before the DFS
+    # freed inside the build, once the typed-array adjacency holds the edges
+    # and before the DFS
     assert code is tree.build_rooted_tree.__code__
-    assert "adj" in names and "parent" not in names
+    assert {"nbr", "wt"} <= names and not names & {"start", "parent"}
+
+
+@needs_handover
+def test_a_bushy_fuel_parse_and_solve_stays_under_its_memory_bound():
+    # The traced peak counts what the parse, the tree build and the solve
+    # allocate beside the JSON payload, made before tracing starts: 265
+    # bytes per vertex with per-vertex adjacency lists and float lists for
+    # gas, profit and need, 219 with the typed-array adjacency and float64
+    # columns.
+    n = 20_000
+    rng = random.Random(20)
+    payload = {"problem": "fuel", "n": n,
+               "edges": [[rng.randint(1, i - 1), i, rng.randint(1, 9)]
+                         for i in range(2, n + 1)],
+               "gas": [rng.randint(0, 9) for _ in range(n)]}
+    tracemalloc.start()
+    try:
+        cli._parse(payload, "fuel")("fuel")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 245
 
 
 # Values each field other than the edge list is set to, one field at a

@@ -104,6 +104,20 @@ def test_matches_oracle_small():
         assert min_initial_fuel(inst)[0] == fuel_brute(inst)
 
 
+def test_integer_data_just_below_two_to_the_53_matches_the_oracle_exactly():
+    # Lengths and gas up to 2**48 on n <= 7: a partial sum adds at most 7
+    # gas values and 12 edge traversals, so it stays below 19 * 2**48 <
+    # 2**53, where float64 holds every integer, and both sides are exact.
+    rng = random.Random(28)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        edges = [(rng.randint(1, i - 1), i, rng.randint(0, 2 ** 48))
+                 for i in range(2, n + 1)]
+        inst = make_fuel_instance(build_rooted_tree(n, edges),
+                                  [rng.randint(0, 2 ** 48) for _ in range(n)])
+        assert min_initial_fuel(inst)[0] == fuel_brute(inst)
+
+
 def test_real_valued_matches_oracle():
     rng = random.Random(26)
     done = 0

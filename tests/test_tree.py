@@ -11,6 +11,8 @@ from transopt.tree import (
     walk_cost,
 )
 
+from treegen import bushy_tree, deep_tree, random_tree, star_tree
+
 
 def test_build_basic_star():
     tr = build_rooted_tree(3, [(1, 2, 2), (1, 3, 3)])
@@ -70,15 +72,20 @@ def test_build_rejects_negative_length():
     (2, [(1, 2, 1), (2, 1, 3)], 1, CycleError, "cycle through edge (1,2)"),
     (4, [(1, 2, 1), (3, 4, 1), (4, 3, 2)], 3, CycleError,
      "cycle through edge (3,4)"),
+    (4, [(1, 2, 1), (2, 3, 1), (3, 2, 1), (1, 4, 1)], 1, CycleError,
+     "cycle through edge (2,3)"),
     (4, [(1, 2, 1), (3, 4, 1), (3, 4, 2)], 1, DisconnectedTreeError,
      "only 2 of 4 vertices reachable from root 1"),
+    (5, [(1, 2, 1), (3, 4, 1), (4, 5, 1), (5, 3, 1)], 1, DisconnectedTreeError,
+     "only 2 of 5 vertices reachable from root 1"),
     (4, [(1, 2, 1), (3, 4, 1)], 1, DisconnectedTreeError,
      "2 edges cannot connect 4 vertices"),
     (4, [(1, 2, -1)], 1, DisconnectedTreeError,
      "1 edges cannot connect 4 vertices"),
 ], ids=["negative-int", "negative-float", "unknown-vertex", "vertex-zero",
         "self-loop", "first-bad-edge-wins", "cycle", "cycle-other-root",
-        "parallel-edge", "parallel-edge-below-root", "disconnected",
+        "parallel-edge", "parallel-edge-in-a-chain",
+        "parallel-edge-below-root", "disconnected", "forest-with-a-triangle",
         "too-few-edges", "too-few-edges-before-negative"])
 def test_build_errors_name_the_first_bad_edge(n, edges, root, error, message):
     with pytest.raises(error) as info:
@@ -239,3 +246,110 @@ def test_one_dfs_matches_reference_walks(shape):
             for start in starts:
                 assert euler_walk(tr, start, order) == \
                     _reference_euler(order, start)
+
+
+def _reference_build(n, edges, root):
+    """``(n, root, parent, children, edge_len, droot, post)`` from one list
+    of ``(neighbour, length)`` pairs per vertex, walked by the same stack
+    DFS as the build, so a malformed list raises the same error."""
+    if not (1 <= root <= n):
+        raise DisconnectedTreeError(f"root {root} outside 1..{n}")
+    if len(edges) < n - 1:
+        raise DisconnectedTreeError(f"{len(edges)} edges cannot connect {n} vertices")
+    adj = [[] for _ in range(n + 1)]
+    for u, v, w in edges:
+        if w < 0:
+            raise NegativeLengthError(f"edge ({u},{v}) has negative length {float(w)}")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise DisconnectedTreeError(f"edge ({u},{v}) references unknown vertex")
+        if u == v:
+            raise CycleError(f"self-loop at vertex {u}")
+        adj[u].append((v, float(w)))
+        adj[v].append((u, float(w)))
+    parent = [0] + [-1] * n
+    parent[root] = 0
+    edge_len, droot = [0.0] * (n + 1), [0.0] * (n + 1)
+    children = [()] * (n + 1)
+    pre, stack = [], [root]
+    while stack:
+        u = stack.pop()
+        pre.append(u)
+        ch = []
+        for v, w in adj[u]:
+            if parent[v] >= 0:
+                if v != parent[u]:
+                    raise CycleError(f"cycle through edge ({u},{v})")
+                continue
+            parent[v], edge_len[v], droot[v] = u, w, droot[u] + w
+            ch.append(v)
+        children[u] = tuple(ch)
+        stack += ch
+    if len(pre) != n:
+        raise DisconnectedTreeError(
+            f"only {len(pre)} of {n} vertices reachable from root {root}")
+    return (n, root, tuple(parent), tuple(children), tuple(edge_len),
+            tuple(droot), tuple(reversed(pre)))
+
+
+def _scrambled_edge_lists():
+    """(n, edges, root) for seeded trees of every generator: edges in random
+    order with random endpoint order, about a third of them of length 0,
+    and a random root."""
+    rng = random.Random(43)
+    sizes = [rng.randint(1, 60) for _ in range(30)] + [300, 800]
+    for n in sizes:
+        for tr in (deep_tree(rng, n, True), bushy_tree(rng, n, False),
+                   star_tree(rng, n, True), random_tree(rng, n, 3)):
+            edges = []
+            for v in range(2, n + 1):
+                u, w = tr.parent[v], tr.edge_len[v]
+                if rng.random() < 0.5:
+                    u, v = v, u
+                edges.append((u, v, 0 if rng.random() < 0.3 else w))
+            rng.shuffle(edges)
+            yield n, edges, rng.randint(1, n)
+
+
+def test_build_matches_the_per_vertex_list_reference():
+    for n, edges, root in _scrambled_edge_lists():
+        tr = build_rooted_tree(n, edges, root)
+        assert tuple(tr) == _reference_build(n, edges, root)
+        assert all(type(w) is float for w in tr.edge_len + tr.droot)
+
+
+def _malformed(rng, n, edges):
+    """One edge list per kind of fault, each made from ``edges`` at a
+    random place in it."""
+    def at(i, e):
+        return edges[:i] + [e] + edges[i + 1:]
+    i, j = rng.randrange(len(edges)), rng.randrange(len(edges) + 1)
+    u, v, w = edges[i]
+    other = rng.randint(1, n)
+    yield "vertex-0", at(i, (0, v, w))
+    yield "vertex-n+1", at(i, (u, n + 1, w))
+    yield "negative-length", at(i, (u, v, -1.5))
+    yield "self-loop", at(i, (u, u, w))
+    yield "repeated-edge", edges[:j] + [(v, u, w)] + edges[j:]
+    if other not in (u, v):
+        yield "cycle", edges[:j] + [(other, u, w)] + edges[j:]
+    # one edge removed, one repeated: n - 1 edges, a 2-cycle and a cut
+    yield "forest", [e for k, e in enumerate(edges) if k != i] + [edges[i - 1]]
+    yield "too-few-edges", edges[:i] + edges[i + 1:]
+
+
+def test_malformed_lists_raise_the_reference_error():
+    rng = random.Random(44)
+    kinds = set()
+    for n, edges, root in _scrambled_edge_lists():
+        if n < 3:
+            continue
+        for kind, bad in _malformed(rng, n, edges):
+            with pytest.raises((CycleError, DisconnectedTreeError,
+                                NegativeLengthError)) as ref:
+                _reference_build(n, bad, root)
+            with pytest.raises(type(ref.value)) as got:
+                build_rooted_tree(n, bad, root)
+            assert type(got.value) is type(ref.value), kind
+            assert str(got.value) == str(ref.value), kind
+            kinds.add((kind, type(ref.value)))
+    assert len(kinds) >= 9  # the forest and the cycle raise more than one kind
