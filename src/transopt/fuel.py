@@ -18,6 +18,7 @@ fill at the vertex is then the largest shortfall along that order.
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import namedtuple
 
@@ -35,6 +36,11 @@ class FuelInstance(namedtuple("FuelInstance", "tree gas")):
             raise ValueError("gas array must be 1-based with one entry per vertex")
         if any(g < 0 for g in gas[1:]):
             raise ValueError("gas values must be nonnegative")
+        # profits and tank levels lie within these: no inf - inf, no NaN
+        if not math.isfinite(sum(gas)):
+            raise ValueError("gas must sum to a finite number")
+        if not math.isfinite(2.0 * tree.total_edge_len()):
+            raise ValueError("twice the edge lengths must sum to a finite number")
         return super().__new__(cls, tree, gas)
 
 
@@ -71,7 +77,7 @@ def min_initial_fuel(inst):
                     p = profit[c]
                     if p >= 0:
                         gain.append((need[c], c))
-                    elif p < 0:
+                    else:
                         spend.append((-(need[c] + p), need[c], c))
                 order = [key[-1] for key in sorted(gain) + sorted(spend)]
             for c in order:

@@ -9,15 +9,18 @@ distances and suffix weight multipliers.
 
 Validation and the visibility matrix (``transopt.visibility``) are O(n^2)
 in general position, like the DP, which runs on the engine that
-``rows.interval`` picks for its size.
+``rows.interval`` picks for its size.  The polygon DP's table is filled from
+the visible pairs, one row serving both directions as visibility is
+symmetric; no distance override exists.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from . import rows
 from .errors import InvalidPolygonError
@@ -100,36 +103,25 @@ def _validate_simple(v):
                 raise InvalidPolygonError(f"vertex {j} lies on edge {i}")
 
 
-def euclidean_dist(poly, vis=None):
-    """Distance oracle: Euclidean length when visible, infinity otherwise."""
-    if vis is None:
-        vis = visibility_matrix(poly)
-    v = poly.vertices
-
-    def dist(p, q):
-        if not vis[p][q]:
-            return INF
-        return math.hypot(v[p][0] - v[q][0], v[p][1] - v[q][1])
-
-    return dist
-
-
-def _interval_dp(n, diag, near_a, near_b, steps, ops):
+def _interval_dp(n, diag, steps, ops):
     """Shared circular-interval DP engine, one interval size at a time.
 
     A path over the circular interval [i, j] of size s ends at i (state A)
     or at j (state B); the rows of size s hold both costs at index i, and
     only the rows of the previous size are kept.  ``diag`` seeds size 1 (0
-    for allowed starts, infinity otherwise).  ``near_a[i]`` is the step
-    from i+1 to i and ``near_b[k]`` the step from k to k+1.  ``steps(s)``
-    returns, indexed by i for the intervals of size s, the step from j to i,
-    the step from i to j, and the multipliers of the steps into A and into
-    B.  All rows are of the kind ``ops`` works on.  Steps are nonnegative or
-    infinite, so an unreachable state stays infinite.  On ties extending
-    from the same end beats switching ends.  Returns (best, path).
+    for allowed starts, infinity otherwise).  ``steps(s)`` returns, indexed
+    by i for the intervals of size s, the step from j to i, the step from i
+    to j, and the multipliers of the steps into A and into B; the steps
+    between neighbours are those of size 2.  All rows are of the kind
+    ``ops`` works on.  Steps are nonnegative or infinite, so an unreachable
+    state stays infinite.  On ties extending from the same end beats
+    switching ends.  Returns (best, path).  The polygon DP's table is filled
+    from the visible pairs, visibility is symmetric so one of its rows is
+    both far steps, and no caller overrides the distances.
     """
     add_, mul_, cat, minimum, less = ops.add, ops.mul, ops.cat, ops.minimum, ops.less
     A = B = ops.row(diag)
+    near_a, near_b, _, _ = steps(2)  # near_a[i]: i+1 to i; near_b[k]: k to k+1
     near_b = cat(near_b, near_b)  # each size reads a rotation: a slice here
     switched = [None, None]  # per size: one bytes row each for A and B
     for s in range(2, n + 1):
@@ -168,41 +160,49 @@ def _interval_dp(n, diag, near_a, near_b, steps, ops):
     return best, path_rev
 
 
-def _polygon_dp(poly, dist, diag):
-    """Interval DP over the polygon's vertex ring with the distances
-    ``dist(p, q)`` (the visibility-gated Euclidean oracle by default)."""
-    n = poly.n
-    if dist is None:
-        dist = euclidean_dist(poly)
+def _polygon_dp(poly, diag):
+    """Interval DP over the polygon's vertex ring, its distances filled from
+    the visible pairs.  Visibility is symmetric, and ``math.hypot`` of the
+    negated differences is the same float, so the step from i to j and the
+    step back are one row, ``rot[s - 1]`` for the intervals of size s."""
+    n, v = poly.n, poly.vertices
+    # one byte per pair, and the list matrix is freed before the table exists
+    vis = [bytes(row) for row in visibility_matrix(poly)]
+    rot = [array("d", [INF]) * n for _ in range(n)]  # rot[d][i]: i to i + d
+    for i, (xi, yi) in enumerate(v):
+        for j in compress(range(n), vis[i]):
+            xj, yj = v[j]
+            rot[(j - i) % n][i] = math.hypot(xi - xj, yi - yj)
+    del vis
     ops = rows.interval(n)
-    # rot[d][i] = dist(i, i + d): each size reads rows of it
-    rot = ops.row([[dist(p, (p + d) % n) for p in range(n)] for d in range(n)])
+    rot = ops.row(rot)
     ones = ops.row([1.0] * n)
 
     def steps(s):
-        back = rot[n - s + 1]  # dist(k, k - s + 1)
-        return ops.cat(back[s - 1:], back[:s - 1]), rot[s - 1], ones, ones
+        return rot[s - 1], rot[s - 1], ones, ones
 
-    return _interval_dp(n, diag, steps(2)[0], rot[1], steps, ops)
+    return _interval_dp(n, diag, steps, ops)
 
 
-def shortest_ham_path_fixed_start(poly, start, dist=None):
+def shortest_ham_path_fixed_start(poly, start):
     """Shortest inside-the-polygon Hamiltonian path starting at ``start``.
 
-    ``dist`` may override the default visibility-gated Euclidean oracle.
-    Returns (length, path); (inf, []) when no path exists.
+    Distances are filled from the visible pairs, one row for both directions
+    as visibility is symmetric; no distance override exists.  Returns
+    (length, path); (inf, []) when no path exists.
     """
     n = poly.n
     if not (0 <= start < n):
         raise ValueError(f"start {start} outside 0..{n - 1}")
     diag = [INF] * n
     diag[start] = 0.0
-    return _polygon_dp(poly, dist, diag)
+    return _polygon_dp(poly, diag)
 
 
-def shortest_ham_path_free_start(poly, dist=None):
-    """Shortest inside-the-polygon Hamiltonian path, start unconstrained."""
-    return _polygon_dp(poly, dist, [0.0] * poly.n)
+def shortest_ham_path_free_start(poly):
+    """Shortest inside-the-polygon Hamiltonian path, start unconstrained, on
+    the same table: from the visible pairs, symmetric, no override."""
+    return _polygon_dp(poly, [0.0] * poly.n)
 
 
 class CurveInstance(namedtuple("CurveInstance", "gaps weights start")):
@@ -294,6 +294,4 @@ def curve_weighted_ham_path(inst):
         return cat(flip[:m], short[m:]), cat(short[:m], flip[m:]), \
             cat(mb[1:], mb[:1]), mb
 
-    # the steps between neighbours are the far steps of the intervals of 2
-    near_a, near_b, _, _ = steps(2)
-    return _interval_dp(n, diag, near_a, near_b, steps, ops)
+    return _interval_dp(n, diag, steps, ops)

@@ -137,21 +137,16 @@ def segment_step_exact(f_next, c, params, mode="faithful"):
     return f, SegmentPlan(rt, q)
 
 
-def eval_subdivision_exact(d, params, terminal=0.0, mode="faithful",
-                           collect_plans=True):
-    """Method 1: fold the segment step right to left.
-
-    ``terminal`` gallons must be left over at the far endpoint (used by the
-    vertex-depot graph extension).  Returns the gallons required at point 0
-    and the per-segment plans (None when ``collect_plans`` is off, which
-    benchmarks use to keep huge subdivisions out of memory).
-    """
-    return _method1(d.points, params, terminal, mode, collect_plans)
+def eval_subdivision_exact(d, params, mode="faithful", collect_plans=True):
+    """Method 1: fold the segment step right to left.  Returns the gallons
+    required at point 0 and the per-segment plans (None when
+    ``collect_plans`` is off, to keep huge subdivisions out of memory)."""
+    return _method1(d.points, params, 0.0, mode, collect_plans)
 
 
 def _method1(pts, params, terminal, mode, collect_plans):
-    """Method 1 on a bare point tuple, such as each edge's equal points in
-    the vertex-depot relax."""
+    """Method 1 on a bare point tuple, leaving ``terminal`` gallons at its
+    end: none, or the downstream label in the vertex-depot relax."""
     nseg = len(pts) - 1
     plans = [None] * nseg if collect_plans else None
     f = terminal

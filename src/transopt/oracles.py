@@ -116,7 +116,7 @@ def fuel_brute(inst):
     return -max(lows(tree.root))
 
 
-def jeep_simulate_plan(d, params, plans, terminal=0.0):
+def jeep_simulate_plan(d, params, plans):
     """Forward validation of a per-segment trip plan.
 
     Replays the plan segment by segment, enforcing nonnegative trip counts,
@@ -127,7 +127,7 @@ def jeep_simulate_plan(d, params, plans, terminal=0.0):
     if len(plans) != len(pts) - 1:
         raise ValueError(f"expected {len(pts) - 1} segment plans, got {len(plans)}")
     m, g = params.m, params.g
-    need = terminal
+    need = 0.0
     for i in range(len(plans) - 1, -1, -1):
         plan = plans[i]
         c = pts[i + 1] - pts[i]

@@ -337,9 +337,10 @@ OVERFLOWING = {
 }
 
 
-# gaps that sum past the float range are rejected with the curve itself,
-# before any algo or the oracle runs
-OVERFLOW_REASON = {"curve": "gaps must sum to a finite number"}
+# gaps, or doubled edge lengths, that sum past the float range are rejected
+# with the instance itself, before any algo or the oracle runs
+OVERFLOW_REASON = {"curve": "gaps must sum to a finite number",
+                   "fuel": "twice the edge lengths must sum to a finite number"}
 
 
 @pytest.mark.parametrize("tag", list(OVERFLOWING))
@@ -386,6 +387,47 @@ def test_curve_sums_past_the_float_range_agree_across_commands(
     env = json.loads(lines[0], parse_constant=lambda c: pytest.fail(c))
     assert env["status"] == "error"
     assert env["diagnostics"]["reason"] == reason
+
+
+# a fuel tree whose gas or doubled edge lengths sum past the float range
+# once gave a NaN profit: solve dropped that child's subtree from its walk
+# and printed ok, and check disagreed with the oracle
+FOUND_FUEL = {"schema": "transopt-instance/1", "problem": "fuel", "n": 6,
+              "edges": [[1, 2, 1], [2, 3, 0], [2, 4, 0], [2, 5, 1.7e308], [1, 6, 1]],
+              "gas": [0, 0, 1.7e308, 1.7e308, 0, 0]}
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "check"])
+def test_fuel_sums_past_the_float_range_agree_across_commands(
+        tmp_path, capsys, command):
+    code = main([command, write(tmp_path, FOUND_FUEL)])
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 1 and err == ""
+    env = json.loads(lines[0], parse_constant=lambda c: pytest.fail(c))
+    assert env["status"] == "error"
+    assert env["diagnostics"]["reason"] == "gas must sum to a finite number"
+
+
+def test_every_ok_fuel_walk_visits_every_vertex(tmp_path, capsys):
+    rng = random.Random(62)
+    values = (0, 1, 1e308, 1.7e308)
+    statuses = []
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        payload = {"schema": "transopt-instance/1", "problem": "fuel", "n": n,
+                   "edges": [[rng.randint(1, i - 1), i, rng.choice(values)]
+                             for i in range(2, n + 1)],
+                   "gas": [rng.choice(values) for _ in range(n)]}
+        code, lines = run(capsys, ["solve", write(tmp_path, payload)])
+        env = lines[0]
+        statuses.append(env["status"])
+        if env["status"] == "ok":
+            assert code == 0
+            assert set(env["solution"]["walk"]) == set(range(1, n + 1)), payload
+        else:
+            assert code == 1 and env["status"] == "error", payload
+    assert "ok" in statuses and "error" in statuses
 
 
 # ovrp_brute answers inf only after a move overflowed; with a finite optimum

@@ -27,6 +27,11 @@ def test_instance_validation():
         FuelInstance(tr, (0.0, 0.0))  # wrong arity
     with pytest.raises(ValueError):
         make_fuel_instance(tr, [0, -1])
+    with pytest.raises(ValueError, match="gas must sum to a finite number"):
+        make_fuel_instance(tr, [1e308, 1.7e308])
+    huge = build_rooted_tree(2, [(1, 2, 1e308)])
+    with pytest.raises(ValueError, match="twice the edge lengths must sum"):
+        make_fuel_instance(huge, [0, 0])
 
 
 def test_feasible_star_examples():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from transopt import rows, visibility
+from transopt import hampath, rows, visibility
 from transopt.cli import default_eps
 from transopt.errors import InvalidPolygonError
 from transopt.geometry import (
@@ -19,7 +19,6 @@ from transopt.hampath import (
     SimplePolygon,
     curve_ham_path,
     curve_weighted_ham_path,
-    euclidean_dist,
     shortest_ham_path_fixed_start,
     shortest_ham_path_free_start,
     visibility_matrix,
@@ -217,11 +216,13 @@ def test_start_out_of_range():
         shortest_ham_path_fixed_start(SQUARE, 4)
 
 
-def test_dist_override_can_disconnect():
-    def dist(p, q):
-        return INF if {p, q} == {0, 1} or {p, q} == {1, 2} else 1.0
-
-    length, path = shortest_ham_path_fixed_start(SQUARE, 1, dist=dist)
+def test_cut_visibility_can_disconnect(monkeypatch):
+    # vertex 1 sees only vertex 3, so no path from it grows an interval
+    vis = [[True] * 4 for _ in range(4)]
+    for p, q in ((0, 1), (1, 2)):
+        vis[p][q] = vis[q][p] = False
+    monkeypatch.setattr(hampath, "visibility_matrix", lambda poly: vis)
+    length, path = shortest_ham_path_fixed_start(SQUARE, 1)
     assert length == INF and path == []
 
 
@@ -510,6 +511,18 @@ def test_list_and_array_engines_agree_on_curves(monkeypatch):
         assert type(arrays[0]) is float and len(arrays[1]) == n
 
 
+def _cut(rng, vis):
+    """``vis`` with about half of its visible pairs cut, each both ways: the
+    DP's distances take visibility to be symmetric."""
+    n = len(vis)
+    cut = [list(row) for row in vis]
+    for p in range(n):
+        for q in range(p + 1, n):
+            if rng.random() < 0.5:
+                cut[p][q] = cut[q][p] = False
+    return cut
+
+
 def test_list_and_array_engines_agree_on_polygons(monkeypatch):
     rng = random.Random(50)
     polys = [jittered_star(rng, rng.randint(4, 24), rng.uniform(0.05, 0.85))
@@ -522,17 +535,58 @@ def test_list_and_array_engines_agree_on_polygons(monkeypatch):
     for t, poly in enumerate(polys):
         n = poly.n
         vis = visibility_matrix(poly) if n < 100 else [[True] * n] * n
-        if t % 2:  # cut off about half of the visible pairs
-            vis = [[ok and (p == q or rng.random() < 0.5)
-                    for q, ok in enumerate(row)] for p, row in enumerate(vis)]
-        dist = euclidean_dist(poly, vis)
+        if t % 2:
+            vis = _cut(rng, vis)
+        monkeypatch.setattr(hampath, "visibility_matrix", lambda poly, vis=vis: vis)
         start = rng.randrange(n)
-        for solve, args in ((shortest_ham_path_free_start, (poly, dist)),
-                            (shortest_ham_path_fixed_start, (poly, start, dist))):
+        for solve, args in ((shortest_ham_path_free_start, (poly,)),
+                            (shortest_ham_path_fixed_start, (poly, start))):
             lists, arrays = _per_engine(monkeypatch, solve, *args)
             assert lists == arrays, (poly.vertices, args[1:])
             reachable += lists[0] < INF
     assert 0 < reachable < 2 * len(polys)  # both outcomes are compared
+
+
+def _reference_polygon_dp(poly, diag):
+    """The polygon DP on an n x n table of the per-pair distance closure,
+    ``rot[d][i] = dist(i, i + d)``, where each size's step from j back to i
+    is the back row ``rot[n - s + 1]`` rotated: no symmetry is assumed."""
+    n, v = poly.n, poly.vertices
+    vis = visibility_reference(poly)
+
+    def dist(p, q):
+        if not vis[p][q]:
+            return INF
+        return math.hypot(v[p][0] - v[q][0], v[p][1] - v[q][1])
+
+    rot = [[dist(p, (p + d) % n) for p in range(n)] for d in range(n)]
+    ones = [1.0] * n
+
+    def steps(s):
+        back = rot[n - s + 1]  # dist(k, k - s + 1)
+        return back[s - 1:] + back[:s - 1], rot[s - 1], ones, ones
+
+    return hampath._interval_dp(n, diag, steps, rows.LISTS)
+
+
+def test_solvers_match_the_per_pair_table_reference(monkeypatch):
+    rng = random.Random(56)
+    for t in range(60):
+        if t % 2:
+            poly = jittered_star(rng, rng.randint(4, 40), rng.uniform(0.05, 0.85))
+        else:
+            poly = rectilinear_histogram(rng)
+        n = poly.n
+        start = rng.randrange(n)
+        diag = [INF] * n
+        diag[start] = 0.0
+        for solve, args, seeds in ((shortest_ham_path_free_start, (poly,), [0.0] * n),
+                                   (shortest_ham_path_fixed_start, (poly, start), diag)):
+            ref = _reference_polygon_dp(poly, seeds)
+            assert ref[0] < INF
+            for got in _per_engine(monkeypatch, solve, *args):
+                assert got == ref, (poly.vertices, args[1:])
+                assert type(got[0]) is float
 
 
 def test_path_length_recomputes():
@@ -542,11 +596,13 @@ def test_path_length_recomputes():
         poly = random_star_shaped(rng, rng.randint(4, 8))
         if poly is None:
             continue
-        dist = euclidean_dist(poly)
         length, path = shortest_ham_path_free_start(poly)
         if path:
             assert sorted(path) == list(range(poly.n))
-            total = sum(dist(a, b) for a, b in zip(path, path[1:]))
+            vis, v = visibility_reference(poly), poly.vertices
+            assert all(vis[a][b] for a, b in zip(path, path[1:]))
+            total = sum(math.hypot(v[a][0] - v[b][0], v[a][1] - v[b][1])
+                        for a, b in zip(path, path[1:]))
             assert abs(total - length) < 1e-9
         done += 1
 
