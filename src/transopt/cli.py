@@ -30,6 +30,7 @@ import time
 # Solver modules are imported inside the branches that run them, so a
 # process loads only the solver it needs, and numpy only past a rows gate.
 from .errors import BudgetUnreachableError, InfeasibleError, TransoptError
+from .tolerances import CHECK_EPS
 
 INSTANCE_SCHEMA = "transopt-instance/1"
 RESULT_SCHEMA = "transopt-result/1"
@@ -37,20 +38,6 @@ RESULT_SCHEMA = "transopt-result/1"
 
 class SchemaError(TransoptError):
     """Instance file does not match its schema."""
-
-
-def default_eps():
-    """``TRANSOPT_EPS`` (default 1e-6): the relative agreement tolerance of
-    ``check`` and the search tolerance of ``jeep-graph-binary``.  A
-    ValueError unless it is a finite number > 0."""
-    raw = os.environ.get("TRANSOPT_EPS", "1e-6")
-    try:
-        eps = float(raw)
-    except ValueError:
-        eps = math.nan
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"TRANSOPT_EPS must be a finite number > 0, got {raw!r}")
-    return eps
 
 
 _REQUIRED = object()
@@ -246,8 +233,7 @@ def _jeep_graph(payload, algo):
         if algo == "jeep-graph-backward":
             val = jeep.graph_min_gas_backward(graph, params)[graph.source]
         elif algo == "jeep-graph-binary":
-            val = jeep.graph_min_gas_binary_forward(graph, params,
-                                                    eps=default_eps())
+            val = jeep.graph_min_gas_binary_forward(graph, params)
         elif algo == "jeep-graph-free":
             val = jeep.graph_free_depots(graph, params)
         else:
@@ -364,7 +350,8 @@ def _failure(solver, exc, t0):
 def _run_one(path, algo):
     """Run ``algo`` (None: the tag's default; "oracle": the brute-force
     reference; "check": the default, then the oracle, exit code 1 unless they
-    agree) on one instance file; returns (envelope, exit code)."""
+    agree within the relative ``CHECK_EPS``) on one instance file; returns
+    (envelope, exit code)."""
     t0 = time.perf_counter()
     check = algo == "check"
     if check:
@@ -372,7 +359,6 @@ def _run_one(path, algo):
     try:
         payload = load_instance(path)
         algo = algo or _default_algo(payload)
-        eps = default_eps() if check else None
         solve = _parse(payload, algo)
         objective, solution, diagnostics = solve(algo)
         if not math.isfinite(objective):  # an overflow, not an answer
@@ -385,7 +371,7 @@ def _run_one(path, algo):
                     time.perf_counter() - t0)
     if not check:
         return env, 0
-    agree = abs(objective - o_obj) <= eps * max(1.0, abs(objective), abs(o_obj))
+    agree = abs(objective - o_obj) <= CHECK_EPS * max(1.0, abs(objective), abs(o_obj))
     env.update(agreement=agree, solver_objective=objective,
                oracle_objective=o_obj)
     return env, 0 if agree else 1

@@ -1,18 +1,13 @@
 """Planar predicates shared by the polygon path solvers.
 
-All comparisons use an absolute tolerance for collinearity so that points
-produced by exact integer or simple rational coordinates classify stably.
+All comparisons use an absolute tolerance for collinearity, ``EPS`` from
+``transopt.tolerances``, so that points produced by exact integer or simple
+rational coordinates classify stably.
 """
 
 from __future__ import annotations
 
-EPS = 1e-9
-# the visibility tests split a segment at the vertices it touches and skip
-# pieces at most this long, in the segment's own parameter
-MIN_PIECE = 1e-12
-# the fast visibility pass hands a row to the pair test when any cross
-# product it decides on is this close to zero (well clear of EPS)
-DEFER_TOL = 1e-8
+from .tolerances import EPS
 
 
 def orientation(p, q, r):

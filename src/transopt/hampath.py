@@ -24,13 +24,8 @@ from itertools import accumulate, compress
 
 from . import rows
 from .errors import InvalidPolygonError
-from .geometry import (
-    EPS,
-    on_segment,
-    orientation,
-    segments_properly_intersect,
-    signed_area,
-)
+from .geometry import on_segment, orientation, segments_properly_intersect, signed_area
+from .tolerances import EPS
 from .visibility import visibility_matrix
 
 INF = math.inf
@@ -109,27 +104,23 @@ def _interval_dp(n, diag, steps, ops):
     A path over the circular interval [i, j] of size s ends at i (state A)
     or at j (state B); the rows of size s hold both costs at index i, and
     only the rows of the previous size are kept.  ``diag`` seeds size 1 (0
-    for allowed starts, infinity otherwise).  ``steps(s)`` returns, indexed
-    by i for the intervals of size s, the step from j to i, the step from i
-    to j, and the multipliers of the steps into A and into B; the steps
-    between neighbours are those of size 2.  All rows are of the kind
-    ``ops`` works on.  Steps are nonnegative or infinite, so an unreachable
-    state stays infinite.  On ties extending from the same end beats
-    switching ends.  Returns (best, path).  The polygon DP's table is filled
-    from the visible pairs, visibility is symmetric so one of its rows is
-    both far steps, and no caller overrides the distances.
+    for allowed starts, infinity otherwise).  ``steps(s)`` returns four step
+    cost rows, indexed by i for the intervals of size s: into A from i+1 and
+    from j, into B from j-1 and from i.  The engine adds them as they are;
+    a caller whose objective weights a step multiplies it in first.  All
+    rows are of the kind ``ops`` works on.  Costs are nonnegative or
+    infinite, so an unreachable state stays infinite.  On ties extending
+    from the same end beats switching ends.  Returns (best, path).
     """
-    add_, mul_, cat, minimum, less = ops.add, ops.mul, ops.cat, ops.minimum, ops.less
+    add_, cat, minimum, less = ops.add, ops.cat, ops.minimum, ops.less
     A = B = ops.row(diag)
-    near_a, near_b, _, _ = steps(2)  # near_a[i]: i+1 to i; near_b[k]: k to k+1
-    near_b = cat(near_b, near_b)  # each size reads a rotation: a slice here
     switched = [None, None]  # per size: one bytes row each for A and B
     for s in range(2, n + 1):
-        far_a, far_b, ma, mb = steps(s)
-        a0 = add_(cat(A[1:], A[:1]), mul_(near_a, ma))
-        a1 = add_(cat(B[1:], B[:1]), mul_(far_a, ma))
-        b0 = add_(B, mul_(near_b[s - 2:s - 2 + n], mb))
-        b1 = add_(A, mul_(far_b, mb))
+        near_a, far_a, near_b, far_b = steps(s)
+        a0 = add_(cat(A[1:], A[:1]), near_a)
+        a1 = add_(cat(B[1:], B[:1]), far_a)
+        b0 = add_(B, near_b)
+        b1 = add_(A, far_b)
         switched.append((less(a1, a0), less(b1, b0)))
         A = minimum(a0, a1)
         B = minimum(b0, b1)
@@ -176,10 +167,10 @@ def _polygon_dp(poly, diag):
     del vis
     ops = rows.interval(n)
     rot = ops.row(rot)
-    ones = ops.row([1.0] * n)
+    near = ops.cat(rot[1], rot[1])  # near[k]: k to k + 1, read at a rotation
 
     def steps(s):
-        return rot[s - 1], rot[s - 1], ones, ones
+        return rot[1], rot[s - 1], near[s - 2:s - 2 + n], rot[s - 1]
 
     return _interval_dp(n, diag, steps, ops)
 
@@ -273,15 +264,16 @@ def curve_weighted_ham_path(inst):
         diag = [INF] * n
         diag[inst.start] = 0.0
     ops = rows.interval(n)
-    add_, sub_, cat, minimum = ops.add, ops.sub, ops.cat, ops.minimum
+    add_, sub_, mul_, cat, minimum = ops.add, ops.sub, ops.mul, ops.cat, ops.minimum
     w_out = ops.row([wp[n] - x for x in wp])  # weight of vertices k .. n-1
     totals = ops.row([dp[n]] * n)
     dp, wp = ops.row(dp), ops.row(wp)
 
-    def steps(s):
-        # intervals [i, i + s - 1] with i < m do not wrap past vertex n-1;
-        # the arc from i to j is dp[j] - dp[i] for those, and the curve
-        # minus the arc from j to i for the others
+    def arcs(s):
+        # the arcs from j to i and from i to j, and the weights of the steps
+        # into A and into B.  Intervals [i, i + s - 1] with i < m do not wrap
+        # past vertex n-1; the arc from i to j is dp[j] - dp[i] for those,
+        # and the curve minus the arc from j to i for the others
         m = n - s + 1
         inner = cat(sub_(dp[s - 1:n], dp[:m]),
                     sub_(dp[m:n], dp[:s - 1]))  # arc not through the seam
@@ -293,5 +285,13 @@ def curve_weighted_ham_path(inst):
         mb = cat(add_(w_out[s - 1:n], wp[:m]), sub_(wp[m:n], wp[:s - 1]))
         return cat(flip[:m], short[m:]), cat(short[:m], flip[m:]), \
             cat(mb[1:], mb[:1]), mb
+
+    near_a, near_b, _, _ = arcs(2)  # near_a[i]: i+1 to i; near_b[k]: k to k+1
+    near_b = cat(near_b, near_b)  # each size reads a rotation: a slice here
+
+    def steps(s):
+        far_a, far_b, ma, mb = arcs(s)
+        return (mul_(near_a, ma), mul_(far_a, ma),
+                mul_(near_b[s - 2:s - 2 + n], mb), mul_(far_b, mb))
 
     return _interval_dp(n, diag, steps, ops)

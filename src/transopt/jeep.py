@@ -14,21 +14,20 @@ import math
 from collections import namedtuple
 
 from .errors import BudgetUnreachableError, InfeasibleError
+from .tolerances import BUDGET_SLACK, CHECK_EPS, DIV_TOL, HARMONIC_MARGIN
 
 INF = math.inf
-
-_DIV_TOL = 1e-9
 
 
 def fdiv(a, b):
     """Integer part of a/b on reals, with a relative tolerance that absorbs
     representation error at exact-multiple boundaries."""
     q = a / b
-    return int(math.floor(q + _DIV_TOL * max(1.0, abs(q))))
+    return int(math.floor(q + DIV_TOL * max(1.0, abs(q))))
 
 
 def _fceil(x):
-    return int(math.ceil(x - _DIV_TOL * max(1.0, abs(x))))
+    return int(math.ceil(x - DIV_TOL * max(1.0, abs(x))))
 
 
 class JeepParams(namedtuple("JeepParams", "m g")):
@@ -213,7 +212,7 @@ def eval_equal_fast(x, k, params):
             except (OverflowError, ZeroDivisionError):
                 dif = idx  # room / denom is infinite (a = 0): the run reaches 1
             else:
-                if abs(room - dif * denom) <= _DIV_TOL * max(1.0, abs(room)):
+                if abs(room - dif * denom) <= DIV_TOL * max(1.0, abs(room)):
                     dif -= 1
             u = max(idx - dif, 1)
             while u > 1 and fdiv((mult + (idx - (u - 1)) * step) * a, net) == l:
@@ -254,7 +253,8 @@ def continuous_optimum(x, params):
     target = g * x / m  # required odd-harmonic partial sum
     s = 0.0
     # the exact terms sum to about 7.8895; a larger target skips to the expansion
-    t = 0 if target <= _odd_harmonic_asym(_EXACT_TERMS) + 1e-8 else _EXACT_TERMS
+    exact = target <= _odd_harmonic_asym(_EXACT_TERMS) + HARMONIC_MARGIN
+    t = 0 if exact else _EXACT_TERMS
     while t < _EXACT_TERMS:
         t += 1
         s_prev = s
@@ -283,9 +283,9 @@ def threshold_search(x, params, budget, schedule="multiplicative", ct=2,
     Returns the first satisfying (k, value).  Coarse subdivisions that admit
     no transfer at all count as unbounded and refinement continues.  Raises
     :class:`BudgetUnreachableError` at once for a budget below the
-    continuous optimum, which no subdivision beats (the relative 1e-9 slack
-    keeps rounding from rejecting a budget some k meets), and otherwise once
-    k exceeds ``cap``.
+    continuous optimum, which no subdivision beats (the relative slack
+    ``BUDGET_SLACK`` keeps rounding from rejecting a budget some k meets),
+    and otherwise once k exceeds ``cap``.
     """
     if schedule not in ("multiplicative", "additive"):
         raise ValueError(f"unknown schedule {schedule!r}")
@@ -294,7 +294,7 @@ def threshold_search(x, params, budget, schedule="multiplicative", ct=2,
     if ct < (2 if schedule == "multiplicative" else 1):
         raise ValueError("refinement constant too small to make progress")
     floor = continuous_optimum(x, params)
-    if budget < floor * (1 - 1e-9):
+    if budget < floor * (1 - BUDGET_SLACK):
         raise BudgetUnreachableError(None, floor)
     k = k1
     best_k, best_val = None, INF
@@ -441,7 +441,7 @@ def graph_forward_feasible(graph, params, g_min):
     return [-h for h in _dijkstra_min(graph, graph.source, relax, -g_min)]
 
 
-def graph_min_gas_binary_forward(graph, params, eps=1e-6):
+def graph_min_gas_binary_forward(graph, params, eps=CHECK_EPS):
     """Minimum source gas by binary search over the forward feasibility test.
 
     The bracket shares nothing with the backward method, which it checks.
@@ -449,7 +449,8 @@ def graph_min_gas_binary_forward(graph, params, eps=1e-6):
     at all.  The upper end then starts at :func:`graph_free_depots`' value,
     since depots anywhere never need more gas, and doubles until the target
     is reachable, at the latest once it reaches inf.  The search stops once
-    the bracket is at most ``eps`` wide or spans two adjacent floats, so it
+    the bracket is at most ``eps`` wide (by default ``CHECK_EPS``, the
+    tolerance ``check`` compares with) or spans two adjacent floats, so it
     ends for any ``eps``."""
 
     def ok(gval):

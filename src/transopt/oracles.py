@@ -13,12 +13,10 @@ import itertools
 import math
 
 from .errors import PlanInfeasibleError, SizeLimitError
-from .geometry import (MIN_PIECE, on_segment, point_in_polygon,
-                       segments_properly_intersect)
+from .geometry import on_segment, point_in_polygon, segments_properly_intersect
+from .tolerances import MIN_PIECE, REL_TOL
 
 INF = math.inf
-
-_REL_TOL = 1e-9
 
 
 def ovrp_brute(inst):
@@ -134,14 +132,14 @@ def jeep_simulate_plan(d, params, plans):
         gc = g * c
         if plan.rt < 0 or plan.q < 0:
             raise PlanInfeasibleError(i, "negative trip count or delivery")
-        if plan.q + gc > m * (1 + _REL_TOL):
+        if plan.q + gc > m * (1 + REL_TOL):
             raise PlanInfeasibleError(
                 i, f"final trip loads {plan.q + gc} gallons into a {m}-gallon tank"
             )
         if plan.rt > 0 and m - 2.0 * gc < 0:
             raise PlanInfeasibleError(i, "round trip cannot return on this segment")
         delivered = plan.rt * (m - 2.0 * gc) + plan.q
-        if delivered + _REL_TOL * max(1.0, need) < need:
+        if delivered + REL_TOL * max(1.0, need) < need:
             raise PlanInfeasibleError(
                 i, f"delivers {delivered} gallons but {need} are drawn downstream"
             )
@@ -195,24 +193,18 @@ def _segment_inside(v, a, b):
     return True
 
 
-def ham_brute(poly_or_dist, start=None):
-    """Shortest Hamiltonian path by permutation enumeration.
-
-    Accepts a polygon (Euclidean distances gated by
-    :func:`visibility_reference`) or an explicit distance matrix.  Returns
-    (length, path); (inf, []) when every permutation has an invisible
-    consecutive pair.
+def ham_brute(poly, start=None):
+    """Shortest inside-the-polygon Hamiltonian path by permutation
+    enumeration, over Euclidean distances gated by
+    :func:`visibility_reference`.  Returns (length, path); (inf, []) when
+    every permutation has an invisible consecutive pair.
     """
-    is_poly = hasattr(poly_or_dist, "vertices")
-    n = len(poly_or_dist.vertices if is_poly else poly_or_dist)
+    v, n = poly.vertices, poly.n
     if n > 9:
         raise SizeLimitError(f"ham_brute limited to n <= 9, got {n}")
-    dist = poly_or_dist
-    if is_poly:
-        v = poly_or_dist.vertices
-        vis = visibility_reference(poly_or_dist)
-        dist = [[math.hypot(v[i][0] - v[j][0], v[i][1] - v[j][1]) if vis[i][j]
-                 else INF for j in range(n)] for i in range(n)]
+    vis = visibility_reference(poly)
+    dist = [[math.hypot(v[i][0] - v[j][0], v[i][1] - v[j][1]) if vis[i][j]
+             else INF for j in range(n)] for i in range(n)]
 
     best, best_path = INF, []
     starts = range(n) if start is None else (start,)

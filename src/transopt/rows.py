@@ -2,9 +2,10 @@
 gates that pick one.
 
 The interval DP of ``hampath`` is written once against ``Rows``, a table
-of row operations.  ``LISTS`` applies each to Python lists element by
-element; ``arrays()`` applies the same IEEE operation to float64 numpy
-arrays, so both engines give identical results.  ``ovrp-dp2`` keeps its own list and array merges, because its
+of row operations; ``mul`` serves only the weighted curve, which multiplies
+its arcs by weights before the DP adds them.  ``LISTS`` applies each to
+Python lists element by element; ``arrays()`` applies the same IEEE
+operation to float64 numpy arrays, so both engines give identical results.  ``ovrp-dp2`` keeps its own list and array merges, because its
 gathered min-plus product is not a row operation, and asks ``dp2_arrays``.
 
 Importing numpy costs about 0.17 s, more than a small DP takes on lists, so

@@ -10,7 +10,8 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from operator import mul
 
-from .geometry import DEFER_TOL, EPS, MIN_PIECE, on_segment, orientation
+from .geometry import on_segment, orientation
+from .tolerances import DEFER_TOL, EPS, MIN_PIECE
 
 INF = math.inf
 

@@ -186,14 +186,6 @@ def test_check_honors_fixed_start(tmp_path, capsys):
     assert lines[0]["agreement"] is True
 
 
-def test_check_eps_env(tmp_path, capsys, monkeypatch):
-    inst = {"schema": "transopt-instance/1", "problem": "curve",
-            "gaps": [1, 2, 3, 4], "weights": [1, 1, 1, 1]}
-    monkeypatch.setenv("TRANSOPT_EPS", "1e-12")
-    code, lines = run(capsys, ["check", write(tmp_path, inst)])
-    assert code == 0 and lines[0]["agreement"] is True
-
-
 def test_result_round_trips_through_json(tmp_path, capsys):
     path = write(tmp_path, {"schema": "transopt-instance/1", "problem": "jeep",
                             "x": 4.0 / 3.0, "k": 10, "m": 1.0, "g": 1.0})
@@ -523,23 +515,14 @@ CURVE = {"schema": "transopt-instance/1", "problem": "curve",
          "gaps": [1, 2, 3, 4], "weights": [1, 1, 1, 1]}
 
 
-@pytest.mark.parametrize("value", ["abc", "nan", "0", "-1", "inf"])
-@pytest.mark.parametrize("payload, argv", [
-    (CURVE, ["check"]),
-    (JEEP_GRAPH, ["solve", "--algo", "jeep-graph-binary"]),
-], ids=["check", "jeep-graph-binary"])
-def test_bad_eps_env_gives_one_error_envelope(tmp_path, capsys, monkeypatch,
-                                              value, payload, argv):
-    monkeypatch.setenv("TRANSOPT_EPS", value)
-    t0 = time.perf_counter()
-    code = main(argv + [write(tmp_path, payload)])
-    assert time.perf_counter() - t0 < 2.0
-    out, err = capsys.readouterr()
-    lines = out.splitlines()
-    assert code == 1 and len(lines) == 1 and err == ""
-    env = json.loads(lines[0])
-    assert env["schema"] == "transopt-result/1" and env["status"] == "error"
-    assert "TRANSOPT_EPS" in env["diagnostics"]["reason"]
+def test_check_ignores_transopt_eps(tmp_path, capsys, monkeypatch):
+    # the agreement and search tolerances are constants; the variable that
+    # once set them is not read
+    monkeypatch.setenv("TRANSOPT_EPS", "abc")
+    for payload, argv in ((CURVE, ["check"]),
+                          (JEEP_GRAPH, ["solve", "--algo", "jeep-graph-binary"])):
+        code, lines = run(capsys, argv + [write(tmp_path, payload)])
+        assert code == 0 and len(lines) == 1 and lines[0]["status"] == "ok"
 
 
 SQUARE = {"schema": "transopt-instance/1", "problem": "hampath",

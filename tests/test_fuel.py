@@ -9,7 +9,8 @@ from transopt.fuel import (
     min_initial_fuel,
     simulate_route,
 )
-from transopt.oracles import _REL_TOL, fuel_brute
+from transopt.oracles import fuel_brute
+from transopt.tolerances import REL_TOL
 from transopt.tree import build_rooted_tree
 
 from treegen import bushy_tree, deep_tree, random_tree, star_tree
@@ -137,8 +138,8 @@ def test_real_valued_matches_oracle():
         except SizeLimitError:
             continue
         c, walk = min_initial_fuel(inst)
-        assert abs(c - ref) <= _REL_TOL * max(1.0, abs(ref))
-        assert simulate_route(inst, c, walk) >= -_REL_TOL * max(1.0, c)
+        assert abs(c - ref) <= REL_TOL * max(1.0, abs(ref))
+        assert simulate_route(inst, c, walk) >= -REL_TOL * max(1.0, c)
         done += 1
 
 

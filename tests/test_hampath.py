@@ -1,13 +1,12 @@
 import math
 import random
+from itertools import accumulate
 
 import pytest
 
 from transopt import hampath, rows, visibility
-from transopt.cli import default_eps
 from transopt.errors import InvalidPolygonError
 from transopt.geometry import (
-    DEFER_TOL,
     on_segment,
     orientation,
     point_in_polygon,
@@ -23,12 +22,8 @@ from transopt.hampath import (
     shortest_ham_path_free_start,
     visibility_matrix,
 )
-from transopt.oracles import (
-    _REL_TOL,
-    curve_zigzag_brute,
-    ham_brute,
-    visibility_reference,
-)
+from transopt.oracles import curve_zigzag_brute, ham_brute, visibility_reference
+from transopt.tolerances import CHECK_EPS, DEFER_TOL, REL_TOL
 
 INF = math.inf
 
@@ -560,11 +555,12 @@ def _reference_polygon_dp(poly, diag):
         return math.hypot(v[p][0] - v[q][0], v[p][1] - v[q][1])
 
     rot = [[dist(p, (p + d) % n) for p in range(n)] for d in range(n)]
-    ones = [1.0] * n
 
     def steps(s):
         back = rot[n - s + 1]  # dist(k, k - s + 1)
-        return back[s - 1:] + back[:s - 1], rot[s - 1], ones, ones
+        near_b = rot[1][s - 2:] + rot[1][:s - 2]  # dist(j - 1, j)
+        return (rot[n - 1][1:] + rot[n - 1][:1], back[s - 1:] + back[:s - 1],
+                near_b, rot[s - 1])
 
     return hampath._interval_dp(n, diag, steps, rows.LISTS)
 
@@ -587,6 +583,81 @@ def test_solvers_match_the_per_pair_table_reference(monkeypatch):
             for got in _per_engine(monkeypatch, solve, *args):
                 assert got == ref, (poly.vertices, args[1:])
                 assert type(got[0]) is float
+
+
+def _multiplier_curve_dp(inst, ops):
+    """The weighted curve DP on an engine that multiplies each step row by a
+    weight row itself: ``steps(s)`` gives the arcs from j to i and from i to
+    j, and the weights into A and into B; the steps between neighbours are
+    the arcs of size 2."""
+    n = inst.n
+    dp = list(accumulate(inst.gaps, initial=0.0))
+    wp = list(accumulate(inst.weights, initial=0.0))
+    diag = [0.0 if inst.start in (None, k) else INF for k in range(n)]
+    add_, sub_, mul_, cat, minimum = ops.add, ops.sub, ops.mul, ops.cat, ops.minimum
+    w_out = ops.row([wp[n] - x for x in wp])
+    totals = ops.row([dp[n]] * n)
+    dp, wp = ops.row(dp), ops.row(wp)
+
+    def steps(s):
+        m = n - s + 1
+        inner = cat(sub_(dp[s - 1:n], dp[:m]), sub_(dp[m:n], dp[:s - 1]))
+        outer = sub_(totals, inner)
+        short = minimum(inner, outer)
+        flip = minimum(outer, sub_(totals, outer))
+        mb = cat(add_(w_out[s - 1:n], wp[:m]), sub_(wp[m:n], wp[:s - 1]))
+        return cat(flip[:m], short[m:]), cat(short[:m], flip[m:]), \
+            cat(mb[1:], mb[:1]), mb
+
+    A = B = ops.row(diag)
+    near_a, near_b, _, _ = steps(2)
+    near_b = cat(near_b, near_b)
+    switched = [None, None]
+    for s in range(2, n + 1):
+        far_a, far_b, ma, mb = steps(s)
+        a0 = add_(cat(A[1:], A[:1]), mul_(near_a, ma))
+        a1 = add_(cat(B[1:], B[:1]), mul_(far_a, ma))
+        b0 = add_(B, mul_(near_b[s - 2:s - 2 + n], mb))
+        b1 = add_(A, mul_(far_b, mb))
+        switched.append((ops.less(a1, a0), ops.less(b1, b0)))
+        A, B = minimum(a0, a1), minimum(b0, b1)
+    A, B = ops.out(A), ops.out(B)
+    best, at_j, i = INF, 0, 0
+    for j in range(n):
+        k = (j + 1) % n
+        if A[k] < best:
+            best, at_j, i = A[k], 0, k
+        if B[k] < best:
+            best, at_j, i = B[k], 1, k
+    if best == INF:
+        return INF, []
+    path_rev = []
+    for s in range(n, 1, -1):
+        if at_j:
+            path_rev.append((i + s - 1) % n)
+            at_j ^= switched[s][1][i]
+        else:
+            path_rev.append(i)
+            at_j ^= switched[s][0][i]
+            i = (i + 1) % n
+    path_rev.append(i)
+    return best, path_rev[::-1]
+
+
+def test_weighted_curve_matches_the_multiplier_engine(monkeypatch):
+    # the step costs are the products the multiplier engine formed, in the
+    # same order, so costs and paths are bit for bit the same
+    rng = random.Random(57)
+    spread = (1e-9, 1e-3, 1.0, 3.0, 1e8, 1e16, 1e17)
+    for t in range(120):
+        n = rng.choice((2, 3, 5, 9, 17, 40, 130))
+        gaps = [rng.choice(spread) * rng.uniform(1.0, 2.0) for _ in range(n)]
+        weights = [0.0 if rng.random() < 0.2 else rng.choice(spread) for _ in range(n)]
+        start = rng.randrange(n) if t % 2 else None
+        inst = CurveInstance(gaps, weights=weights, start=start)
+        solved = _per_engine(monkeypatch, curve_weighted_ham_path, inst)
+        for engine, got in zip((rows.LISTS, rows.arrays()), solved):
+            assert got == _multiplier_curve_dp(inst, engine), (gaps, weights, start)
 
 
 def test_path_length_recomputes():
@@ -681,7 +752,6 @@ def test_curve_fixed_start_keeps_the_small_gaps_beside_a_large_one():
 
 def test_curve_free_start_matches_brute_over_spread_gaps():
     # each curve also runs from every fixed start
-    eps = default_eps()
     rng = random.Random(45)
     for _ in range(300):
         gaps = [rng.choice((1e-9, 1e-3, 1, 1e8, 1e16, 1e17))
@@ -690,7 +760,7 @@ def test_curve_free_start_matches_brute_over_spread_gaps():
             inst = CurveInstance(gaps, start=start)
             got = curve_ham_path(inst)
             want = curve_zigzag_brute(inst, "length")[0]
-            assert abs(got - want) <= eps * max(1.0, abs(got), abs(want)), \
+            assert abs(got - want) <= CHECK_EPS * max(1.0, abs(got), abs(want)), \
                 (gaps, start)
 
 
@@ -757,6 +827,6 @@ def test_weighted_curve_real_valued_matches_brute_and_replay():
             inst = CurveInstance(gaps, weights=weights, start=start)
             got, path = curve_weighted_ham_path(inst)
             ref, _ = curve_zigzag_brute(inst)
-            assert abs(got - ref) <= _REL_TOL * max(1.0, ref), (inst, got, ref)
+            assert abs(got - ref) <= REL_TOL * max(1.0, ref), (inst, got, ref)
             replayed = _replay_weighted(inst, path)
-            assert abs(replayed - got) <= _REL_TOL * max(1.0, got), (inst, path)
+            assert abs(replayed - got) <= REL_TOL * max(1.0, got), (inst, path)

@@ -111,13 +111,11 @@ def test_ham_brute_triangle_free():
     assert length == 2.0
 
 
-def test_ham_brute_distance_matrix_and_limit():
-    inf = math.inf
-    dist = [[0.0, 1.0, inf], [1.0, 0.0, 2.0], [inf, 2.0, 0.0]]
-    length, path = ham_brute(dist)
-    assert length == 3.0 and path in ([0, 1, 2], [2, 1, 0])
+def test_ham_brute_limit():
+    decagon = SimplePolygon([(math.cos(2 * math.pi * i / 10),
+                              math.sin(2 * math.pi * i / 10)) for i in range(10)])
     with pytest.raises(SizeLimitError):
-        ham_brute([[0.0] * 10 for _ in range(10)])
+        ham_brute(decagon)
 
 
 def test_curve_zigzag_brute():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from transopt import rows
-from transopt.oracles import _REL_TOL, ovrp_brute
+from transopt.oracles import ovrp_brute
 from transopt.ovrp import (
     OvrpInstance,
     single_vehicle_closed_form,
@@ -14,6 +14,7 @@ from transopt.ovrp import (
     solve_knapsack_v2,
     solve_leaf_interval,
 )
+from transopt.tolerances import REL_TOL
 from transopt.tree import build_rooted_tree, euler_walk, leaf_ranges, walk_cost
 
 from treegen import bushy_tree, deep_tree, random_tree, star_tree
@@ -89,7 +90,7 @@ def test_solvers_agree_with_oracle_small_corpus():
 
 
 def _close(a, b):
-    return abs(a - b) <= _REL_TOL * max(1.0, abs(b))
+    return abs(a - b) <= REL_TOL * max(1.0, abs(b))
 
 
 def _audit(tree, sol, exact=True):
