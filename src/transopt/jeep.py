@@ -26,10 +26,6 @@ def fdiv(a, b):
     return int(math.floor(q + DIV_TOL * max(1.0, abs(q))))
 
 
-def _fceil(x):
-    return int(math.ceil(x - DIV_TOL * max(1.0, abs(x))))
-
-
 class JeepParams(namedtuple("JeepParams", "m g")):
     """Tank capacity ``m`` (gallons) and consumption ``g`` (gallons per mile)."""
 
@@ -128,7 +124,8 @@ def segment_step_exact(f_next, c, params, mode="faithful"):
 
     if mode == "corrected":
         # final one-way trip may carry a full tank: q up to m - g*c
-        rt2 = max(0, _fceil((f_next - (m - gc)) / net))
+        # the ceiling of (f_next - (m - gc)) / net, as -fdiv of its negation
+        rt2 = max(0, -fdiv(m - gc - f_next, net))
         q2 = f_next - rt2 * net
         f2 = rt2 * m + q2 + gc
         if f2 < f:
@@ -276,6 +273,10 @@ def continuous_optimum(x, params):
     return (t - 1) * m + g * (2 * t - 1) * rem
 
 
+# the most segments, summed over all k, one threshold search evaluates
+_MAX_SEGMENTS = 3 * 2 ** 20
+
+
 def threshold_search(x, params, budget, schedule="multiplicative", ct=2,
                      k1=0, method="exact", cap=2 ** 20):
     """Refine equal subdivisions until the evaluation meets the budget.
@@ -285,7 +286,10 @@ def threshold_search(x, params, budget, schedule="multiplicative", ct=2,
     :class:`BudgetUnreachableError` at once for a budget below the
     continuous optimum, which no subdivision beats (the relative slack
     ``BUDGET_SLACK`` keeps rounding from rejecting a budget some k meets),
-    and otherwise once k exceeds ``cap``.
+    and otherwise once k exceeds ``cap`` or the segments evaluated over all
+    k would pass ``_MAX_SEGMENTS``.  The multiplicative schedule evaluates
+    at most 2 cap + log2(cap) + 2 segments up to ``cap``, so at the
+    default ``cap`` only the additive one can reach that limit.
     """
     if schedule not in ("multiplicative", "additive"):
         raise ValueError(f"unknown schedule {schedule!r}")
@@ -296,9 +300,10 @@ def threshold_search(x, params, budget, schedule="multiplicative", ct=2,
     floor = continuous_optimum(x, params)
     if budget < floor * (1 - BUDGET_SLACK):
         raise BudgetUnreachableError(None, floor)
-    k = k1
+    k, segments = k1, 0  # the segments evaluated over all k so far
     best_k, best_val = None, INF
-    while k <= cap:
+    while k <= cap and segments + k + 1 <= _MAX_SEGMENTS:
+        segments += k + 1
         try:
             if method == "fast":
                 val, _ = eval_equal_fast(x, k, params)
@@ -441,7 +446,7 @@ def graph_forward_feasible(graph, params, g_min):
     return [-h for h in _dijkstra_min(graph, graph.source, relax, -g_min)]
 
 
-def graph_min_gas_binary_forward(graph, params, eps=CHECK_EPS):
+def graph_min_gas_binary_forward(graph, params, eps=None):
     """Minimum source gas by binary search over the forward feasibility test.
 
     The bracket shares nothing with the backward method, which it checks.
@@ -449,9 +454,11 @@ def graph_min_gas_binary_forward(graph, params, eps=CHECK_EPS):
     at all.  The upper end then starts at :func:`graph_free_depots`' value,
     since depots anywhere never need more gas, and doubles until the target
     is reachable, at the latest once it reaches inf.  The search stops once
-    the bracket is at most ``eps`` wide (by default ``CHECK_EPS``, the
-    tolerance ``check`` compares with) or spans two adjacent floats, so it
-    ends for any ``eps``."""
+    the bracket is at most ``eps`` wide or, by default, at most
+    ``CHECK_EPS * max(1, hi)``: the shape of the comparison ``check`` makes,
+    so the probe count does not grow with the instance's scale.  It also
+    stops once the bracket spans two adjacent floats, so it ends for any
+    ``eps``."""
 
     def ok(gval):
         return graph_forward_feasible(graph, params, gval)[graph.target] >= 0.0
@@ -461,7 +468,7 @@ def graph_min_gas_binary_forward(graph, params, eps=CHECK_EPS):
     lo, hi = 0.0, graph_free_depots(graph, params)
     while not ok(hi):
         lo, hi = hi, max(2.0 * hi, 1.0)
-    while hi - lo > eps:
+    while hi - lo > (CHECK_EPS * max(1.0, hi) if eps is None else eps):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink
             break

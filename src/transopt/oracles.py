@@ -69,9 +69,10 @@ def ovrp_brute(inst):
 def fuel_brute(inst):
     """Minimum depot fuel by enumerating every DFS order.
 
-    For each vertex the recursion returns the set of achievable minimum tank
+    For each vertex, children first, the set of achievable minimum tank
     levels over its service (relative to the arrival level, before the
     vertex's own gas is collected); the root's best value gives the answer.
+    The pass is a loop over a post-order, so a deep tree needs no recursion.
     """
     tree, gas = inst.tree, inst.gas
     combos = 1
@@ -83,6 +84,7 @@ def fuel_brute(inst):
     # subtree gas and length sums give each child's net fuel profit
     gsum = [0.0] * (tree.n + 1)
     lsum = [0.0] * (tree.n + 1)
+    lows = [None] * (tree.n + 1)
     order = []
     stack = [tree.root]
     while stack:
@@ -90,14 +92,12 @@ def fuel_brute(inst):
         order.append(u)
         stack.extend(tree.children[u])
     for u in reversed(order):
+        children = tree.children[u]
         gsum[u] = gas[u]
-        for c in tree.children[u]:
+        for c in children:
             gsum[u] += gsum[c]
             lsum[u] += lsum[c] + tree.edge_len[c]
-
-    def lows(u):
-        children = tree.children[u]
-        child_lows = [sorted(lows(c)) for c in children]
+        child_lows = [sorted(lows[c]) for c in children]
         out = set()
         for perm in itertools.permutations(range(len(children))):
             for combo in itertools.product(*(child_lows[t] for t in perm)):
@@ -109,9 +109,8 @@ def fuel_brute(inst):
                     cur += gsum[c] - 2.0 * (lsum[c] + tree.edge_len[c])
                     low = min(low, cur)
                 out.add(low)
-        return out
-
-    return -max(lows(tree.root))
+        lows[u] = out
+    return -max(lows[tree.root])
 
 
 def jeep_simulate_plan(d, params, plans):

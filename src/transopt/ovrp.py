@@ -99,9 +99,10 @@ def solve_greedy(inst):
     # a vehicle covers whole the red subtrees that hang off the vertices it
     # owns, and nothing else beside its own path
     children = tree.children
-    routes = [_route(tree, leaf, lambda v, vid=vid: (
-                  [c for c in children[v] if owner[c] < 0], ())
-                  if owner[v] == vid else ((), ()))
+    order = list(children)
+    routes = [_route(tree, order, leaf, lambda v, vid=vid:
+                     [c for c in children[v] if owner[c] < 0]
+                     if owner[v] == vid else [])
               for vid, leaf in enumerate(ends)]
     return OvrpSolution(total, routes, len(ends))
 
@@ -256,54 +257,35 @@ def _array_merge(p):
     return base, merge
 
 
-def _route(tree, end_leaf, enter):
-    """One vehicle's route, from the root to ``end_leaf``.  Each vertex on
-    the way first enters its other children whose subtrees the vehicle
-    covers, in input order: ``enter(v)`` returns those children and the
-    ones among them it covers only in part.  A whole subtree is walked by
-    :func:`~transopt.tree.euler_walk`, a part one by :func:`_part_walk`."""
+def _route(tree, order, end_leaf, covered, bounds=()):
+    """One vehicle's route: the :func:`~transopt.tree.euler_walk` of the
+    tree under ``order`` (``tree.children`` as a list that all routes
+    share), cut right after ``end_leaf``.  During the walk each vertex with
+    two or more sons on the root paths of ``end_leaf`` and ``bounds`` takes
+    ``covered(v)``: a new list of the sons covered, in input order, and on
+    ``end_leaf``'s path the son towards it last.  The rest is covered whole."""
     parent, children = tree.parent, tree.children
-    path = [end_leaf]
-    while parent[path[-1]]:  # up to the root, whose parent is 0
-        path.append(parent[path[-1]])
-    path.reverse()
-    walk = []
-    for v, nxt in zip(path, path[1:]):
-        walk.append(v)
-        if len(children[v]) == 1:  # only the child on the path
-            continue
-        kids, part = enter(v)
-        for c in kids:  # a covered leaf's walk is itself
-            if c != nxt:
-                walk += _part_walk(tree, c, enter) if c in part else \
-                    euler_walk(tree, c) if children[c] else (c,)
-                walk.append(v)
-    walk.append(end_leaf)
-    return walk
-
-
-def _part_walk(tree, start, enter):
-    """Closed walk over the part of T(start) a vehicle covers, by the
-    ``enter`` rule of :func:`_route`, climbing back up between subtrees."""
-    parent = tree.parent
-    walk = []
-    stack = [(start, False)]  # (vertex, covered whole), the next on top
-    last = parent[start]
-    while stack:
-        v, whole = stack.pop()
-        while last != parent[v]:
-            last = parent[last]
-            walk.append(last)
-        if whole:
-            walk += euler_walk(tree, v) if tree.children[v] else (v,)
-        else:
-            walk.append(v)
-            kids, part = enter(v)
-            stack += [(c, c not in part) for c in reversed(kids)]
-        last = v
-    while last != start:
-        last = parent[last]
-        walk.append(last)
+    changed = []
+    v, nxt, depth = parent[end_leaf], end_leaf, 0
+    while v:  # up to the root, whose parent is 0
+        if len(children[v]) > 1:  # else its one son is nxt
+            order[v] = kids = covered(v)
+            if nxt in kids:
+                kids.remove(nxt)
+            kids.append(nxt)
+            changed.append(v)
+        v, nxt, depth = parent[v], v, depth + 1
+    for leaf in bounds:  # up to a vertex whose order is already set
+        v = parent[leaf]
+        while v and order[v] is children[v]:
+            if len(children[v]) > 1:
+                order[v] = covered(v)
+                changed.append(v)
+            v = parent[v]
+    walk = euler_walk(tree, tree.root, order)
+    for v in changed:
+        order[v] = children[v]
+    del walk[len(walk) - depth:]  # the climb back to the root
     return walk
 
 
@@ -359,15 +341,13 @@ def solve_leaf_interval(inst):
         i -= 1
     blocks.append((0, 0 if end is None else end, last))
 
-    def block(first, last):
-        """The ``enter`` rule of a vehicle serving leaves[first:last]: it
-        covers T(c) whole when c's leaves lie inside, in part otherwise."""
-        def enter(v):
-            kids = [c for c in children[v] if lo[c] < last and first < hi[c]]
-            return kids, [c for c in kids if lo[c] < first or last < hi[c]]
-        return enter
-
+    # a vehicle serving leaves[first:last] covers the sons whose leaves
+    # meet its block; a vertex where it covers only some sons lies on the
+    # root path of the block's first or last leaf
     children = tree.children
-    routes = [_route(tree, leaves[end], block(first, last))
+    order = list(children)
+    routes = [_route(tree, order, leaves[end], lambda v, first=first, last=last:
+                     [c for c in children[v] if lo[c] < last and first < hi[c]],
+                     (leaves[first], leaves[last - 1]))
               for first, end, last in reversed(blocks)]
     return OvrpSolution(c0[-1], routes, len(blocks))

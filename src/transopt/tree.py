@@ -3,7 +3,9 @@
 One DFS builds the tree and its post-order; the one leaf pass, the one
 Euler-walk expansion and the one root-distance path length live here too.
 The leaf pass gives the leaves in DFS order, each vertex's leaves as a
-slice of that order and the LCA of every leaf with its predecessor.
+slice of that order and the LCA of every leaf with its predecessor.  The
+fuel route and every ovrp vehicle's route are Euler walks of the whole
+tree under a child order of their own; an ovrp route is cut at its end.
 Vertices are 1-based externally (vertex 1 usually carries the depot) and
 the arrays here are indexed accordingly: position 0 is unused.
 """

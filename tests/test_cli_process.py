@@ -153,3 +153,34 @@ def test_closed_stdout_keeps_the_exit_code(tmp_path, transopt_cmd, payload,
                           preexec_fn=lambda: os.close(1), timeout=120)
     assert proc.returncode == code
     assert proc.stderr == b""
+
+
+# a 3000-vertex path, all gas and lengths 1: deeper than the interpreter's
+# recursion limit, which the fuel oracle once recursed into
+FUEL_PATH = {"schema": SCHEMA, "problem": "fuel", "n": 3000,
+             "edges": [[v, v + 1, 1] for v in range(1, 3000)],
+             "gas": [1] * 3000}
+# the budget is the continuous optimum at x = 2, which no k meets; stepping
+# k by one up to the cap would evaluate about 5e11 segments
+ADDITIVE_THRESHOLD = {"schema": SCHEMA, "problem": "jeep", "x": 2.0,
+                      "m": 1.0, "g": 1.0, "budget": 7.672993672993677,
+                      "schedule": "additive", "ct": 1}
+
+
+@pytest.mark.parametrize("payload, args, code, status, objective", [
+    (FUEL_PATH, ["oracle"], 0, "ok", 2998.0),
+    (FUEL_PATH, ["check"], 0, "ok", 2998.0),
+    (ADDITIVE_THRESHOLD, ["solve", "--algo", "jeep-threshold"], 2,
+     "infeasible", None),
+], ids=["fuel-oracle", "fuel-check", "threshold"])
+def test_deep_or_long_inputs_give_one_envelope_in_time(tmp_path, payload,
+                                                       args, code, status,
+                                                       objective):
+    proc = subprocess.run([*ENTRIES["module"], *args, write(tmp_path, payload)],
+                          env=ENV, capture_output=True, timeout=10)
+    assert proc.returncode == code
+    assert proc.stderr == b""
+    (line,) = proc.stdout.decode().splitlines()
+    env = json.loads(line, parse_constant=lambda c: pytest.fail(c))
+    assert env["status"] == status
+    assert env.get("objective") == objective

@@ -30,6 +30,7 @@ from transopt.jeep import (
     threshold_search,
 )
 from transopt.oracles import jeep_simulate_plan
+from transopt.tolerances import DIV_TOL
 
 UNIT = JeepParams(1.0, 1.0)
 
@@ -62,6 +63,17 @@ def test_fdiv_absorbs_representation_error():
     assert fdiv(0.6, 0.2) == 3  # 0.6/0.2 is 2.9999... in floats
     assert fdiv(1.0, 0.3) == 3
     assert fdiv(0.59, 0.2) == 2
+
+
+def test_negated_fdiv_is_the_tolerant_ceiling():
+    # the corrected step takes its round-trip count as -fdiv of the negated
+    # quotient: a ceiling under the same relative tolerance as fdiv's floor
+    rng = random.Random(38)
+    for _ in range(2000):
+        b = rng.uniform(0.01, 3.0)
+        a = rng.choice((rng.uniform(-20.0, 20.0), rng.randint(-20, 20) * b))
+        q = a / b
+        assert -fdiv(-a, b) == math.ceil(q - DIV_TOL * max(1.0, abs(q)))
 
 
 def test_segment_step_one_way():
@@ -355,6 +367,26 @@ def test_threshold_search_cap_reports_best_k():
     assert (ei.value.best_k, ei.value.best_value) == (14, 2.9)
 
 
+def test_threshold_search_bounds_the_segments_over_all_k():
+    # the budget is the continuous optimum, which no k meets; stepping k
+    # by one up to the cap would evaluate about 5e11 segments
+    x = 2.0
+    budget = continuous_optimum(x, UNIT)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetUnreachableError) as ei:
+        threshold_search(x, UNIT, budget, schedule="additive", ct=1,
+                         method="fast")
+    assert time.perf_counter() - t0 < 2.0
+    k = ei.value.best_k
+    assert ei.value.best_value > budget and (k + 1) * (k + 2) // 2 <= \
+        jeep._MAX_SEGMENTS
+    # the multiplicative schedule runs to the default cap, below the limit
+    assert sum(2 ** j + 1 for j in range(1, 21)) + 1 < jeep._MAX_SEGMENTS
+    with pytest.raises(BudgetUnreachableError) as ei:
+        threshold_search(x, UNIT, budget, method="fast")
+    assert ei.value.best_k == 2 ** 20
+
+
 def test_threshold_search_bad_args():
     with pytest.raises(ValueError):
         threshold_search(1.0, UNIT, 1.0, schedule="bogus")
@@ -513,6 +545,23 @@ def test_forward_binary_ends_below_float_resolution(eps):
     assert time.perf_counter() - t0 < 2.0
     back = graph_min_gas_backward(g, UNIT)[1]
     assert abs(fwd - back) <= 1e-12 * back
+
+
+def test_forward_binary_probes_do_not_grow_with_scale(monkeypatch):
+    # the bracket stops at a width relative to its upper end, as check
+    # compares, so scaling the lengths and the tank alike keeps the probes
+    calls = []
+    probe = jeep.graph_forward_feasible
+    monkeypatch.setattr(jeep, "graph_forward_feasible",
+                        lambda *args: calls.append(1) or probe(*args))
+    counts = []
+    for m in (1.0, 1e12):
+        del calls[:]
+        fwd = graph_min_gas_binary_forward(path_graph([0.2 * m, 0.2 * m]),
+                                           JeepParams(m, 1.0))
+        assert abs(fwd - 0.4 * m) <= 1e-6 * fwd
+        counts.append(len(calls))
+    assert abs(counts[0] - counts[1]) <= 2, counts
 
 
 def test_backward_path_matches_subdivision_eval():
