@@ -10,6 +10,9 @@ any of them or the oracle on it, so ``check`` runs both on one instance.  Each p
 envelope per file from ``_run_one``; ``check``'s is the ``solve`` envelope
 plus ``agreement``, ``solver_objective`` and ``oracle_objective``.
 
+``main`` reads a batch job's arguments without argparse (``_job_args``);
+argparse is imported only for any other list: help, errors, ``bench-jeep``.
+
 The ``transopt`` console script and ``python -m transopt.cli`` both call
 ``run``: it runs one command, flushes stdout and stderr and ends with
 ``os._exit``, skipping interpreter teardown; a reader that closes the pipe
@@ -17,15 +20,13 @@ early gets exit code 1 and no traceback.  ``main`` itself returns the exit
 code, so in-process callers keep a normal exit.
 """
 
-from __future__ import annotations
-
-import argparse
 import gc
 import json
 import math
 import os
 import sys
 import time
+import types  # loaded at interpreter start: SimpleNamespace costs nothing
 
 # Solver modules are imported inside the branches that run them, so a
 # process loads only the solver it needs, and numpy only past a rows gate.
@@ -351,7 +352,9 @@ def _run_one(path, algo):
     """Run ``algo`` (None: the tag's default; "oracle": the brute-force
     reference; "check": the default, then the oracle, exit code 1 unless they
     agree within the relative ``CHECK_EPS``) on one instance file; returns
-    (envelope, exit code)."""
+    (envelope, exit code).  Any exception but a ``TransoptError`` or
+    ``ValueError`` is a bug: its traceback goes to stderr and its error
+    envelope carries ``diagnostics.internal``, so it cannot end a batch."""
     t0 = time.perf_counter()
     check = algo == "check"
     if check:
@@ -367,6 +370,12 @@ def _run_one(path, algo):
             o_obj = solve("oracle")[0]
     except (TransoptError, ValueError) as exc:
         return _failure(algo or "?", exc, t0)
+    except Exception as exc:  # a bug: still one envelope, and the traceback
+        import traceback
+        traceback.print_exc()
+        return _envelope(algo or "?", "error", diagnostics={
+            "reason": f"{type(exc).__name__}: {exc}", "internal": True},
+            wall_time=time.perf_counter() - t0), 1
     env = _envelope(algo, "ok", objective, solution, diagnostics,
                     time.perf_counter() - t0)
     if not check:
@@ -436,6 +445,7 @@ def _cmd_bench(args):
 
 
 def build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="transopt",
         description="Tree routing, fuel caching and polygon path solvers.")
@@ -468,6 +478,26 @@ def build_parser():
     return parser
 
 
+def _job_args(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns for
+    ``solve [--algo A] FILE...`` with A in ``ALGOS``, ``oracle FILE`` and
+    ``check FILE``, where no FILE starts with ``-``; None for any other
+    list, which argparse then parses, prints help for or rejects."""
+    command, *files = argv or [None]
+    algo = None
+    if command == "solve":
+        if len(files) > 1 and files[0] == "--algo" and files[1] in ALGOS:
+            algo, files = files[1], files[2:]
+    elif command in ("oracle", "check") and len(files) == 1:
+        algo = command
+    else:
+        return None
+    if not files or any(f.startswith("-") for f in files):
+        return None
+    return types.SimpleNamespace(command=command, files=files, algo=algo,
+                                 jobs=1, func=_cmd_solve)
+
+
 def main(argv=None):
     """Run one command.  The cyclic garbage collector is paused meanwhile:
     solver data is trees and lists of numbers without reference cycles,
@@ -476,7 +506,8 @@ def main(argv=None):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _job_args(argv) or build_parser().parse_args(argv)
         return args.func(args)
     finally:
         if enabled:

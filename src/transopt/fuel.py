@@ -16,8 +16,6 @@ which an exchange argument shows is optimal among all orders.  The minimum
 fill at the vertex is then the largest shortfall along that order.
 """
 
-from __future__ import annotations
-
 import math
 from array import array
 from collections import namedtuple

@@ -5,8 +5,6 @@ All comparisons use an absolute tolerance for collinearity, ``EPS`` from
 rational coordinates classify stably.
 """
 
-from __future__ import annotations
-
 from .tolerances import EPS
 
 

@@ -14,8 +14,6 @@ the visible pairs, one row serving both directions as visibility is
 symmetric; no distance override exists.
 """
 
-from __future__ import annotations
-
 import math
 from array import array
 from bisect import bisect_right

@@ -7,11 +7,10 @@ for equal subdivisions by skipping runs of points that share the same
 round-trip count.
 """
 
-from __future__ import annotations
-
 import heapq
 import math
 from collections import namedtuple
+from operator import ge
 
 from .errors import BudgetUnreachableError, InfeasibleError
 from .tolerances import BUDGET_SLACK, CHECK_EPS, DIV_TOL, HARMONIC_MARGIN
@@ -47,7 +46,7 @@ class Subdivision(namedtuple("Subdivision", "points")):
             raise ValueError("a subdivision needs at least two points")
         if points[0] != 0:
             raise ValueError("a subdivision starts at 0")
-        if any(a >= b for a, b in zip(points, points[1:])):
+        if any(map(ge, points, points[1:])):  # the scan at C speed
             raise ValueError("subdivision points must be strictly increasing")
         return super().__new__(cls, points)
 
@@ -87,7 +86,9 @@ def equal_subdivision(x, k):
 
 
 def _equal_points(x, k):
-    """The points of :func:`equal_subdivision`, increasing by construction."""
+    """The points of :func:`equal_subdivision`.  Not always increasing: at a
+    subnormal spacing the rounded c can take ``k * c`` to x (x = 1.5e-323,
+    k = 3: c = 5e-324 and 3c = x), so ``Subdivision`` still checks them."""
     c = _check_equal(x, k)
     return tuple(i * c for i in range(k + 1)) + (x,)
 

@@ -6,14 +6,11 @@ hard size limit instead of silently truncating, except
 :func:`visibility_reference`, whose O(n^3) scan stays polynomial.
 """
 
-from __future__ import annotations
-
 import heapq
 import itertools
 import math
 
 from .errors import PlanInfeasibleError, SizeLimitError
-from .geometry import on_segment, point_in_polygon, segments_properly_intersect
 from .tolerances import MIN_PIECE, REL_TOL
 
 INF = math.inf
@@ -171,6 +168,8 @@ def visibility_reference(poly):
 
 
 def _segment_inside(v, a, b):
+    # imported here, so a fuel, ovrp or jeep check never compiles geometry
+    from .geometry import on_segment, point_in_polygon, segments_properly_intersect
     n = len(v)
     for e in range(n):
         if segments_properly_intersect(a, b, v[e], v[(e + 1) % n]):

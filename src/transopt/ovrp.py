@@ -5,8 +5,6 @@ end anywhere, and the objective is the total length of all routes.  Four
 solvers of decreasing complexity are provided; all agree on the optimum.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from itertools import compress

@@ -10,8 +10,6 @@ Vertices are 1-based externally (vertex 1 usually carries the depot) and
 the arrays here are indexed accordingly: position 0 is unused.
 """
 
-from __future__ import annotations
-
 from array import array
 from collections import namedtuple
 from itertools import accumulate

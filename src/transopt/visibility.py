@@ -3,8 +3,6 @@ triangulation and funnel pass in general position, and the O(n) per pair
 test for the rows that pass cannot decide (see ``visibility_matrix``).
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque

@@ -1,5 +1,6 @@
 import gc
 import importlib
+import itertools
 import json
 import math
 import random
@@ -214,6 +215,33 @@ def test_bench_jeep_function():
     rows = bench_jeep(2.0, 1.0, 1.0, [4, 16], repeats_budget=100)
     assert rows[0]["points_touched"] <= 6
     assert rows[1]["f"] <= rows[0]["f"]
+
+
+# Argument lists over the CLI's grammar: each command and none, each option
+# form, and zero to two files, one of which may look like an option; each
+# option goes before the files and after them.
+ARGV_COMMANDS = [[], ["solve"], ["oracle"], ["check"], ["bench-jeep"], ["bogus"]]
+ARGV_OPTIONS = [[]] + [["--algo", a] for a in [*cli.ALGOS, "bogus"]] + [
+    ["--algo=fuel"], ["--al", "fuel"], ["--jobs", "2"], ["-h"], ["--"]]
+ARGV_FILES = [[], ["a.json"], ["a.json", "b.json"], ["-x.json"],
+              ["a.json", "-x.json"]]
+
+
+def test_job_args_equal_argparse_or_decline():
+    parser = cli.build_parser()
+    taken = set()
+    for command, option, files in itertools.product(ARGV_COMMANDS, ARGV_OPTIONS,
+                                                    ARGV_FILES):
+        for argv in (command + option + files, command + files + option):
+            args = cli._job_args(argv)
+            if args is not None:
+                assert vars(args) == vars(parser.parse_args(argv)), argv
+                taken.add(tuple(argv))
+    # the shapes a batch job sends are exactly the ones taken
+    jobs = {("solve", *option, *files)
+            for option in [[]] + [["--algo", a] for a in cli.ALGOS]
+            for files in (["a.json"], ["a.json", "b.json"])}
+    assert taken == jobs | {("oracle", "a.json"), ("check", "a.json")}
 
 
 L_SHAPE = {"schema": "transopt-instance/1", "problem": "hampath",
@@ -575,6 +603,26 @@ TINY = {
 }
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_unexpected_exception_is_one_internal_envelope(tmp_path, capsys,
+                                                         monkeypatch, jobs):
+    from transopt import fuel
+
+    def broken(inst):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(fuel, "min_initial_fuel", broken)
+    files = [write(tmp_path, TINY["fuel"], "fuel.json"), write(tmp_path, STAR)]
+    code = main(["solve", "--jobs", jobs, *files])
+    out, err = capsys.readouterr()
+    bad, good = [json.loads(l) for l in out.splitlines()]
+    assert code == 1 and good["status"] == "ok"
+    assert (bad["status"], bad["solver"]) == ("error", "fuel")
+    assert bad["diagnostics"] == {"reason": "RuntimeError: boom",
+                                  "internal": True}
+    if jobs == "1":  # a worker's stderr is its own
+        assert "Traceback" in err and "RuntimeError: boom" in err
+
+
 def test_problem_table_names_each_algo_once():
     assert set(cli.PROBLEMS) == set(TINY)
     assert len(cli.ALGOS) == sum(len(algos) for algos, _ in cli.PROBLEMS.values())
@@ -806,6 +854,7 @@ def test_every_non_edge_field_gives_one_strict_envelope(tmp_path, capsys, tag):
                     f"{c} in the envelope of {where}"))
                 assert env["schema"] == "transopt-result/1", where
                 assert env["status"] in ("ok", "error", "infeasible"), where
+                assert "internal" not in env.get("diagnostics", {}), where
 
 
 # Arbitrary JSON for the edge-list fields, and edge lists close to a tree:
@@ -866,5 +915,6 @@ def test_every_edge_list_gives_one_strict_envelope(tmp_path, capsys, tag):
             env = json.loads(lines[0], parse_constant=lambda c: pytest.fail(c))
             assert env["schema"] == "transopt-result/1"
             assert env["status"] in ("ok", "error", "infeasible")
+            assert "internal" not in env.get("diagnostics", {}), command
 
     one_input()

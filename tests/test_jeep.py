@@ -258,6 +258,19 @@ def test_a_spacing_that_is_not_a_positive_float_is_one_error(tmp_path, capsys,
             "point spacing x/(k+1) underflows to 0"
 
 
+def test_equal_points_that_repeat_at_a_subnormal_spacing_are_one_error(
+        tmp_path, capsys):
+    # c = 1.5e-323 / 4 rounds up to 5e-324, so the last interior point 3c is x
+    with pytest.raises(ValueError, match="strictly increasing"):
+        equal_subdivision(1.5e-323, 3)
+    ((code, env),) = _envelopes(tmp_path, capsys, {
+        "problem": "jeep", "x": 1.5e-323, "k": 3, "m": 1, "g": 1},
+        [["solve", "--algo", "jeep-exact"]])
+    assert code == 1 and env["status"] == "error"
+    assert env["diagnostics"]["reason"] == \
+        "subdivision points must be strictly increasing"
+
+
 def _runs_by_binsearch(x, k, params):
     """Method 2 with index skipping, each run's first index found by
     bisection on the division the naive loop makes: the reference for the

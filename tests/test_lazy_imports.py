@@ -1,6 +1,7 @@
 """The package loads a solver module only when a request runs it, and numpy
 only for the DPs past their ``transopt.rows`` gates; no request loads
-``dataclasses``."""
+``dataclasses`` or ``__future__``, and a batch job's command does not load
+``argparse``."""
 
 import json
 import os
@@ -108,6 +109,46 @@ def test_no_command_loads_dataclasses(tmp_path):
         assert "dataclasses" not in sys.modules, "a command loaded dataclasses"
     """, instances)
     assert len(lines) == len(ALGOS) + 3 * len(instances)
+
+
+def test_job_commands_leave_argparse_unloaded(tmp_path):
+    lines = _run_script(tmp_path, """
+        for tag, path in paths.items():
+            main(["solve", path])
+            main(["oracle", path])  # jeep-graph has no oracle: rc 1
+            main(["check", path])
+        sys.argv = ["transopt", "solve", "--algo", "fuel", paths["fuel"]]
+        assert main() == 0  # the process's own arguments
+        for name in ("argparse", "__future__"):
+            assert name not in sys.modules, f"a job command loaded {name}"
+        # control: the checks above can see argparse once a command needs it
+        main(["bench-jeep", "--x", "1", "--k-list", "2"])
+        assert "argparse" in sys.modules
+    """)
+    assert len(lines) == 3 * len(INSTANCES) + 2
+
+
+def test_help_loads_argparse(tmp_path):
+    lines = _run_script(tmp_path, """
+        try:
+            main(["--help"])
+        except SystemExit as exc:
+            assert exc.code == 0
+        assert "argparse" in sys.modules
+    """)
+    assert lines[0].startswith("usage: transopt")
+
+
+def test_a_tree_or_jeep_check_leaves_geometry_unloaded(tmp_path):
+    lines = _run_script(tmp_path, """
+        for tag in ("fuel", "ovrp", "jeep"):
+            assert main(["check", paths[tag]]) == 0, tag
+        assert "transopt.geometry" not in sys.modules
+        # control: a polygon check loads it
+        assert main(["check", paths["hampath"]]) == 0
+        assert "transopt.geometry" in sys.modules
+    """)
+    assert len(lines) == 4
 
 
 def test_every_public_name_resolves():
