@@ -13,7 +13,7 @@ from collections import namedtuple
 from operator import ge
 
 from .errors import BudgetUnreachableError, InfeasibleError
-from .tolerances import BUDGET_SLACK, CHECK_EPS, DIV_TOL, HARMONIC_MARGIN
+from .tolerances import BUDGET_SLACK, CHECK_EPS, DIV_TOL
 
 INF = math.inf
 
@@ -63,9 +63,14 @@ class Subdivision(namedtuple("Subdivision", "points")):
 SegmentPlan = namedtuple("SegmentPlan", "rt q")
 
 
+# the most segments one equal subdivision, one vertex-depot graph (summed
+# over its edges) or one threshold search (summed over all k) may evaluate
+_MAX_SEGMENTS = 3 * 2 ** 20
+
+
 def _check_equal(x, k):
     """The spacing x/(k+1) of an equal subdivision; a ValueError unless it is
-    a positive float."""
+    a positive float and the k + 1 segments are at most ``_MAX_SEGMENTS``."""
     if x <= 0:
         raise ValueError("distance must be positive")
     if k < 0:
@@ -76,6 +81,8 @@ def _check_equal(x, k):
         c = 0.0
     if c == 0.0:
         raise ValueError("point spacing x/(k+1) underflows to 0")
+    if k + 1 > _MAX_SEGMENTS:
+        raise ValueError(f"k + 1 exceeds {_MAX_SEGMENTS} segments")
     return c
 
 
@@ -154,17 +161,24 @@ def _method1(pts, params, terminal, mode, collect_plans):
     return f, plans
 
 
+def _method2_start(x, k, params):
+    """Method 2's gallons per segment a = g*x/(k+1) and the net gain m - 2a
+    of a round trip; an :class:`InfeasibleError` unless that is positive."""
+    _check_equal(x, k)
+    a = params.g * x / (k + 1)
+    net = params.m - 2.0 * a
+    if net <= 0:
+        raise InfeasibleError(f"equal subdivision too coarse: m - 2a = {net}")
+    return a, net
+
+
 def eval_equal_naive(x, k, params):
     """Method 2 as a plain loop over every subdivision point.
 
     The running requirement is always an integer multiple of a = g*x/(k+1);
     the multiplier is tracked exactly and only the division uses floats.
     """
-    _check_equal(x, k)
-    a = params.g * x / (k + 1)
-    net = params.m - 2.0 * a
-    if net <= 0:
-        raise InfeasibleError(f"equal subdivision too coarse: m - 2a = {net}")
+    a, net = _method2_start(x, k, params)
     mult = 0
     for _ in range(k + 1):
         l = fdiv(mult * a, net)
@@ -188,11 +202,7 @@ def eval_equal_fast(x, k, params):
     only longer runs pay for the closed form and its checks.  Each run counts
     as one visited index either way, so the count is unchanged.
     """
-    _check_equal(x, k)
-    a = params.g * x / (k + 1)
-    net = params.m - 2.0 * a
-    if net <= 0:
-        raise InfeasibleError(f"equal subdivision too coarse: m - 2a = {net}")
+    a, net = _method2_start(x, k, params)
     mult = 0
     idx = k + 1
     touched = 1
@@ -229,53 +239,42 @@ def eval_equal_fast(x, k, params):
 
 
 _EULER = 0.5772156649015329
-_EXACT_TERMS = 10 ** 6
 
 
-def _odd_harmonic_asym(t):
-    # sum_{i<=t} 1/(2i-1) = H_{2t} - H_t/2; expansion error is O(1/t^4)
-    return 0.5 * math.log(t) + math.log(2.0) + 0.5 * _EULER + 1.0 / (48.0 * t * t)
+def _odd_harmonic(t):
+    """sum_{i<=t} 1/(2i-1) = H_{2t} - H_t/2: the ``fsum`` of its terms up to
+    255 of them, then the expansion, which is within one ulp of that."""
+    if t < 256:
+        return math.fsum(1.0 / (2 * i - 1) for i in range(1, t + 1))
+    u = (1.0 / t) ** 2
+    return (0.5 * math.log(t) + math.log(2.0) + 0.5 * _EULER
+            + u * (1.0 / 48.0 - u * (7.0 / 1920.0 - u * (31.0 / 16128.0))))
 
 
 def continuous_optimum(x, params):
-    """Minimum gas when caches may sit anywhere, via the odd-harmonic series.
+    """Minimum gas when caches may sit anywhere (Fine's odd-harmonic stages).
 
-    With t full tanks the jeep covers (m/g) * sum 1/(2i-1) miles; the final
-    partial stage is solved exactly so the distances match.  The term count
-    grows like exp(2gx/m), so beyond a million terms the partial sum is
-    inverted through its asymptotic expansion (error far below one term).
-    """
+    t full tanks carry the jeep (m/g) * sum_{i<=t} 1/(2i-1) miles, and the
+    last, partial stage is solved exactly.  t starts just below the inverse
+    of the sum's expansion at gx/m and steps up to the first t whose sum
+    reaches gx/m; past 1e306 stages the gas is inf."""
     m, g = params.m, params.g
     if x <= m / g:
         return g * x
     target = g * x / m  # required odd-harmonic partial sum
-    s = 0.0
-    # the exact terms sum to about 7.8895; a larger target skips to the expansion
-    exact = target <= _odd_harmonic_asym(_EXACT_TERMS) + HARMONIC_MARGIN
-    t = 0 if exact else _EXACT_TERMS
-    while t < _EXACT_TERMS:
-        t += 1
-        s_prev = s
-        s += 1.0 / (2 * t - 1)
-        if s >= target:
-            return (t - 1) * m + g * (2 * t - 1) * (x - (m / g) * s_prev)
     try:
         t_est = math.exp(2.0 * (target - math.log(2.0) - 0.5 * _EULER))
     except OverflowError:
         return INF
     if t_est > 1e306:
         return INF
-    t = max(int(t_est) - 2, _EXACT_TERMS + 1)
-    while _odd_harmonic_asym(t) < target:
+    t = max(int(t_est) - 2, 1)
+    while _odd_harmonic(t) < target:
         t += 1
-    rem = x - (m / g) * _odd_harmonic_asym(t - 1)
+    rem = x - (m / g) * _odd_harmonic(t - 1)
     step = (m / g) / (2 * t - 1)
     rem = min(max(rem, 0.0), step)
     return (t - 1) * m + g * (2 * t - 1) * rem
-
-
-# the most segments, summed over all k, one threshold search evaluates
-_MAX_SEGMENTS = 3 * 2 ** 20
 
 
 def threshold_search(x, params, budget, schedule="multiplicative", ct=2,
@@ -405,6 +404,8 @@ def graph_vertex_depots_continuous(graph, params, k_per_edge):
     methods agree; ``faithful`` mode can overestimate multi-trip edges."""
     if k_per_edge < 0:
         raise ValueError("k_per_edge must be nonnegative")
+    if (k_per_edge + 1) * len(graph.edges) > _MAX_SEGMENTS:
+        raise ValueError(f"(k_per_edge + 1) * edges exceeds {_MAX_SEGMENTS} segments")
 
     def relax(h_u, ln):
         try:
@@ -483,7 +484,4 @@ def graph_min_gas_binary_forward(graph, params, eps=None):
 def graph_free_depots(graph, params):
     """Depots anywhere: classic shortest path, then the continuous optimum."""
     dist = _dijkstra_min(graph, graph.source, lambda d, ln: d + ln)
-    x = dist[graph.target]
-    if x == 0:
-        return 0.0
-    return continuous_optimum(x, params)
+    return continuous_optimum(dist[graph.target], params)

@@ -1,10 +1,10 @@
 """Every numeric tolerance of transopt, one name per comparison it loosens.
 
-The paper's algorithms are exact; these absorb float rounding only.  They
-are constants: no option or environment variable sets them.  The one
-tolerance computed from the input, the rounding bound ``m * m * 2**-46``
-that the visibility pass adds to ``DEFER_TOL``, stays in
-``visibility.visibility_matrix``.
+The paper's algorithms are exact; these seven absorb float rounding only,
+and a closed form such as ``jeep.continuous_optimum`` needs none.  They are
+constants: no option or environment variable sets them.  The one tolerance
+computed from the input, the rounding bound ``m * m * 2**-46`` that the
+visibility pass adds to ``DEFER_TOL``, stays in ``visibility.visibility_matrix``.
 """
 
 # absolute: cross products and coordinate gaps (``geometry.orientation``,
@@ -21,9 +21,6 @@ DIV_TOL = 1e-9
 # relative: ``threshold_search`` rejects a budget below the continuous
 # optimum times (1 - BUDGET_SLACK), so rounding never rejects one some k meets
 BUDGET_SLACK = 1e-9
-# ``continuous_optimum``: a target this far past the 10**6-term odd-harmonic
-# sum skips the exact loop for the asymptotic expansion
-HARMONIC_MARGIN = 1e-8
 # relative: ``oracles.jeep_simulate_plan``'s tank and delivery checks
 REL_TOL = 1e-9
 # relative: ``check``'s solver/oracle agreement, and the bracket width at

@@ -517,13 +517,21 @@ JEEP = {"schema": "transopt-instance/1", "problem": "jeep", "m": 1.0, "g": 1.0}
     (dict(JEEP, x=-1.0, k=3), "jeep-fast"),
     (dict(JEEP, x=1.0, budget=0.5), "jeep-threshold"),
     (dict(JEEP_GRAPH, k_per_edge=10 ** 400), "jeep-graph-vertex"),
+    # more segments than _MAX_SEGMENTS: rejected before any point is made
+    (dict(JEEP, x=1.0, k=2 ** 40), "jeep-fast"),
+    (dict(JEEP, x=1.0, k=2 ** 40), "jeep-exact"),
+    (dict(JEEP, x=1.0, k=2 ** 40), None),
+    (dict(JEEP_GRAPH, k_per_edge=2 ** 40), "jeep-graph-vertex"),
 ], ids=["graph-target", "graph-source", "fast-x0", "fast-k-1", "fast-x-1",
-        "threshold-below-optimum", "vertex-k-past-float-range"])
+        "threshold-below-optimum", "vertex-k-past-float-range", "fast-k-2-40",
+        "exact-k-2-40", "check-k-2-40", "vertex-k-2-40"])
 def test_jeep_out_of_range_gives_one_envelope(tmp_path, capsys, payload, algo):
+    # algo None runs check
+    argv = ["check"] if algo is None else ["solve", "--algo", algo]
     t0 = time.perf_counter()
-    code, lines = run(capsys, ["solve", "--algo", algo, write(tmp_path, payload)])
+    code, lines = run(capsys, argv + [write(tmp_path, payload)])
     assert time.perf_counter() - t0 < 2.0
-    assert code in (1, 2) and len(lines) == 1
+    assert code == (2 if algo == "jeep-threshold" else 1) and len(lines) == 1
     assert lines[0]["schema"] == "transopt-result/1"
     assert lines[0]["status"] == {1: "error", 2: "infeasible"}[code]
     assert lines[0]["diagnostics"]["reason"]

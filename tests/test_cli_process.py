@@ -160,8 +160,8 @@ def test_closed_stdout_keeps_the_exit_code(tmp_path, transopt_cmd, payload,
 FUEL_PATH = {"schema": SCHEMA, "problem": "fuel", "n": 3000,
              "edges": [[v, v + 1, 1] for v in range(1, 3000)],
              "gas": [1] * 3000}
-# the budget is the continuous optimum at x = 2, which no k meets; stepping
-# k by one up to the cap would evaluate about 5e11 segments
+# the budget is the continuous optimum at x = 2 (to 5e-16), which no k meets;
+# stepping k by one up to the cap would evaluate about 5e11 segments
 ADDITIVE_THRESHOLD = {"schema": SCHEMA, "problem": "jeep", "x": 2.0,
                       "m": 1.0, "g": 1.0, "budget": 7.672993672993677,
                       "schedule": "additive", "ct": 1}

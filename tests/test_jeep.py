@@ -3,6 +3,7 @@ import json
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -494,12 +495,73 @@ def test_forward_feasible_unbounded_load():
 
 
 def test_continuous_optimum_skips_exact_terms_past_their_reach():
-    # 10**6 exact terms sum to about 7.89; a larger target goes straight to
-    # the asymptotic inversion instead of adding every term first
+    # the stage count comes from inverting the odd-harmonic expansion, so a
+    # sum of 10**25 terms or more is never added term by term
     t0 = time.perf_counter()
     assert continuous_optimum(400.0, UNIT) == math.inf
     assert continuous_optimum(30.0, UNIT) > 1e25
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_odd_harmonic_within_two_ulps_of_fsum():
+    terms = [1.0 / (2 * i - 1) for i in range(1, 10 ** 6 + 1)]
+    ts = set(range(1, 401)) | {round(10 ** (e / 8)) for e in range(17, 49)}
+    for t in sorted(ts):
+        exact = math.fsum(terms[:t])
+        assert abs(jeep._odd_harmonic(t) - exact) <= 2 * math.ulp(exact), t
+
+
+def _stage_formula(x, m, g):
+    """The continuous optimum on exact rationals: the first t whose
+    odd-harmonic sum reaches gx/m, then the partial final stage."""
+    x, m, g = Fraction(x), Fraction(m), Fraction(g)
+    if x <= m / g:
+        return g * x
+    target, prev, t = g * x / m, Fraction(0), 1
+    while prev + Fraction(1, 2 * t - 1) < target:
+        prev += Fraction(1, 2 * t - 1)
+        t += 1
+    return (t - 1) * m + g * (2 * t - 1) * (x - m / g * prev)
+
+
+def test_continuous_optimum_matches_exact_stage_formula():
+    rng = random.Random(41)
+    for m, g in ((1.0, 1.0), (2.0, 0.5), (0.75, 1.3)):
+        params = JeepParams(m, g)
+        for _ in range(40):
+            x = rng.uniform(1.0, 4.5) * m / g
+            exact = _stage_formula(x, m, g)
+            got = continuous_optimum(x, params)
+            assert abs(Fraction(got) - exact) <= Fraction(1, 10 ** 13) * exact, \
+                (x, m, g)
+
+
+@pytest.mark.parametrize("x", [7.0, 7.8, 7.88])
+def test_continuous_optimum_is_fast_near_a_million_stages(x):
+    # 7.89 is the sum of 10**6 odd-harmonic terms: no call adds them one by
+    # one; the fastest of five calls keeps a busy machine's pauses out
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        continuous_optimum(x, UNIT)
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.005
+
+
+def test_equal_subdivisions_past_max_segments_are_rejected():
+    k = jeep._MAX_SEGMENTS
+    for evaluate in (equal_subdivision, lambda x, k: eval_equal_fast(x, k, UNIT),
+                     lambda x, k: eval_equal_naive(x, k, UNIT)):
+        with pytest.raises(ValueError, match="segments"):
+            evaluate(1.0, k)
+        with pytest.raises(ValueError, match="segments"):
+            evaluate(1.0, 2 ** 40)
+    # within the limit: half a tank crosses with no round trip
+    assert abs(eval_equal_fast(0.5, k - 1, UNIT)[0] - 0.5) < 1e-9
+    # two edges of k // 2 + 1 segments each: two past the limit
+    graph = JeepGraph(3, ((1, 2, 0.2), (2, 3, 0.2)))
+    with pytest.raises(ValueError, match="segments"):
+        graph_vertex_depots_continuous(graph, UNIT, k // 2)
 
 
 def test_forward_binary_agrees_with_backward():
