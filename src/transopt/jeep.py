@@ -70,7 +70,7 @@ _MAX_SEGMENTS = 3 * 2 ** 20
 
 def _check_equal(x, k):
     """The spacing x/(k+1) of an equal subdivision; a ValueError unless it is
-    a positive float and the k + 1 segments are at most ``_MAX_SEGMENTS``."""
+    a positive float."""
     if x <= 0:
         raise ValueError("distance must be positive")
     if k < 0:
@@ -81,8 +81,6 @@ def _check_equal(x, k):
         c = 0.0
     if c == 0.0:
         raise ValueError("point spacing x/(k+1) underflows to 0")
-    if k + 1 > _MAX_SEGMENTS:
-        raise ValueError(f"k + 1 exceeds {_MAX_SEGMENTS} segments")
     return c
 
 
@@ -97,6 +95,8 @@ def _equal_points(x, k):
     subnormal spacing the rounded c can take ``k * c`` to x (x = 1.5e-323,
     k = 3: c = 5e-324 and 3c = x), so ``Subdivision`` still checks them."""
     c = _check_equal(x, k)
+    if k + 1 > _MAX_SEGMENTS:
+        raise ValueError(f"k + 1 exceeds {_MAX_SEGMENTS} segments")
     return tuple(i * c for i in range(k + 1)) + (x,)
 
 
@@ -179,6 +179,8 @@ def eval_equal_naive(x, k, params):
     the multiplier is tracked exactly and only the division uses floats.
     """
     a, net = _method2_start(x, k, params)
+    if k + 1 > _MAX_SEGMENTS:
+        raise ValueError(f"k + 1 exceeds {_MAX_SEGMENTS} segments")
     mult = 0
     for _ in range(k + 1):
         l = fdiv(mult * a, net)

@@ -518,13 +518,12 @@ JEEP = {"schema": "transopt-instance/1", "problem": "jeep", "m": 1.0, "g": 1.0}
     (dict(JEEP, x=1.0, budget=0.5), "jeep-threshold"),
     (dict(JEEP_GRAPH, k_per_edge=10 ** 400), "jeep-graph-vertex"),
     # more segments than _MAX_SEGMENTS: rejected before any point is made
-    (dict(JEEP, x=1.0, k=2 ** 40), "jeep-fast"),
     (dict(JEEP, x=1.0, k=2 ** 40), "jeep-exact"),
     (dict(JEEP, x=1.0, k=2 ** 40), None),
     (dict(JEEP_GRAPH, k_per_edge=2 ** 40), "jeep-graph-vertex"),
 ], ids=["graph-target", "graph-source", "fast-x0", "fast-k-1", "fast-x-1",
-        "threshold-below-optimum", "vertex-k-past-float-range", "fast-k-2-40",
-        "exact-k-2-40", "check-k-2-40", "vertex-k-2-40"])
+        "threshold-below-optimum", "vertex-k-past-float-range", "exact-k-2-40",
+        "check-k-2-40", "vertex-k-2-40"])
 def test_jeep_out_of_range_gives_one_envelope(tmp_path, capsys, payload, algo):
     # algo None runs check
     argv = ["check"] if algo is None else ["solve", "--algo", algo]
@@ -535,6 +534,18 @@ def test_jeep_out_of_range_gives_one_envelope(tmp_path, capsys, payload, algo):
     assert lines[0]["schema"] == "transopt-result/1"
     assert lines[0]["status"] == {1: "error", 2: "infeasible"}[code]
     assert lines[0]["diagnostics"]["reason"]
+
+
+def test_jeep_fast_takes_a_k_past_the_segment_limit(tmp_path, capsys):
+    # Method 2's fast form makes no points, so no segment limit applies: at
+    # x = 1 its 2**40 + 1 indices are two runs
+    t0 = time.perf_counter()
+    code, lines = run(capsys, ["solve", "--algo", "jeep-fast",
+                               write(tmp_path, dict(JEEP, x=1.0, k=2 ** 40))])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0 and len(lines) == 1
+    assert lines[0]["objective"] == 1.0000000020027073
+    assert lines[0]["diagnostics"] == {"points_touched": 3}
 
 
 @pytest.mark.parametrize("algo", ["ovrp-dp1", "ovrp-dp2"])

@@ -548,20 +548,24 @@ def test_continuous_optimum_is_fast_near_a_million_stages(x):
     assert min(times) < 0.005
 
 
-def test_equal_subdivisions_past_max_segments_are_rejected():
-    k = jeep._MAX_SEGMENTS
-    for evaluate in (equal_subdivision, lambda x, k: eval_equal_fast(x, k, UNIT),
-                     lambda x, k: eval_equal_naive(x, k, UNIT)):
-        with pytest.raises(ValueError, match="segments"):
-            evaluate(1.0, k)
+def test_equal_subdivisions_past_max_segments_are_rejected(monkeypatch):
+    bounded = (equal_subdivision, lambda x, k: eval_equal_naive(x, k, UNIT))
+    for evaluate in bounded:
         with pytest.raises(ValueError, match="segments"):
             evaluate(1.0, 2 ** 40)
-    # within the limit: half a tank crosses with no round trip
-    assert abs(eval_equal_fast(0.5, k - 1, UNIT)[0] - 0.5) < 1e-9
-    # two edges of k // 2 + 1 segments each: two past the limit
+    # the fast form makes no points: at x = 1 its 2**40 + 1 indices are two runs
+    assert eval_equal_fast(1.0, 2 ** 40, UNIT) == (1.0000000020027073, 3)
+    monkeypatch.setattr(jeep, "_MAX_SEGMENTS", 10)
+    assert equal_subdivision(1.0, 9).k == 9
+    assert eval_equal_naive(1.0, 9, UNIT) == eval_equal_fast(1.0, 9, UNIT)[0]
+    for evaluate in bounded:
+        with pytest.raises(ValueError, match="segments"):
+            evaluate(1.0, 10)
+    # two edges of 5 segments each fit; of 6 each, two are past the limit
     graph = JeepGraph(3, ((1, 2, 0.2), (2, 3, 0.2)))
+    assert graph_vertex_depots_continuous(graph, UNIT, 4)[1] < math.inf
     with pytest.raises(ValueError, match="segments"):
-        graph_vertex_depots_continuous(graph, UNIT, k // 2)
+        graph_vertex_depots_continuous(graph, UNIT, 5)
 
 
 def test_forward_binary_agrees_with_backward():
