@@ -192,9 +192,10 @@ def eval_equal_fast(x, k, params):
     """Method 2 with index skipping.
 
     Jumps over maximal runs of points sharing a round-trip count; the jump
-    target from the closed form is verified (and nudged if the tolerance
-    landed one off) against the same division the naive loop performs, so
-    both produce bit-identical values.  Returns the point-0 requirement and
+    target from the closed form is verified against the same division the
+    naive loop performs, and where the tolerance left it off, a galloping
+    search from it finds the true one (``_run_start``), so both produce
+    bit-identical values.  Returns the point-0 requirement and
     the number of subdivision indices actually visited.
 
     Each run first divides once for the count of the next index.  Where it
@@ -224,11 +225,11 @@ def eval_equal_fast(x, k, params):
             else:
                 if abs(room - dif * denom) <= DIV_TOL * max(1.0, abs(room)):
                     dif -= 1
-            u = max(idx - dif, 1)
-            while u > 1 and fdiv((mult + (idx - (u - 1)) * step) * a, net) == l:
-                u -= 1
-            while u < idx and fdiv((mult + (idx - u) * step) * a, net) != l:
-                u += 1
+            u = max(idx - dif, 1)  # checked on both sides; searched if off
+            if (u > 1 and fdiv((mult + (idx - u + 1) * step) * a, net) == l
+                    or u < idx and fdiv((mult + (idx - u) * step) * a, net) != l):
+                u = _run_start(u, idx,
+                               lambda j: fdiv((mult + (idx - j) * step) * a, net) == l)
             mult += (idx - u + 1) * step
             idx = u - 1
             nxt = fdiv(mult * a, net)
@@ -238,6 +239,24 @@ def eval_equal_fast(x, k, params):
         touched += 1
         l = nxt
     return mult * a, touched
+
+
+def _run_start(u, idx, same):
+    """The least index j >= 1 with ``same(j)``, which holds from j up to
+    ``idx`` and nowhere below j, found from the estimate u: one test on each
+    side of u when it is right, else a doubling bracket then a bisection."""
+    lo, hi, d = u - 1, u, 1  # until the bracket holds: lo is 0 or not same(lo)
+    while lo > 0 and same(lo):  # j is below u; now same(hi)
+        lo, hi, d = max(lo - d, 0), lo, 2 * d
+    while hi < idx and not same(hi):  # j is above u; same(idx) holds
+        lo, hi, d = hi, min(hi + d, idx), 2 * d
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if same(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 _EULER = 0.5772156649015329

@@ -1,9 +1,8 @@
 """Which vertex pairs of a simple polygon see each other: an O(n^2)
-triangulation and funnel pass in general position, and the O(n) per pair
-test for the rows that pass cannot decide (see ``visibility_matrix``).
+triangulation and funnel pass, and the O(n) per pair test for the rows that
+pass cannot decide (see ``visibility_matrix``).
 """
 
-import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from operator import mul
@@ -11,18 +10,17 @@ from operator import mul
 from .geometry import on_segment, orientation
 from .tolerances import DEFER_TOL, EPS, MIN_PIECE
 
-INF = math.inf
-
 
 def visibility_matrix(poly):
     """Boolean n x n matrix: segment (i, j) stays inside the closed polygon.
 
-    O(n^2) in general position: one ear-clipping triangulation, then one
+    O(n^2) while few rows defer: one ear-clipping triangulation, then one
     funnel walk per source vertex (``_funnel_rows``).  Each cross product
     either pass decides on is taken relative to the source, as the pair test
-    takes it; when one lies within ``DEFER_TOL`` (plus a bound on its
-    rounding) of zero, the walk hands its row to the pair test, and a
-    triangulation that meets one hands over every row.  The pair test
+    takes it.  The triangulation clips only ears that no cross product within
+    ``DEFER_TOL`` (plus a bound on its rounding) of zero puts in doubt, and
+    hands every row to the pair test only when no such ear is left; a walk
+    that meets such a cross product hands over its own row.  The pair test
     (``_pair_rows``) is the O(n) per pair scan that
     ``oracles.visibility_reference`` mirrors predicate by predicate, so the
     matrix is the reference's entry for entry.
@@ -47,13 +45,16 @@ def visibility_matrix(poly):
 
 def _triangulate(v, tol):
     """Ear-clipping triangulation of the counterclockwise ring ``v``: n - 2
-    counterclockwise index triples, or None when a cross product it decides
-    on lies within ``tol`` of zero.
+    counterclockwise index triples, or None when it runs out of ears.
 
+    An ear is clipped only when every cross product its test reads clears
+    ``tol``; one within ``tol`` of zero makes the vertex no ear for now.  A
+    vertex whose own turn is within ``tol`` blocks as a reflex vertex does.
     An ear test looks at the reflex vertices inside the triangle's bounding
     box, and after a clip only the two vertices next to it are tested again.
     So an ear opened by a clip farther away goes unseen, and if the queue
-    runs dry that way this gives up too: O(n^2) tests, never a wrong one.
+    runs dry that way, or every ear left is in doubt, this gives up: O(n^2)
+    tests, never a wrong one.
     """
     n = len(v)
     nxt = list(range(1, n)) + [0]
@@ -64,24 +65,14 @@ def _triangulate(v, tol):
         (ax, ay), (bx, by), (cx, cy) = v[a], v[b], v[c]
         return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
-    reflex = []
-    for b in range(n):
-        t = turn(prv[b], b, nxt[b])
-        if -tol <= t <= tol:
-            return None
-        if t < 0:
-            reflex.append(b)
+    reflex = [b for b in range(n) if turn(prv[b], b, nxt[b]) <= tol]
     reflex.sort(key=lambda k: v[k][0])
     rx = [v[k][0] for k in reflex]
 
     def ear(b):
-        """True, False, or None when the answer rests on a near-zero cross."""
         a, c = prv[b], nxt[b]
-        t = turn(a, b, c)
-        if t < -tol:
+        if turn(a, b, c) <= tol:
             return False
-        if t <= tol:
-            return None
         (ax, ay), (bx, by), (cx, cy) = v[a], v[b], v[c]
         y_lo, y_hi = min(ay, by, cy), max(ay, by, cy)
         for r in reflex[bisect_left(rx, min(ax, bx, cx)):
@@ -89,38 +80,31 @@ def _triangulate(v, tol):
             px, py = v[r]
             if not (alive[r] and y_lo <= py <= y_hi) or r in (a, b, c):
                 continue
-            c1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-            if c1 < -tol:
+            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < -tol:
                 continue
-            c2 = (cx - bx) * (py - by) - (cy - by) * (px - bx)
-            if c2 < -tol:
+            if (cx - bx) * (py - by) - (cy - by) * (px - bx) < -tol:
                 continue
-            c3 = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
-            if c3 < -tol:
+            if (ax - cx) * (py - cy) - (ay - cy) * (px - cx) < -tol:
                 continue
-            return None if min(c1, c2, c3) <= tol else False
+            return False  # r is inside, or too near an edge to tell
         return True
 
     is_ear = [ear(b) for b in range(n)]
-    if None in is_ear:
-        return None
     ears = deque(b for b in range(n) if is_ear[b])
     tris = []
     for _ in range(n - 3):
         while ears and not is_ear[ears[0]]:
             ears.popleft()
         if not ears:
-            return None  # a far clip opened the only ears; rare, and exact
+            return None  # rare, and exact
         b = ears.popleft()
         a, c = prv[b], nxt[b]
         tris.append((a, b, c))
         is_ear[b] = alive[b] = False
         nxt[a], prv[c] = c, a
         for k in (a, c):
-            e = is_ear[k] = ear(k)
-            if e is None:
-                return None
-            if e:
+            is_ear[k] = ear(k)
+            if is_ear[k]:
                 ears.append(k)
     b = next(b for b in range(n) if alive[b])
     tris.append((prv[b], b, nxt[b]))
@@ -271,17 +255,21 @@ def _inside_test(v):
     bisection finds the slab of y.  The crossing-parity edges are those with
     min(y) <= y < max(y), which holds for the whole slab or none of it; the
     boundary candidates are every edge whose y-range widened by EPS meets
-    the slab, a superset that ``on_segment`` then filters exactly.
+    the slab, a superset that ``on_segment`` then filters exactly.  Slab k
+    lies between ys[k - 1] and ys[k], so bisection finds each edge's slabs
+    and the build is O(n + slab entries).
     """
     n = len(v)
-    edges = [(v[e], v[(e + 1) % n]) for e in range(n)]
     ys = sorted({y for _, y in v})
-    near, parity = [], []
-    for lo, hi in zip([-INF] + ys, ys + [INF]):
-        near.append([(c, d) for c, d in edges
-                     if min(c[1], d[1]) - EPS <= hi and max(c[1], d[1]) + EPS >= lo])
-        parity.append([(c, d) for c, d in edges
-                       if min(c[1], d[1]) <= lo and max(c[1], d[1]) >= hi])
+    near = [[] for _ in range(len(ys) + 1)]
+    parity = [[] for _ in range(len(ys) + 1)]
+    for e in range(n):
+        c, d = v[e], v[(e + 1) % n]
+        y0, y1 = min(c[1], d[1]), max(c[1], d[1])
+        for k in range(bisect_left(ys, y0 - EPS), bisect_right(ys, y1 + EPS) + 1):
+            near[k].append((c, d))
+        for k in range(bisect_left(ys, y0) + 1, bisect_left(ys, y1) + 1):
+            parity[k].append((c, d))
 
     def inside(x, y):
         k = bisect_right(ys, y)

@@ -406,11 +406,12 @@ def test_fast_pass_decides_general_position_rows(monkeypatch):
         calls.clear()
         assert visibility_matrix(poly) == visibility_reference(poly)
         assert calls  # collinear runs defer
-    # the L-shaped room: a chord through the reflex corner defers every row
+    # the L-shaped room: only the rows of the chord through the reflex
+    # corner, (1, 5), meet a zero cross product and defer
     room = SimplePolygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
     calls.clear()
     assert visibility_matrix(room) == visibility_reference(room)
-    assert calls == [6]
+    assert calls == [2]
 
 
 def test_triangulation_covers_the_polygon():
@@ -427,6 +428,64 @@ def test_triangulation_covers_the_polygon():
         edges = {(a, b) for t in tris for a, b in zip(t, t[1:] + t[:1])}
         assert len(edges) == 3 * (n - 2)
         assert all((k, (k + 1) % n) in edges for k in range(n))
+
+
+def _turn(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _tol(v):
+    # visibility_matrix's tolerance for the ring v
+    m = max(abs(c) for p in v for c in p)
+    return DEFER_TOL + m * m * 2.0 ** -46
+
+
+def test_near_flat_corner_leaves_the_triangulation_whole(monkeypatch):
+    # vertex 667 of this star turns by -5.5e-9, within the tolerance: it
+    # blocks as a reflex vertex does, and only 4 rows go to the pair test
+    poly = jittered_star(random.Random(28), 800, 0.4)
+    v, n = poly.vertices, poly.n
+    tris = visibility._triangulate(v, _tol(v))
+    assert len(tris) == n - 2
+    areas = [signed_area([v[a], v[b], v[c]]) for a, b, c in tris]
+    assert min(areas) > 0
+    assert math.isclose(math.fsum(areas), signed_area(v), rel_tol=1e-12)
+    calls = []
+    monkeypatch.setattr(visibility, "_pair_rows",
+                        lambda v, vis, rows: calls.append(len(rows)))
+    visibility_matrix(poly)
+    assert calls == [4]
+
+
+def test_near_flat_rings_match_the_reference():
+    # stars scaled down to 3e-4 and, three in ten, snapped to a grid: many
+    # turns and blockers lie within the tolerance
+    rng = random.Random(57)
+    rings = flat_kept = 0
+    while rings < 100:
+        n, s = rng.randint(3, 70), 3e-4 ** rng.random()
+        pts = [(x * s, y * s) for x, y in
+               jittered_star(rng, n, rng.choice((0.05, 0.4, 0.85))).vertices]
+        if rng.random() < 0.3:
+            h = s / rng.choice((8, 16, 64))
+            pts = [(round(x / h) * h, round(y / h) * h) for x, y in pts]
+        try:
+            poly = SimplePolygon(pts)
+        except InvalidPolygonError:
+            continue
+        rings += 1
+        v, tol = poly.vertices, _tol(poly.vertices)
+        assert visibility_matrix(poly) == visibility_reference(poly), pts
+        tris = visibility._triangulate(v, tol)
+        if tris is None:
+            continue
+        # every clipped ear turns by more than the tolerance; the last
+        # triangle is what the clips leave
+        assert all(_turn(v[a], v[b], v[c]) > tol for a, b, c in tris[:-1])
+        # count the rings with a near-flat corner that triangulate
+        corners = zip(v[-1:] + v[:-1], v, v[1:] + v[:1])
+        flat_kept += any(abs(_turn(*abc)) <= tol for abc in corners)
+    assert flat_kept >= 20, flat_kept
 
 
 def test_slab_containment_matches_point_in_polygon():

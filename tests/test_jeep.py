@@ -331,6 +331,31 @@ def test_first_index_direct_equals_binsearch(monkeypatch):
     assert skipped > 200  # most cases have runs the closed form jumps
 
 
+def test_run_start_from_any_estimate():
+    for idx in (1, 2, 3, 7, 40, 1000):
+        for j in range(1, idx + 1):
+            for u in {1, 2, j - 1, j, j + 1, idx, idx + 1} - {0}:
+                tested = []
+
+                def same(t):
+                    tested.append(t)
+                    return t >= j
+
+                assert jeep._run_start(u, idx, same) == j
+                assert len(tested) <= 4 * max(1, abs(u - j)).bit_length() + 2
+                assert all(1 <= t <= idx for t in tested)
+
+
+def test_fast_gallops_to_far_run_starts():
+    # at x = 1 the closed form's estimate of a run's first index is off by
+    # about DIV_TOL times k, 10^6 and 10^8 indices here
+    for k in (10 ** 15, 10 ** 17):
+        t0 = time.perf_counter()
+        fast = eval_equal_fast(1.0, k, UNIT)
+        assert time.perf_counter() - t0 < 1.0
+        assert fast == _runs_by_binsearch(1.0, k, UNIT)[0]
+
+
 def test_continuous_examples():
     assert continuous_optimum(1.0, UNIT) == 1.0
     assert continuous_optimum(0.3, UNIT) == 0.3
