@@ -53,10 +53,10 @@ _EXPORTS = {
         "graph_vertex_depots_continuous",
         "threshold_search",
     ), "jeep"),
+    **dict.fromkeys(("single_vehicle_closed_form",), "oracles"),
     **dict.fromkeys((
         "OvrpInstance",
         "OvrpSolution",
-        "single_vehicle_closed_form",
         "solve_greedy",
         "solve_knapsack_v1",
         "solve_knapsack_v2",

@@ -349,6 +349,7 @@ class JeepGraph(namedtuple("JeepGraph", "n edges source target adj")):
 
     ``edges`` holds (i, j, length) triples; ``target`` defaults to vertex n.
     ``adj[u]`` lists u's (neighbor, length) pairs and is built from ``edges``.
+    :func:`_dijkstra_min` checks that ``source`` reaches every vertex.
     """
 
     __slots__ = ()
@@ -361,27 +362,19 @@ class JeepGraph(namedtuple("JeepGraph", "n edges source target adj")):
                 raise ValueError(f"{name} {v} outside 1..{n}")
         if len(edges) < n - 1:
             raise ValueError("graph is not connected")
+        adj = [[] for _ in range(n + 1)]
         for (i, j, ln) in edges:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"edge ({i},{j}) references unknown vertex")
             if ln <= 0:
                 raise ValueError(f"edge ({i},{j}) must have positive length")
-        adj = [[] for _ in range(n + 1)]
-        for (i, j, ln) in edges:
             adj[i].append((j, float(ln)))
             adj[j].append((i, float(ln)))
-        seen = {source}
-        stack = [source]
-        while stack:
-            u = stack.pop()
-            for (v, _) in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != n:
+        graph = super().__new__(cls, n, edges, source, target,
+                                tuple(map(tuple, adj)))
+        if INF in _dijkstra_min(graph, source, lambda d, ln: d)[1:]:
             raise ValueError("graph is not connected")
-        return super().__new__(cls, n, edges, source, target,
-                               tuple(map(tuple, adj)))
+        return graph
 
 
 def _dijkstra_min(graph, start, relax, label=0.0):

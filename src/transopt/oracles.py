@@ -1,7 +1,7 @@
-"""Brute-force reference implementations.
+"""Brute-force reference implementations, and the one-vehicle ovrp optimum.
 
 Deliberately naive and independent of the solvers they check: they share
-only instance types and the geometry predicates.  Every oracle enforces a
+only instance types and the geometry predicates.  Every search enforces a
 hard size limit instead of silently truncating, except
 :func:`visibility_reference`, whose O(n^3) scan stays polynomial.
 """
@@ -61,6 +61,14 @@ def ovrp_brute(inst):
     if overflowed:
         return INF
     raise AssertionError("search exhausted without covering all vertices")
+
+
+def single_vehicle_closed_form(inst):
+    """Optimum for p=1: every edge twice, minus the longest root-leaf distance."""
+    tree = inst.tree
+    deepest = max(d for d, ch in zip(tree.droot[1:], tree.children[1:])
+                  if not ch)
+    return 2.0 * tree.total_edge_len() - deepest
 
 
 def fuel_brute(inst):

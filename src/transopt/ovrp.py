@@ -30,14 +30,6 @@ class OvrpInstance(namedtuple("OvrpInstance", "tree p")):
 OvrpSolution = namedtuple("OvrpSolution", "total_cost routes vehicles_used")
 
 
-def single_vehicle_closed_form(inst):
-    """Optimum for p=1: every edge twice, minus the longest root-leaf distance."""
-    tree = inst.tree
-    deepest = max(d for d, ch in zip(tree.droot[1:], tree.children[1:])
-                  if not ch)
-    return 2.0 * tree.total_edge_len() - deepest
-
-
 def _vehicle_bound(inst):
     """``inst.p`` capped at the leaf count; the DPs take the best over "at
     most p" vehicles, and a vehicle beyond one per leaf never helps."""
@@ -258,13 +250,13 @@ def _array_merge(p):
 def _route(tree, order, end_leaf, covered, bounds=()):
     """One vehicle's route: the :func:`~transopt.tree.euler_walk` of the
     tree under ``order`` (``tree.children`` as a list that all routes
-    share), cut right after ``end_leaf``.  During the walk each vertex with
+    share), stopped at ``end_leaf``.  During the walk each vertex with
     two or more sons on the root paths of ``end_leaf`` and ``bounds`` takes
     ``covered(v)``: a new list of the sons covered, in input order, and on
     ``end_leaf``'s path the son towards it last.  The rest is covered whole."""
     parent, children = tree.parent, tree.children
     changed = []
-    v, nxt, depth = parent[end_leaf], end_leaf, 0
+    v, nxt = parent[end_leaf], end_leaf
     while v:  # up to the root, whose parent is 0
         if len(children[v]) > 1:  # else its one son is nxt
             order[v] = kids = covered(v)
@@ -272,18 +264,19 @@ def _route(tree, order, end_leaf, covered, bounds=()):
                 kids.remove(nxt)
             kids.append(nxt)
             changed.append(v)
-        v, nxt, depth = parent[v], v, depth + 1
+        v, nxt = parent[v], v
     for leaf in bounds:  # up to a vertex whose order is already set
+        if leaf == end_leaf:  # its whole path is set above
+            continue
         v = parent[leaf]
         while v and order[v] is children[v]:
             if len(children[v]) > 1:
                 order[v] = covered(v)
                 changed.append(v)
             v = parent[v]
-    walk = euler_walk(tree, tree.root, order)
+    walk = euler_walk(tree, tree.root, order, end_leaf)
     for v in changed:
         order[v] = children[v]
-    del walk[len(walk) - depth:]  # the climb back to the root
     return walk
 
 

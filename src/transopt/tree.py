@@ -5,7 +5,7 @@ Euler-walk expansion and the one root-distance path length live here too.
 The leaf pass gives the leaves in DFS order, each vertex's leaves as a
 slice of that order and the LCA of every leaf with its predecessor.  The
 fuel route and every ovrp vehicle's route are Euler walks of the whole
-tree under a child order of their own; an ovrp route is cut at its end.
+tree under a child order of their own; an ovrp route stops at its end leaf.
 Vertices are 1-based externally (vertex 1 usually carries the depot) and
 the arrays here are indexed accordingly: position 0 is unused.
 """
@@ -126,8 +126,9 @@ def walk_cost(tree, walk):
     return total
 
 
-def euler_walk(tree, start, children=None):
-    """Closed DFS walk covering T(start), beginning and ending at start.
+def euler_walk(tree, start, children=None, stop=None):
+    """DFS walk covering T(start) from start back to start, or to ``stop``
+    when that is given: ``stop`` must be the last vertex the walk enters.
 
     ``children[u]`` gives the order in which u's sons are entered; it
     defaults to the tree's own input order.  Vertices are entered in
@@ -147,9 +148,12 @@ def euler_walk(tree, start, children=None):
         walk.append(v)
         last = v
         stack += children[v][::-1]
-    while last != start:
-        last = parent[last]
-        walk.append(last)
+    if stop is None:
+        while last != start:
+            last = parent[last]
+            walk.append(last)
+    elif last != stop:
+        raise ValueError(f"the walk enters {last} last, not {stop}")
     return walk
 
 

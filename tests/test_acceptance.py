@@ -41,10 +41,10 @@ from transopt.oracles import (
     ham_brute,
     jeep_simulate_plan,
     ovrp_brute,
+    single_vehicle_closed_form,
 )
 from transopt.ovrp import (
     OvrpInstance,
-    single_vehicle_closed_form,
     solve_greedy,
     solve_knapsack_v1,
     solve_knapsack_v2,

@@ -450,6 +450,19 @@ def test_graph_validation():
     # n - 1 edges, one of them parallel, leave vertices 3 and 4 unreached
     with pytest.raises(ValueError, match="not connected"):
         JeepGraph(4, ((1, 2, 1.0), (2, 1, 2.0), (3, 4, 1.0)))
+    # n - 1 edges again, the parallel one in the part the source cannot reach
+    with pytest.raises(ValueError, match="not connected"):
+        JeepGraph(4, ((1, 2, 1.0), (3, 4, 1.0), (4, 3, 2.0)))
+    with pytest.raises(ValueError, match="not connected"):
+        JeepGraph(4, ((1, 2, 1.0), (3, 4, 1.0), (4, 3, 2.0)), source=3)
+    # each edge is checked before reachability, in edge order
+    with pytest.raises(ValueError, match=r"edge \(3,5\) references unknown"):
+        JeepGraph(4, ((1, 2, 1.0), (3, 5, -1.0), (4, 3, 0.0)))
+    with pytest.raises(ValueError, match=r"edge \(4,3\) must have positive"):
+        JeepGraph(4, ((1, 2, 1.0), (3, 4, 1.0), (4, 3, 0.0)))
+    # a connected graph keeps every edge, parallel ones too, in edge order
+    g = JeepGraph(4, ((1, 2, 1.0), (2, 1, 2.0), (2, 3, 1.0), (4, 3, 5.0)))
+    assert g.adj[2] == ((1, 1.0), (1, 2.0), (3, 1.0))
 
 
 def test_out_of_range_inputs_rejected_up_front():

@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from transopt import rows
-from transopt.oracles import ovrp_brute
+from transopt import ovrp, rows
+from transopt.oracles import ovrp_brute, single_vehicle_closed_form
 from transopt.ovrp import (
     OvrpInstance,
-    single_vehicle_closed_form,
     solve_greedy,
     solve_knapsack_v1,
     solve_knapsack_v2,
@@ -294,6 +293,40 @@ def test_routes_match_the_set_based_reference(solve):
                     assert sum(served, []) == list(range(leaf_count))
                 else:
                     assert sorted(sum(served, [])) == list(range(leaf_count))
+
+
+def _broom(leaf_sons, handle):
+    """A root with ``leaf_sons`` leaf sons, then one path of ``handle``
+    vertices hanging from it."""
+    edges = [(1, v, 1) for v in range(2, leaf_sons + 2)]
+    edges += [(v - 1 if v > leaf_sons + 2 else 1, v, 2)
+              for v in range(leaf_sons + 2, leaf_sons + handle + 2)]
+    return build_rooted_tree(leaf_sons + handle + 1, edges)
+
+
+@pytest.mark.parametrize("solve", [solve_greedy, solve_leaf_interval],
+                         ids=["greedy", "interval"])
+def test_each_walk_built_is_a_route_whole(monkeypatch, solve):
+    # a copy of every walk as euler_walk returns it, before _route can
+    # change it: no entry is built that the route then drops
+    walks = []
+
+    def recorded(*args):
+        walk = euler_walk(*args)
+        walks.append(list(walk))
+        return walk
+
+    monkeypatch.setattr(ovrp, "euler_walk", recorded)
+    rng = random.Random(44)
+    trees = [make(rng, rng.randint(2, 60), real)
+             for make in (deep_tree, bushy_tree, star_tree)
+             for real in (False, True) for _ in range(8)]
+    trees += [random_tree(rng, 50, 3), _broom(30, 200)]
+    for tr in trees:
+        for p in (1, 2, 5, 10):
+            walks.clear()
+            routes = solve(OvrpInstance(tr, p)).routes
+            assert walks == routes, (tr, p)
 
 
 def _per_dp2_engine(monkeypatch, inst):

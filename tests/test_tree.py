@@ -246,6 +246,18 @@ def test_one_dfs_matches_reference_walks(shape):
             for start in starts:
                 assert euler_walk(tr, start, order) == \
                     _reference_euler(order, start)
+            # a walk given the last vertex it enters stops there; given any
+            # other vertex it raises
+            last = root
+            while order[last]:
+                last = order[last][-1]
+            ref = _reference_euler(order, root)
+            assert euler_walk(tr, root, order, last) == \
+                ref[:ref.index(last) + 1]
+            stop = rng.randint(1, n)
+            if stop != last:
+                with pytest.raises(ValueError, match=f"enters {last} last"):
+                    euler_walk(tr, root, order, stop)
 
 
 def _reference_build(n, edges, root):
