@@ -50,23 +50,14 @@ def _validate_simple(v):
     fold-back at its end and each edge j, ascending, that crosses it or
     whose first vertex lies on it.
 
-    Only pairs that could fail are tested, found from sorted x: vertices
-    within 2 EPS in x, and edges whose x- and y-ranges, each widened by
-    EPS, overlap.  Farther pairs can neither coincide, cross, nor put a
-    vertex on an edge.
+    Only pairs that could fail are tested, found from sorted x: the edges
+    whose x- and y-ranges, each widened by EPS, overlap.  Farther pairs can
+    neither cross nor put a vertex on an edge, and edge i's box holds
+    vertex i, so two coinciding vertices i and j are such a pair (i, j).
     """
     n = len(v)
     if n < 3:
         raise InvalidPolygonError(f"need at least 3 vertices, got {n}")
-    by_x = sorted(range(n), key=lambda k: v[k][0])
-    xs = [v[k][0] for k in by_x]
-    same = [(min(i, j), max(i, j)) for t, i in enumerate(by_x)
-            for j in by_x[t + 1:bisect_right(xs, xs[t] + 2 * EPS)]
-            if abs(v[i][0] - v[j][0]) <= EPS and abs(v[i][1] - v[j][1]) <= EPS]
-    if same:
-        raise InvalidPolygonError("vertices {} and {} coincide".format(*min(same)))
-    if signed_area(v) <= 0:
-        raise InvalidPolygonError("vertex ring is not counterclockwise")
     box = [(min(p[0], q[0]) - EPS, max(p[0], q[0]) + EPS,
             min(p[1], q[1]) - EPS, max(p[1], q[1]) + EPS)
            for p, q in zip(v, v[1:] + v[:1])]
@@ -79,6 +70,12 @@ def _validate_simple(v):
             if box[j][2] <= y_hi and y_lo <= box[j][3]:
                 near[i].append(j)
                 near[j].append(i)
+    same = [(i, j) for i in range(n) for j in near[i] if i < j
+            and abs(v[i][0] - v[j][0]) <= EPS and abs(v[i][1] - v[j][1]) <= EPS]
+    if same:
+        raise InvalidPolygonError("vertices {} and {} coincide".format(*min(same)))
+    if signed_area(v) <= 0:
+        raise InvalidPolygonError("vertex ring is not counterclockwise")
     for i in range(n):
         a, b = v[i], v[(i + 1) % n]
         # a zero-turn spike folds an edge back over its predecessor

@@ -157,8 +157,8 @@ def visibility_reference(poly):
     The reference scan, one geometry predicate call at a time: a pair fails
     on any proper crossing with a polygon edge; otherwise the connecting
     segment is cut at every polygon vertex it touches and each piece's
-    midpoint must test inside.  ``visibility.visibility_matrix`` must agree
-    with it entry for entry.
+    midpoint must test inside.  ``visibility.visibility_matrix``'s pair test
+    mirrors it predicate by predicate.
     """
     v = poly.vertices
     n = len(v)

@@ -1,6 +1,6 @@
 """Which vertex pairs of a simple polygon see each other: an O(n^2)
-triangulation and funnel pass, and the O(n) per pair test for the rows that
-pass cannot decide (see ``visibility_matrix``).
+triangulation and funnel pass, and the O(n) per pair test between the d rows
+that pass cannot decide, O(n^2 + d^2 n) in all (see ``visibility_matrix``).
 """
 
 from bisect import bisect_left, bisect_right
@@ -14,16 +14,19 @@ from .tolerances import DEFER_TOL, EPS, MIN_PIECE
 def visibility_matrix(poly):
     """Boolean n x n matrix: segment (i, j) stays inside the closed polygon.
 
-    O(n^2) while few rows defer: one ear-clipping triangulation, then one
-    funnel walk per source vertex (``_funnel_rows``).  Each cross product
+    O(n^2 + d^2 n) for d deferred rows: one ear-clipping triangulation, then
+    one funnel walk per source vertex (``_funnel_rows``).  Each cross product
     either pass decides on is taken relative to the source, as the pair test
     takes it.  The triangulation clips only ears that no cross product within
     ``DEFER_TOL`` (plus a bound on its rounding) of zero puts in doubt, and
-    hands every row to the pair test only when no such ear is left; a walk
-    that meets such a cross product hands over its own row.  The pair test
-    (``_pair_rows``) is the O(n) per pair scan that
-    ``oracles.visibility_reference`` mirrors predicate by predicate, so the
-    matrix is the reference's entry for entry.
+    defers every row only when no such ear is left; a walk that meets such a
+    cross product defers its own row.  A deferred row takes its entries with
+    the finished rows from them, and the pair test (``_pair_rows``) decides
+    each pair of two deferred rows.  It is the O(n) per pair scan that
+    ``oracles.visibility_reference`` mirrors predicate by predicate; the
+    matrix can still differ from the reference on a finished row, where the
+    reference calls visible a chord whose one midpoint lies within ``EPS``
+    of an edge but which leaves the polygon.
     """
     v = poly.vertices
     n = poly.n
@@ -171,8 +174,10 @@ def _funnel_rows(v, tris, tol, vis):
 
 
 def _pair_rows(v, vis, rows):
-    """The pair test on every pair with an end in ``rows``, the smaller index
-    the base: O(n) per pair, one line-side pass.
+    """Finish the deferred ``rows``, ascending: each takes its entry with a
+    finished row from that row, and the pair test decides each non-adjacent
+    pair of two deferred rows, the smaller index the base.  O(d^2 n) for d
+    rows: O(n) per pair, one line-side pass.
 
     The sign of every vertex against the line v[i]v[j], with the cross
     product and tolerance of ``geometry.orientation``, finds both the edges
@@ -183,18 +188,15 @@ def _pair_rows(v, vis, rows):
     the same test predicate by predicate.
     """
     n = len(v)
+    for j in rows:  # entry (j, k) from row k; the pair test redoes deferred k
+        vis[j] = [row[j] for row in vis]
     inside = _inside_test(v)
     eps, neg = EPS, -EPS
-    every = set(rows)
-    rows = sorted(every)
-    for i in range(n - 2):
+    for i in rows:
         end = n if i else n - 1
-        if i in every:
-            cols = range(i + 2, end)
-        else:
-            cols = rows[bisect_left(rows, i + 2):bisect_left(rows, end)]
-            if not cols:
-                continue
+        cols = rows[bisect_left(rows, i + 2):bisect_left(rows, end)]
+        if not cols:
+            continue
         ax, ay = v[i]
         rel = [(x - ax, y - ay) for x, y in v]
         for j in cols:

@@ -457,6 +457,43 @@ def test_near_flat_corner_leaves_the_triangulation_whole(monkeypatch):
     assert calls == [4]
 
 
+def test_deferred_row_takes_its_pairs_with_finished_rows_from_them():
+    # a finished row is the one decider of its pair with a deferred row:
+    # a flipped entry of it must come through the pair test unchanged
+    poly = jittered_star(random.Random(28), 800, 0.4)
+    v, n = poly.vertices, poly.n
+    tol = _tol(v)
+    vis = [[False] * n for _ in range(n)]
+    deferred = visibility._funnel_rows(v, visibility._triangulate(v, tol), tol, vis)
+    assert len(deferred) == 4
+    j = deferred[0]
+    k = (j + n // 2) % n
+    assert k not in deferred
+    vis[k][j] = flipped = not vis[k][j]
+    visibility._pair_rows(v, vis, deferred)
+    assert vis[j][k] is flipped
+
+
+def test_chord_through_an_edge_band_is_marked_blocked(monkeypatch):
+    # the chord (2, 8) leaves this ring, and no row defers: the walk blocks
+    # it.  The reference cuts the chord only at vertices near it, and its
+    # one midpoint lies within EPS of an edge, so it calls the pair visible
+    ring = SimplePolygon(((0.21415359021526764, 0.4622371468970153),
+                          (0.23620556384407182, 0.1948722365241953),
+                          (0.04141973204569637, 0.9232193588940131),
+                          (-0.2365409554263064, 0.40957099772274186),
+                          (-0.5163877715044046, 0.26401211077240216),
+                          (-0.8325669111731506, -0.22843567793258623),
+                          (-0.5443941250863795, -0.7361602063968823),
+                          (0.23989668313820786, -0.8320451484967162),
+                          (0.5533205435714491, -0.44291215360044567)))
+    v = ring.vertices
+    monkeypatch.setattr(visibility, "_pair_rows", None)  # no row defers
+    assert visibility_matrix(ring)[2][8] is False
+    (ax, ay), (bx, by) = v[2], v[8]
+    assert not point_in_polygon(v, (ax + (bx - ax) / 8, ay + (by - ay) / 8))
+
+
 def test_near_flat_rings_match_the_reference():
     # stars scaled down to 3e-4 and, three in ten, snapped to a grid: many
     # turns and blockers lie within the tolerance
