@@ -396,8 +396,10 @@ def _cmd_solve(args):
     else:
         results = [_run_one(f, args.algo) for f in files]
     code = 0
+    # ``_envelope`` builds an acyclic tree of dicts, lists and tuples, so the
+    # encoder's cycle check finds nothing and costs time on a MB solution
     for env, c in results:
-        print(json.dumps(env))
+        print(json.dumps(env, check_circular=False))
         code = max(code, c)
     return code
 
@@ -439,8 +441,8 @@ def _cmd_bench(args):
     except (TransoptError, ValueError) as exc:
         print(f"bench-jeep: {exc}", file=sys.stderr)
         return 1
-    for row in rows:
-        print(json.dumps(row))
+    for row in rows:  # a flat dict of numbers: no cycle to check for
+        print(json.dumps(row, check_circular=False))
     return 0
 
 

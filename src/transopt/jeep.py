@@ -10,7 +10,8 @@ round-trip count.
 import heapq
 import math
 from collections import namedtuple
-from operator import ge
+from itertools import repeat
+from operator import ge, mul
 
 from .errors import BudgetUnreachableError, InfeasibleError
 from .tolerances import BUDGET_SLACK, CHECK_EPS, DIV_TOL
@@ -22,7 +23,7 @@ def fdiv(a, b):
     """Integer part of a/b on reals, with a relative tolerance that absorbs
     representation error at exact-multiple boundaries."""
     q = a / b
-    return int(math.floor(q + DIV_TOL * max(1.0, abs(q))))
+    return math.floor(q + DIV_TOL * (q if q > 1.0 else -q if q < -1.0 else 1.0))
 
 
 class JeepParams(namedtuple("JeepParams", "m g")):
@@ -97,7 +98,7 @@ def _equal_points(x, k):
     c = _check_equal(x, k)
     if k + 1 > _MAX_SEGMENTS:
         raise ValueError(f"k + 1 exceeds {_MAX_SEGMENTS} segments")
-    return tuple(i * c for i in range(k + 1)) + (x,)
+    return tuple(map(mul, range(k + 1), repeat(c))) + (x,)
 
 
 def segment_step_exact(f_next, c, params, mode="faithful"):
@@ -109,36 +110,8 @@ def segment_step_exact(f_next, c, params, mode="faithful"):
     ``corrected`` mode additionally lets the final trip deliver up to
     m - g*c (the physical one-way limit) and keeps the cheaper plan.
     """
-    if mode not in ("faithful", "corrected"):
-        raise ValueError(f"unknown mode {mode!r}")
-    m, g = params.m, params.g
-    gc = g * c
-    if f_next + gc <= m:
-        return f_next + gc, SegmentPlan(0, f_next)
-    net = m - 2.0 * gc
-    if net <= 0:
-        raise InfeasibleError(
-            f"segment of length {c} admits no net-positive transfer (m={m}, g={g})"
-        )
-    l = fdiv(f_next, net)
-    r = f_next - l * net
-    if r < 0.0:
-        r = 0.0
-    if r <= gc and l > 0:
-        rt, q = l - 1, r + net
-    else:
-        rt, q = l, r
-    f = rt * m + q + gc
-
-    if mode == "corrected":
-        # final one-way trip may carry a full tank: q up to m - g*c
-        # the ceiling of (f_next - (m - gc)) / net, as -fdiv of its negation
-        rt2 = max(0, -fdiv(m - gc - f_next, net))
-        q2 = f_next - rt2 * net
-        f2 = rt2 * m + q2 + gc
-        if f2 < f:
-            f, rt, q = f2, rt2, q2
-    return f, SegmentPlan(rt, q)
+    f, (plan,) = _method1((0.0, c), params, f_next, mode, True)
+    return f, plan
 
 
 def eval_subdivision_exact(d, params, mode="faithful", collect_plans=True):
@@ -150,14 +123,46 @@ def eval_subdivision_exact(d, params, mode="faithful", collect_plans=True):
 
 def _method1(pts, params, terminal, mode, collect_plans):
     """Method 1 on a bare point tuple, leaving ``terminal`` gallons at its
-    end: none, or the downstream label in the vertex-depot relax."""
+    end: none, or the downstream label in the vertex-depot relax.  Each
+    iteration is the step :func:`segment_step_exact` describes."""
+    if mode not in ("faithful", "corrected"):
+        raise ValueError(f"unknown mode {mode!r}")
+    corrected = mode == "corrected"
+    m, g = params.m, params.g
     nseg = len(pts) - 1
     plans = [None] * nseg if collect_plans else None
-    f = terminal
+    f = terminal  # the gallons needed at pts[i + 1]
     for i in range(nseg - 1, -1, -1):
-        f, plan = segment_step_exact(f, pts[i + 1] - pts[i], params, mode)
-        if collect_plans:
-            plans[i] = plan
+        c = pts[i + 1] - pts[i]
+        gc = g * c
+        if f + gc <= m:
+            rt, q, f = 0, f, f + gc
+        else:
+            net = m - 2.0 * gc
+            if net <= 0:
+                raise InfeasibleError(
+                    f"segment of length {c} admits no net-positive transfer (m={m}, g={g})"
+                )
+            l = fdiv(f, net)
+            r = f - l * net
+            if r < 0.0:
+                r = 0.0
+            if r <= gc and l > 0:
+                rt, q = l - 1, r + net
+            else:
+                rt, q = l, r
+            f_near = rt * m + q + gc
+            if corrected:
+                # final one-way trip may carry a full tank: q up to m - g*c
+                # the ceiling of (f - (m - gc)) / net, as -fdiv of its negation
+                rt2 = max(0, -fdiv(m - gc - f, net))
+                q2 = f - rt2 * net
+                f2 = rt2 * m + q2 + gc
+                if f2 < f_near:
+                    f_near, rt, q = f2, rt2, q2
+            f = f_near
+        if collect_plans:  # SegmentPlan(rt, q) without its Python-level __new__
+            plans[i] = tuple.__new__(SegmentPlan, (rt, q))
     return f, plans
 
 
@@ -193,16 +198,18 @@ def eval_equal_fast(x, k, params):
 
     Jumps over maximal runs of points sharing a round-trip count; the jump
     target from the closed form is verified against the same division the
-    naive loop performs, and where the tolerance left it off, a galloping
+    naive loop performs, and where float rounding left it off, a galloping
     search from it finds the true one (``_run_start``), so both produce
     bit-identical values.  Returns the point-0 requirement and
     the number of subdivision indices actually visited.
 
-    Each run first divides once for the count of the next index.  Where it
-    differs, as it does for every index once ``(2l+1) a`` outgrows the room
-    below the next count, the run is that one index: it is stepped with the
-    division the naive loop makes there, kept as the next run's count, and
-    only longer runs pay for the closed form and its checks.  Each run counts
+    Each run first divides once, inline, for the count of the next index.
+    Where it differs, as it does for every index once ``(2l+1) a`` outgrows
+    the room below the next count, the run is that one index: it is stepped
+    with the division the naive loop makes there, kept as the next run's
+    count, and only longer runs pay for the closed form and its checks.  The
+    closed form includes ``fdiv``'s tolerance, so the two checks confirm it
+    and a run costs a fixed number of divisions at any k.  Each run counts
     as one visited index either way, so the count is unchanged.
     """
     a, net = _method2_start(x, k, params)
@@ -210,29 +217,31 @@ def eval_equal_fast(x, k, params):
     idx = k + 1
     touched = 1
     l = 0  # fdiv(0.0, net)
+    floor, tol = math.floor, DIV_TOL  # local names in the loop's one-index step
     while idx > 0:
         step = 2 * l + 1
-        nxt = fdiv((mult + step) * a, net)  # the count at index idx - 1
+        # fdiv((mult + step) * a, net), the count at index idx - 1, inline;
+        # its quotient is never negative
+        q = (mult + step) * a / net
+        nxt = floor(q + tol * (q if q > 1.0 else 1.0))
         if nxt == l and idx > 1:
-            # closed form of the run's first index: the room left below the
-            # next count, in steps of (2l+1) a, less one on an exact multiple
-            room = net - (mult * a - l * net)
-            denom = l * 2.0 * a + a
+            # closed form of the run's last step t: fdiv keeps the count l
+            # while (mult + t step) a / net stays below (l+1)/(1+DIV_TOL),
+            # or below 1 - DIV_TOL for l = 0
+            bound = (l + 1) / (1.0 + DIV_TOL) if l else 1.0 - DIV_TOL
             try:
-                dif = fdiv(room, denom)
+                t = math.ceil((bound * net - mult * a) / (step * a)) - 1
             except (OverflowError, ZeroDivisionError):
-                dif = idx  # room / denom is infinite (a = 0): the run reaches 1
-            else:
-                if abs(room - dif * denom) <= DIV_TOL * max(1.0, abs(room)):
-                    dif -= 1
-            u = max(idx - dif, 1)  # checked on both sides; searched if off
-            if (u > 1 and fdiv((mult + (idx - u + 1) * step) * a, net) == l
+                t = idx  # the quotient is infinite (a = 0): the run reaches 1
+            u = max(idx - t, 1)  # the run's first index, checked on both sides
+            nxt = fdiv((mult + (idx - u + 1) * step) * a, net)  # index u - 1
+            if (u > 1 and nxt == l
                     or u < idx and fdiv((mult + (idx - u) * step) * a, net) != l):
                 u = _run_start(u, idx,
                                lambda j: fdiv((mult + (idx - j) * step) * a, net) == l)
+                nxt = fdiv((mult + (idx - u + 1) * step) * a, net)
             mult += (idx - u + 1) * step
             idx = u - 1
-            nxt = fdiv(mult * a, net)
         else:
             mult += step
             idx -= 1

@@ -16,7 +16,8 @@ MIN_PIECE = 1e-12
 # the fast visibility pass defers a funnel-walk row to the pair test when a
 # cross product it decides on is this near zero (well clear of EPS)
 DEFER_TOL = 1e-8
-# relative: ``jeep.fdiv`` and Method 2's exact-multiple test
+# relative: ``jeep.fdiv``, inline in ``jeep.eval_equal_fast`` and in the
+# closed form of its run starts
 DIV_TOL = 1e-9
 # relative: ``threshold_search`` rejects a budget below the continuous
 # optimum times (1 - BUDGET_SLACK), so rounding never rejects one some k meets

@@ -120,6 +120,33 @@ def test_segment_step_monotone_in_requirement(fa, fb, frac):
     assert segment_step_exact(lo, c, UNIT)[0] <= segment_step_exact(hi, c, UNIT)[0]
 
 
+def test_segment_step_pinned():
+    # sha256 of every outcome over one-way, round-trip, exact-multiple and
+    # infeasible steps in both modes: the step runs as a one-segment Method 1
+    # fold, and its bits and messages must not move
+    h = hashlib.sha256()
+    for m, g in ((1.0, 1.0), (2.5, 0.7), (0.75, 1.7), (3.0, 1.0)):
+        params = JeepParams(m, g)
+        for c in (0.01, 0.1, 1.0 / 3.0, 0.2499, 0.45, 1.0, 2.0):
+            net = m - 2.0 * g * c
+            for f in (0.0, 0.3, 1.0, 2.7, 10.0, 123.4, 1e6, net, 2 * net, 7 * net):
+                for mode in ("faithful", "corrected"):
+                    try:
+                        outcome = repr(segment_step_exact(f, c, params, mode))
+                    except InfeasibleError as exc:
+                        outcome = f"InfeasibleError: {exc}"
+                    h.update(outcome.encode())
+    assert h.hexdigest() == \
+        "6608f88c43ce55dd4d048063dd21f1abb3fbcad16e578cb238deb1fee95357d6"
+    with pytest.raises(InfeasibleError) as exc:
+        segment_step_exact(1.5, 0.5, JeepParams(2.0, 2.0), "corrected")
+    assert str(exc.value) == \
+        "segment of length 0.5 admits no net-positive transfer (m=2.0, g=2.0)"
+    with pytest.raises(ValueError) as exc:
+        segment_step_exact(0.0, 0.1, UNIT, "bogus")
+    assert str(exc.value) == "unknown mode 'bogus'"
+
+
 def test_eval_trivial_crossing():
     f, plans = eval_subdivision_exact(equal_subdivision(1.0, 4), UNIT)
     assert f == 1.0
@@ -297,13 +324,14 @@ def _runs_by_binsearch(x, k, params):
 
 
 def test_first_index_direct_equals_binsearch(monkeypatch):
-    calls = [0]
+    starts = []  # (estimate, first index) of each run the estimate missed
+    run_start = jeep._run_start
 
-    def counted(num, den):
-        calls[0] += 1
-        return fdiv(num, den)
+    def counted(u, idx, same):
+        starts.append((u, run_start(u, idx, same)))
+        return starts[-1][1]
 
-    monkeypatch.setattr(jeep, "fdiv", counted)
+    monkeypatch.setattr(jeep, "_run_start", counted)
     rng = random.Random(34)
     skipped = 0
     for t in range(300):
@@ -318,17 +346,35 @@ def test_first_index_direct_equals_binsearch(monkeypatch):
         params = JeepParams(m, g)
         if m - 2.0 * g * x / (k + 1) <= 0:
             continue
-        calls[0] = 0
         fast = eval_equal_fast(x, k, params)
-        expected, runs = _runs_by_binsearch(x, k, params)
-        assert fast == expected, (m, g, x, k)
-        # a one-index run divides once; a longer one divides for the next
-        # count, the closed form, one check on each side of the first index
-        # (none below index 1) and the count after the run: no nudge ran
-        assert calls[0] == sum(1 if u == v else 4 + (u > 1) for u, v in runs), \
-            (m, g, x, k)
+        assert fast == _runs_by_binsearch(x, k, params)[0], (m, g, x, k)
         skipped += fast[1] < k + 1
     assert skipped > 200  # most cases have runs the closed form jumps
+    assert starts == []  # the closed form found every first index: no nudge ran
+
+    # up to k = 2^45 the float check itself is fuzzy: its quotient strays
+    # from linear by up to about 1e-16 k index steps, so a run whose first index
+    # falls that near an integer may be placed one off and nudged, never more
+    for m, g in ((1.0, 1.0), (2.0, 0.5), (0.75, 1.7), (3.0, 1.0)):
+        params = JeepParams(m, g)
+        for k in sorted({2 ** j for j in range(0, 46, 3)} | {10 ** j for j in range(14)}):
+            xs = [f * m / g for f in (0.3, 1.3, 2.5, 4.2)]
+            if g == 1.0:  # dyadic spacings a = 2^-j
+                xs += [(k + 1) / 2 ** j for j in (4, 20, 40) if k + 1 <= 4 * m * 2 ** j]
+            for x in xs:
+                if m - 2.0 * g * x / (k + 1) > 0:
+                    assert eval_equal_fast(x, k, params) == \
+                        _runs_by_binsearch(x, k, params)[0], (m, g, x, k)
+    assert all(abs(u - j) <= 1 for u, j in starts), starts
+
+
+def test_fast_places_168804_run_starts_without_a_search(monkeypatch):
+    # x = 7, k = 2^40: every run's first index comes from the closed form
+    def no_search(u, idx, same):
+        raise AssertionError(f"the estimate {u} of a run start was off")
+
+    monkeypatch.setattr(jeep, "_run_start", no_search)
+    assert eval_equal_fast(7.0, 2 ** 40, UNIT) == (168803.39729052494, 168805)
 
 
 def test_run_start_from_any_estimate():
@@ -347,8 +393,9 @@ def test_run_start_from_any_estimate():
 
 
 def test_fast_gallops_to_far_run_starts():
-    # at x = 1 the closed form's estimate of a run's first index is off by
-    # about DIV_TOL times k, 10^6 and 10^8 indices here
+    # at x = 1 the closed form places each run's first index exactly at
+    # k = 10^15; at k = 10^17 the counts are past 2^53, and the float
+    # products it divides put it 8 indices below the second run's start
     for k in (10 ** 15, 10 ** 17):
         t0 = time.perf_counter()
         fast = eval_equal_fast(1.0, k, UNIT)
