@@ -213,12 +213,7 @@ def _jeep(payload, algo):
     return solve
 
 
-_NO_GRAPH_ORACLE = "no oracle for problem 'jeep-graph'"
-
-
 def _jeep_graph(payload, algo):
-    if algo == "oracle":
-        raise SchemaError(_NO_GRAPH_ORACLE)
     from . import jeep
     graph = jeep.JeepGraph(
         _field(payload, "n", int),
@@ -229,8 +224,8 @@ def _jeep_graph(payload, algo):
         k_per_edge = _field(payload, "k_per_edge", int, 0)
 
     def solve(algo):
-        if algo == "oracle":  # under check
-            raise SchemaError(_NO_GRAPH_ORACLE)
+        if algo == "oracle":
+            raise SchemaError("no oracle for problem 'jeep-graph'")
         if algo == "jeep-graph-backward":
             val = jeep.graph_min_gas_backward(graph, params)[graph.source]
         elif algo == "jeep-graph-binary":
@@ -240,7 +235,7 @@ def _jeep_graph(payload, algo):
         else:
             val = jeep.graph_vertex_depots_continuous(
                 graph, params, k_per_edge)[graph.source]
-        if val == math.inf:
+        if val == math.inf:  # the solvers raise OverflowError past the range
             raise InfeasibleError("target unreachable with any amount of gas")
         return val, None, None
     return solve
@@ -269,8 +264,6 @@ def _hampath(payload, algo):
             length, path = hampath.shortest_ham_path_fixed_start(poly, start)
         else:
             length, path = hampath.shortest_ham_path_free_start(poly)
-        if length == math.inf:
-            raise InfeasibleError("no Hamiltonian path stays inside the polygon")
         return length, {"path": path}, None
     return solve
 
@@ -340,20 +333,13 @@ def _envelope(solver, status, objective=None, solution=None, diagnostics=None,
     return env
 
 
-def _failure(solver, exc, t0):
-    """(envelope, exit code) for an instance that raised ``exc``."""
-    status, code = ("infeasible", 2) if isinstance(
-        exc, (InfeasibleError, BudgetUnreachableError)) else ("error", 1)
-    return _envelope(solver, status, diagnostics={"reason": str(exc)},
-                     wall_time=time.perf_counter() - t0), code
-
-
 def _run_one(path, algo):
     """Run ``algo`` (None: the tag's default; "oracle": the brute-force
     reference; "check": the default, then the oracle, exit code 1 unless they
     agree within the relative ``CHECK_EPS``) on one instance file; returns
-    (envelope, exit code).  Any exception but a ``TransoptError`` or
-    ``ValueError`` is a bug: its traceback goes to stderr and its error
+    (envelope, exit code): ``infeasible`` (2) when no plan exists, ``error``
+    (1) for a bad input or arithmetic past the float range (OverflowError).
+    Any other exception is a bug: its traceback goes to stderr and its error
     envelope carries ``diagnostics.internal``, so it cannot end a batch."""
     t0 = time.perf_counter()
     check = algo == "check"
@@ -368,8 +354,12 @@ def _run_one(path, algo):
             raise ValueError(f"objective {objective} is not finite")
         if check:  # the oracle on the same parsed instance
             o_obj = solve("oracle")[0]
-    except (TransoptError, ValueError) as exc:
-        return _failure(algo or "?", exc, t0)
+    except (TransoptError, ValueError, OverflowError) as exc:
+        code = 2 if isinstance(exc, (InfeasibleError, BudgetUnreachableError)) else 1
+        reason = f"OverflowError: {exc}" if isinstance(exc, OverflowError) else str(exc)
+        return _envelope(algo or "?", "infeasible" if code == 2 else "error",
+                         diagnostics={"reason": reason},
+                         wall_time=time.perf_counter() - t0), code
     except Exception as exc:  # a bug: still one envelope, and the traceback
         import traceback
         traceback.print_exc()
@@ -410,7 +400,7 @@ def bench_jeep(x, m, g, k_list, repeats_budget=20000):
 
     Each time is the best of at least three alternating runs, so one slow
     run at a large k does not decide the ratio; ``touch_ratio`` is the share
-    of the k+1 indices Method 2 visits, the work count behind its time."""
+    of the k+2 points (start included) Method 2 visits, the work behind its time."""
     from . import jeep
     params = jeep.JeepParams(m, g)
     rows = []
@@ -427,7 +417,7 @@ def bench_jeep(x, m, g, k_list, repeats_budget=20000):
             r2 = min(r2, time.perf_counter() - t0)
         rows.append({"k": k, "f": f_val, "g": g_val, "r1": r1, "r2": r2,
                      "ratio": r2 / r1, "points_touched": touched,
-                     "touch_ratio": touched / (k + 1)})
+                     "touch_ratio": touched / (k + 2)})
     return rows
 
 
@@ -438,7 +428,7 @@ def _cmd_bench(args):
         return 1
     try:
         rows = bench_jeep(args.x, args.m, args.g, k_list)
-    except (TransoptError, ValueError) as exc:
+    except (TransoptError, ValueError, OverflowError) as exc:
         print(f"bench-jeep: {exc}", file=sys.stderr)
         return 1
     for row in rows:  # a flat dict of numbers: no cycle to check for

@@ -175,8 +175,8 @@ def shortest_ham_path_fixed_start(poly, start):
 
     Distances are filled from the visible pairs, one row for both directions
     as visibility is symmetric; no distance override exists.  Returns
-    (length, path); (inf, []) when no path exists.
-    """
+    (length, path), (inf, []) only when every length overflows: the boundary
+    is a path inside the polygon."""
     n = poly.n
     if not (0 <= start < n):
         raise ValueError(f"start {start} outside 0..{n - 1}")
@@ -186,8 +186,8 @@ def shortest_ham_path_fixed_start(poly, start):
 
 
 def shortest_ham_path_free_start(poly):
-    """Shortest inside-the-polygon Hamiltonian path, start unconstrained, on
-    the same table: from the visible pairs, symmetric, no override."""
+    """:func:`shortest_ham_path_fixed_start` with the start unconstrained, on
+    the same table, and (inf, []) likewise only when every length overflows."""
     return _polygon_dp(poly, [0.0] * poly.n)
 
 

@@ -311,16 +311,15 @@ def threshold_search(x, params, budget, schedule="multiplicative", ct=2,
                      k1=0, method="exact", cap=2 ** 20):
     """Refine equal subdivisions until the evaluation meets the budget.
 
-    Returns the first satisfying (k, value).  Coarse subdivisions that admit
-    no transfer at all count as unbounded and refinement continues.  Raises
+    Returns the first satisfying (k, value).  A k too coarse for any
+    transfer, or whose evaluation overflows, counts as unmet.  Raises
     :class:`BudgetUnreachableError` at once for a budget below the
     continuous optimum, which no subdivision beats (the relative slack
     ``BUDGET_SLACK`` keeps rounding from rejecting a budget some k meets),
     and otherwise once k exceeds ``cap`` or the segments evaluated over all
     k would pass ``_MAX_SEGMENTS``.  The multiplicative schedule evaluates
     at most 2 cap + log2(cap) + 2 segments up to ``cap``, so at the
-    default ``cap`` only the additive one can reach that limit.
-    """
+    default ``cap`` only the additive one can reach that limit."""
     if schedule not in ("multiplicative", "additive"):
         raise ValueError(f"unknown schedule {schedule!r}")
     if method not in ("exact", "fast"):
@@ -340,7 +339,7 @@ def threshold_search(x, params, budget, schedule="multiplicative", ct=2,
             else:
                 val, _ = eval_subdivision_exact(equal_subdivision(x, k), params,
                                                 collect_plans=False)
-        except InfeasibleError:
+        except (InfeasibleError, OverflowError):
             val = INF
         if val < best_val:
             best_k, best_val = k, val
@@ -411,6 +410,13 @@ def _dijkstra_min(graph, start, relax, label=0.0):
     return h
 
 
+def _finite_gas(val):
+    """``val``, or OverflowError for inf: a graph method's inf is unreachable."""
+    if val == INF:
+        raise OverflowError("gas requirement past the float range")
+    return val
+
+
 def graph_min_gas_backward(graph, params):
     """Per-vertex gas needed to reach the target, depots at vertices only:
     :func:`graph_vertex_depots_continuous` with no interior points."""
@@ -418,13 +424,14 @@ def graph_min_gas_backward(graph, params):
 
 
 def graph_vertex_depots_continuous(graph, params, k_per_edge):
-    """Per-vertex gas needed to reach the target when each edge may also
-    cache fuel at ``k_per_edge`` equally spaced interior points: a backward
-    Dijkstra whose relax runs Method 1 over the edge (monotone in the
-    downstream requirement, so label setting is sound).  Its ``corrected``
-    steps are, at ``k_per_edge = 0``, the exact inverse of the forward
-    feasibility test of :func:`graph_min_gas_binary_forward`, so the two
-    methods agree; ``faithful`` mode can overestimate multi-trip edges."""
+    """Per-vertex gas needed to reach the target (inf: it cannot; an
+    OverflowError past the float range) when each edge may also cache fuel
+    at ``k_per_edge`` equally spaced interior points: a backward Dijkstra
+    whose relax runs Method 1 over the edge (monotone in the downstream
+    requirement, so label setting is sound).  Its ``corrected`` steps are,
+    at ``k_per_edge = 0``, the exact inverse of the forward feasibility test
+    of :func:`graph_min_gas_binary_forward`, so the two methods agree;
+    ``faithful`` mode can overestimate multi-trip edges."""
     if k_per_edge < 0:
         raise ValueError("k_per_edge must be nonnegative")
     if (k_per_edge + 1) * len(graph.edges) > _MAX_SEGMENTS:
@@ -432,8 +439,8 @@ def graph_vertex_depots_continuous(graph, params, k_per_edge):
 
     def relax(h_u, ln):
         try:
-            return _method1(_equal_points(ln, k_per_edge), params, h_u,
-                            "corrected", False)[0]
+            return _finite_gas(_method1(_equal_points(ln, k_per_edge), params,
+                                        h_u, "corrected", False)[0])
         except InfeasibleError:
             return None
 
@@ -476,14 +483,14 @@ def graph_min_gas_binary_forward(graph, params, eps=None):
 
     The bracket shares nothing with the backward method, which it checks.
     One probe with an unbounded load decides whether the target is reachable
-    at all.  The upper end then starts at :func:`graph_free_depots`' value,
-    since depots anywhere never need more gas, and doubles until the target
-    is reachable, at the latest once it reaches inf.  The search stops once
-    the bracket is at most ``eps`` wide or, by default, at most
-    ``CHECK_EPS * max(1, hi)``: the shape of the comparison ``check`` makes,
-    so the probe count does not grow with the instance's scale.  It also
-    stops once the bracket spans two adjacent floats, so it ends for any
-    ``eps``."""
+    at all; if not, the answer is inf.  The upper end then starts at
+    :func:`graph_free_depots`' value, since depots anywhere never need more
+    gas, and doubles until the target is reachable, an OverflowError once it
+    reaches inf.  The search stops once the bracket is at most ``eps`` wide
+    or, by default, at most ``CHECK_EPS * max(1, hi)``: the shape of the
+    comparison ``check`` makes, so the probe count does not grow with the
+    instance's scale.  It also stops once the bracket spans two adjacent
+    floats, so it ends for any ``eps``."""
 
     def ok(gval):
         return graph_forward_feasible(graph, params, gval)[graph.target] >= 0.0
@@ -501,10 +508,11 @@ def graph_min_gas_binary_forward(graph, params, eps=None):
             hi = mid
         else:
             lo = mid
-    return hi
+    return _finite_gas(hi)
 
 
 def graph_free_depots(graph, params):
-    """Depots anywhere: classic shortest path, then the continuous optimum."""
+    """Depots anywhere: classic shortest path, then the continuous optimum.
+    Every target is reachable, so past the float range this raises OverflowError."""
     dist = _dijkstra_min(graph, graph.source, lambda d, ln: d + ln)
-    return continuous_optimum(dist[graph.target], params)
+    return _finite_gas(continuous_optimum(dist[graph.target], params))

@@ -202,9 +202,8 @@ def _segment_inside(v, a, b):
 def ham_brute(poly, start=None):
     """Shortest inside-the-polygon Hamiltonian path by permutation
     enumeration, over Euclidean distances gated by
-    :func:`visibility_reference`.  Returns (length, path); (inf, []) when
-    every permutation has an invisible consecutive pair.
-    """
+    :func:`visibility_reference`, which marks the boundary's adjacent pairs
+    visible.  Returns (length, path); (inf, []) only when every length overflows."""
     v, n = poly.vertices, poly.n
     if n > 9:
         raise SizeLimitError(f"ham_brute limited to n <= 9, got {n}")

@@ -217,6 +217,12 @@ def test_bench_jeep_function():
     assert rows[1]["f"] <= rows[0]["f"]
 
 
+def test_bench_jeep_touch_ratio_is_a_share_of_the_points():
+    # every run of Method 2 holds one index: it touches all k + 2 points
+    row, = bench_jeep(3.7631578947368425, 1.0, 1.0, [10], repeats_budget=10)
+    assert row["points_touched"] == 12 and row["touch_ratio"] == 1.0
+
+
 # Argument lists over the CLI's grammar: each command and none, each option
 # form, and zero to two files, one of which may look like an option; each
 # option goes before the files and after them.
@@ -354,6 +360,9 @@ OVERFLOWING = {
              "edges": [[1, 2, HUGE], [1, 3, HUGE]], "gas": [0, 0, 0]},
     "curve": {"schema": "transopt-instance/1", "problem": "curve",
               "gaps": [HUGE] * 3, "weights": [1, 1, 1]},
+    # the boundary is a path inside the polygon, but its sides sum past the range
+    "hampath": {"schema": "transopt-instance/1", "problem": "hampath",
+                "vertices": [[0, 0], [1.5e308, 0], [0, 1.5e308]], "start": 0},
 }
 
 
@@ -534,6 +543,74 @@ def test_jeep_out_of_range_gives_one_envelope(tmp_path, capsys, payload, algo):
     assert lines[0]["schema"] == "transopt-result/1"
     assert lines[0]["status"] == {1: "error", 2: "infeasible"}[code]
     assert lines[0]["diagnostics"]["reason"]
+
+
+def _graph_path(lengths, **fields):
+    return dict(JEEP_GRAPH, n=len(lengths) + 1, **fields,
+                edges=[[v, v + 1, ln] for v, ln in enumerate(lengths, 1)])
+
+
+# Each edge under m/2g: the target is reachable, but the requirement grows by
+# a factor per edge and passes the float range, an error.  The controls solve
+# (a prefix of one such path) or have no plan at all (infeasible).
+OUTCOMES = {
+    "points": dict(JEEP, points=[round(0.499 * i, 6) for i in range(130)]),
+    "k-1e5": dict(JEEP, x=400, k=10 ** 5),
+    "path-120": _graph_path([0.499] * 120),
+    "path-262": _graph_path([4.672086441097504] * 262, m=10.0),
+    "path-99": _graph_path([4.672086441097504] * 99, m=10.0),
+    # longer than a tank: no load crosses it, but depots anywhere do, after
+    # some e^2000 tanks
+    "edge-1000": _graph_path([1000.0]),
+    "k-0": dict(JEEP, x=2.5, k=0),
+}
+GRAPH_ALGOS = ("jeep-graph-backward", "jeep-graph-vertex", "jeep-graph-binary")
+
+
+@pytest.mark.parametrize("case, argv, status", [
+    ("points", ["solve", "--algo", "jeep-exact"], "error"),
+    ("points", ["check"], "error"),
+    ("k-1e5", ["solve", "--algo", "jeep-fast"], "error"),
+    ("k-1e5", ["solve", "--algo", "jeep-exact"], "error"),
+    *[(case, ["solve", "--algo", algo], status) for algo in GRAPH_ALGOS
+      for case, status in (("path-120", "error"), ("path-262", "error"),
+                           ("path-99", "ok"), ("edge-1000", "infeasible"))],
+    ("edge-1000", ["solve", "--algo", "jeep-graph-free"], "error"),
+    ("k-0", ["solve", "--algo", "jeep-exact"], "infeasible"),
+], ids=lambda v: v if isinstance(v, str) else v[-1])
+def test_overflow_is_an_error_and_no_plan_infeasible(tmp_path, capsys, case,
+                                                     argv, status):
+    code = main(argv + [write(tmp_path, OUTCOMES[case])])
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert code == {"ok": 0, "error": 1, "infeasible": 2}[status]
+    assert len(lines) == 1 and err == ""
+    env = json.loads(lines[0], parse_constant=lambda c: pytest.fail(c))
+    assert env["schema"] == "transopt-result/1" and env["status"] == status
+    if status == "ok":  # about 2.9e115 under each of the three
+        assert 2.8e115 < env["objective"] < 3e115
+    else:
+        assert "internal" not in env["diagnostics"]
+    if status == "error":
+        assert env["diagnostics"]["reason"].startswith("OverflowError: ")
+
+
+def test_threshold_refines_past_a_k_that_overflows(tmp_path, capsys):
+    # Method 1 overflows at k = 256; k = 512 meets the budget
+    path = write(tmp_path, dict(
+        JEEP, x=0.3660047703064846, m=0.22451964054413215,
+        g=74.65964592867692, budget=1.218741241958883e+147))
+    code, lines = run(capsys, ["solve", "--algo", "jeep-threshold", path])
+    assert code == 0 and lines[0]["status"] == "ok"
+    assert lines[0]["solution"] == {"k": 512}
+    assert lines[0]["objective"] <= 1.218741241958883e+147
+
+
+def test_bench_jeep_overflow_is_one_stderr_line(capsys):
+    assert main(["bench-jeep", "--x", "400", "--k-list", "1000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_jeep_fast_takes_a_k_past_the_segment_limit(tmp_path, capsys):

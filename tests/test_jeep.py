@@ -554,10 +554,12 @@ def test_forward_binary_unreachable_target():
     # unbounded load fails, so no bracket is built
     assert graph_min_gas_binary_forward(path_graph([1.2]), UNIT) == math.inf
     # the free-depot bound itself is past the float range, so the vertex-depot
-    # answer is too; the forward step carries the infinite load
+    # answer is too: the target is reachable, so neither returns inf
     far = path_graph([0.4] * 1000)
-    assert graph_free_depots(far, UNIT) == math.inf
-    assert graph_min_gas_binary_forward(far, UNIT) == math.inf
+    with pytest.raises(OverflowError):
+        graph_free_depots(far, UNIT)
+    with pytest.raises(OverflowError):
+        graph_min_gas_binary_forward(far, UNIT)
 
 
 def test_forward_binary_far_above_free_depot_bound():
