@@ -235,7 +235,7 @@ def _jeep_graph(payload, algo):
         else:
             val = jeep.graph_vertex_depots_continuous(
                 graph, params, k_per_edge)[graph.source]
-        if val == math.inf:  # the solvers raise OverflowError past the range
+        if val == math.inf:  # a graph method's inf at the source
             raise InfeasibleError("target unreachable with any amount of gas")
         return val, None, None
     return solve

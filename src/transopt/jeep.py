@@ -11,7 +11,7 @@ import heapq
 import math
 from collections import namedtuple
 from itertools import repeat
-from operator import ge, mul
+from operator import ge, mul, sub
 
 from .errors import BudgetUnreachableError, InfeasibleError
 from .tolerances import BUDGET_SLACK, CHECK_EPS, DIV_TOL
@@ -410,13 +410,6 @@ def _dijkstra_min(graph, start, relax, label=0.0):
     return h
 
 
-def _finite_gas(val):
-    """``val``, or OverflowError for inf: a graph method's inf is unreachable."""
-    if val == INF:
-        raise OverflowError("gas requirement past the float range")
-    return val
-
-
 def graph_min_gas_backward(graph, params):
     """Per-vertex gas needed to reach the target, depots at vertices only:
     :func:`graph_vertex_depots_continuous` with no interior points."""
@@ -424,14 +417,15 @@ def graph_min_gas_backward(graph, params):
 
 
 def graph_vertex_depots_continuous(graph, params, k_per_edge):
-    """Per-vertex gas needed to reach the target (inf: it cannot; an
-    OverflowError past the float range) when each edge may also cache fuel
-    at ``k_per_edge`` equally spaced interior points: a backward Dijkstra
-    whose relax runs Method 1 over the edge (monotone in the downstream
-    requirement, so label setting is sound).  Its ``corrected`` steps are,
-    at ``k_per_edge = 0``, the exact inverse of the forward feasibility test
-    of :func:`graph_min_gas_binary_forward`, so the two methods agree;
-    ``faithful`` mode can overestimate multi-trip edges."""
+    """Per-vertex gas needed to reach the target when each edge may also
+    cache fuel at ``k_per_edge`` equally spaced interior points: a backward
+    Dijkstra whose relax runs Method 1 over the edge (monotone in the
+    downstream requirement, so label setting is sound).  Its ``corrected``
+    steps are, at ``k_per_edge = 0``, the exact inverse of the forward
+    feasibility test of :func:`graph_min_gas_binary_forward`, so the two
+    methods agree; ``faithful`` mode can overestimate multi-trip edges.
+    A vertex that cannot reach the target, or whose requirement is past the
+    float range, gets inf; an OverflowError only when the source's is."""
     if k_per_edge < 0:
         raise ValueError("k_per_edge must be nonnegative")
     if (k_per_edge + 1) * len(graph.edges) > _MAX_SEGMENTS:
@@ -439,12 +433,23 @@ def graph_vertex_depots_continuous(graph, params, k_per_edge):
 
     def relax(h_u, ln):
         try:
-            return _finite_gas(_method1(_equal_points(ln, k_per_edge), params,
-                                        h_u, "corrected", False)[0])
-        except InfeasibleError:
+            return _method1(_equal_points(ln, k_per_edge), params, h_u,
+                            "corrected", False)[0]
+        except (InfeasibleError, OverflowError):
             return None
 
-    return _dijkstra_min(graph, graph.target, relax)
+    def any_load(d, ln):  # every segment nets a transfer: any load crosses
+        pts = _equal_points(ln, k_per_edge)
+        return d if params.m > 2.0 * (params.g * max(map(sub, pts[1:], pts))) else None
+
+    h = _dijkstra_min(graph, graph.target, relax)  # an inf never improves
+    if h[graph.source] == INF:
+        # past the float range if edges any load crosses join the source to
+        # a vertex whose requirement is finite
+        joined = _dijkstra_min(graph, graph.source, any_load)
+        if any(hv < INF for hv, jv in zip(h, joined) if jv == 0.0):
+            raise OverflowError("gas requirement past the float range")
+    return h
 
 
 def graph_forward_feasible(graph, params, g_min):
@@ -508,11 +513,16 @@ def graph_min_gas_binary_forward(graph, params, eps=None):
             hi = mid
         else:
             lo = mid
-    return _finite_gas(hi)
+    if hi == INF:  # the probe found the target reachable
+        raise OverflowError("gas requirement past the float range")
+    return hi
 
 
 def graph_free_depots(graph, params):
     """Depots anywhere: classic shortest path, then the continuous optimum.
     Every target is reachable, so past the float range this raises OverflowError."""
     dist = _dijkstra_min(graph, graph.source, lambda d, ln: d + ln)
-    return _finite_gas(continuous_optimum(dist[graph.target], params))
+    val = continuous_optimum(dist[graph.target], params)
+    if val == INF:
+        raise OverflowError("gas requirement past the float range")
+    return val

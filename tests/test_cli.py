@@ -552,13 +552,19 @@ def _graph_path(lengths, **fields):
 
 # Each edge under m/2g: the target is reachable, but the requirement grows by
 # a factor per edge and passes the float range, an error.  The controls solve
-# (a prefix of one such path) or have no plan at all (infeasible).
+# (a prefix of one such path, or a source whose overflowing chain hangs off
+# the target) or have no plan at all (infeasible).
 OUTCOMES = {
     "points": dict(JEEP, points=[round(0.499 * i, 6) for i in range(130)]),
     "k-1e5": dict(JEEP, x=400, k=10 ** 5),
     "path-120": _graph_path([0.499] * 120),
     "path-262": _graph_path([4.672086441097504] * 262, m=10.0),
     "path-99": _graph_path([4.672086441097504] * 99, m=10.0),
+    "hanging-262": _graph_path([0.1] + [4.672086441097504] * 262, m=10.0,
+                               target=2),
+    # an edge of 0.6 nets a transfer only with its midpoint: vertex depots
+    # alone never reach the target, one point per edge overflows
+    "path-400-k1": _graph_path([0.6] * 400, k_per_edge=1),
     # longer than a tank: no load crosses it, but depots anywhere do, after
     # some e^2000 tanks
     "edge-1000": _graph_path([1000.0]),
@@ -574,8 +580,11 @@ GRAPH_ALGOS = ("jeep-graph-backward", "jeep-graph-vertex", "jeep-graph-binary")
     ("k-1e5", ["solve", "--algo", "jeep-exact"], "error"),
     *[(case, ["solve", "--algo", algo], status) for algo in GRAPH_ALGOS
       for case, status in (("path-120", "error"), ("path-262", "error"),
-                           ("path-99", "ok"), ("edge-1000", "infeasible"))],
+                           ("path-99", "ok"), ("hanging-262", "ok"),
+                           ("edge-1000", "infeasible"))],
     ("edge-1000", ["solve", "--algo", "jeep-graph-free"], "error"),
+    ("path-400-k1", ["solve", "--algo", "jeep-graph-vertex"], "error"),
+    ("path-400-k1", ["solve", "--algo", "jeep-graph-backward"], "infeasible"),
     ("k-0", ["solve", "--algo", "jeep-exact"], "infeasible"),
 ], ids=lambda v: v if isinstance(v, str) else v[-1])
 def test_overflow_is_an_error_and_no_plan_infeasible(tmp_path, capsys, case,
@@ -587,7 +596,9 @@ def test_overflow_is_an_error_and_no_plan_infeasible(tmp_path, capsys, case,
     assert len(lines) == 1 and err == ""
     env = json.loads(lines[0], parse_constant=lambda c: pytest.fail(c))
     assert env["schema"] == "transopt-result/1" and env["status"] == status
-    if status == "ok":  # about 2.9e115 under each of the three
+    if case == "hanging-262":
+        assert env["objective"] == 0.1
+    elif status == "ok":  # about 2.9e115 under each of the three
         assert 2.8e115 < env["objective"] < 3e115
     else:
         assert "internal" not in env["diagnostics"]

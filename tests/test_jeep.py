@@ -562,6 +562,17 @@ def test_forward_binary_unreachable_target():
         graph_min_gas_binary_forward(far, UNIT)
 
 
+def test_vertex_depots_overflow_off_the_route():
+    # the chain beyond the target overflows: its far vertices get inf, and
+    # the source's 0.1 stands
+    edges = tuple((i, i + 1, 0.1 if i == 1 else 0.499) for i in range(1, 122))
+    h = graph_min_gas_backward(JeepGraph(122, edges, target=2), UNIT)
+    assert h[1] == 0.1 and h[2] == 0.0 and h[-1] == math.inf
+    # the same chain before the target: the source's requirement overflows
+    with pytest.raises(OverflowError):
+        graph_min_gas_backward(path_graph([0.499] * 120), UNIT)
+
+
 def test_forward_binary_far_above_free_depot_bound():
     # each edge just under half a tank multiplies the vertex-depot answer by
     # about 49 but the free-depot bound by about 2.66, so the answer is more
