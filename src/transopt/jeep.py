@@ -287,18 +287,21 @@ def continuous_optimum(x, params):
     t full tanks carry the jeep (m/g) * sum_{i<=t} 1/(2i-1) miles, and the
     last, partial stage is solved exactly.  t starts just below the inverse
     of the sum's expansion at gx/m and steps up to the first t whose sum
-    reaches gx/m; past 1e306 stages the gas is inf."""
+    reaches gx/m.  Past 2**53 stages the partial stage is below an ulp of
+    (t - 1) * m, and the gas is m * exp(2 * (gx/m - ln 2 - gamma/2)), taken in
+    log space: its relative error is about twice the rounding of gx/m (near
+    1e-13 at gx/m = 400), and it is inf only past the float range."""
     m, g = params.m, params.g
     if x <= m / g:
         return g * x
     target = g * x / m  # required odd-harmonic partial sum
-    try:
-        t_est = math.exp(2.0 * (target - math.log(2.0) - 0.5 * _EULER))
-    except OverflowError:
-        return INF
-    if t_est > 1e306:
-        return INF
-    t = max(int(t_est) - 2, 1)
+    log_t = 2.0 * (target - math.log(2.0) - 0.5 * _EULER)
+    if log_t > 53 * math.log(2.0):
+        try:
+            return math.exp(math.log(m) + log_t)
+        except OverflowError:
+            return INF
+    t = max(int(math.exp(log_t)) - 2, 1)
     while _odd_harmonic(t) < target:
         t += 1
     rem = x - (m / g) * _odd_harmonic(t - 1)

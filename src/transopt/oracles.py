@@ -11,7 +11,7 @@ import itertools
 import math
 
 from .errors import PlanInfeasibleError, SizeLimitError
-from .tolerances import MIN_PIECE, REL_TOL
+from .tolerances import REL_TOL
 
 INF = math.inf
 
@@ -154,13 +154,16 @@ def jeep_simulate_plan(d, params, plans):
 def visibility_reference(poly):
     """Boolean n x n matrix: segment (i, j) stays inside the closed polygon.
 
-    The reference scan, one geometry predicate call at a time: a pair fails
-    on any proper crossing with a polygon edge; otherwise the connecting
-    segment is cut at every polygon vertex it touches and each piece's
-    midpoint must test inside.  ``visibility.visibility_matrix``'s pair test
-    mirrors it predicate by predicate.
+    The reference scan, O(n) per pair on the ring scaled exactly to
+    integers (``geometry.integer_points``), so every sign it reads is exact:
+    a pair fails on any proper crossing with a polygon edge; otherwise the
+    connecting segment is cut at every vertex exactly on it, and each
+    piece's midpoint must test inside (``geometry.point_in_polygon``).  The
+    cuts are distinct vertices, so no piece has length zero.
     """
-    v = poly.vertices
+    from .geometry import integer_points
+    # doubled, so each midpoint below is a pair of integers too
+    v = [(2 * x, 2 * y) for x, y in integer_points(poly.vertices)]
     n = len(v)
     vis = [[False] * n for _ in range(n)]
     for i in range(n):
@@ -177,26 +180,27 @@ def visibility_reference(poly):
 
 def _segment_inside(v, a, b):
     # imported here, so a fuel, ovrp or jeep check never compiles geometry
-    from .geometry import on_segment, point_in_polygon, segments_properly_intersect
+    from .geometry import point_in_polygon
+    # the side of line ab of every vertex, as the sign of an exact cross product
+    (ax, ay), (bx, by) = a, b
+    dx, dy = bx - ax, by - ay
+    side = [dx * (y - ay) - dy * (x - ax) for x, y in v]
     n = len(v)
     for e in range(n):
-        if segments_properly_intersect(a, b, v[e], v[(e + 1) % n]):
-            return False
-    # only touch points remain; split there and test each piece's midpoint
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    den = dx * dx + dy * dy
-    cuts = [0.0, 1.0]
-    for p in v:
-        if on_segment(p, a, b):
-            cuts.append(((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / den)
-    cuts.sort()
-    for t0, t1 in zip(cuts, cuts[1:]):
-        if t1 - t0 <= MIN_PIECE:
-            continue
-        tm = 0.5 * (t0 + t1)
-        if not point_in_polygon(v, (a[0] + tm * dx, a[1] + tm * dy)):
-            return False
-    return True
+        if side[e] * side[e - 1] < 0:  # edge (e - 1, e) straddles the line
+            (cx, cy), (ex, ey) = v[e - 1], v[e]
+            ca = (ex - cx) * (ay - cy) - (ey - cy) * (ax - cx)
+            cb = (ex - cx) * (by - cy) - (ey - cy) * (bx - cx)
+            if ca * cb < 0:
+                return False  # a proper crossing
+    # only touch points remain: cut at the vertices strictly inside ab, in
+    # order along it, and test each piece's midpoint
+    k = 0 if ax != bx else 1
+    lo, hi = min(a[k], b[k]), max(a[k], b[k])
+    cuts = sorted([p for p, s in zip(v, side) if s == 0 and lo < p[k] < hi] + [a, b],
+                  key=lambda p: p[k])
+    return all(point_in_polygon(v, ((px + qx) // 2, (py + qy) // 2))
+               for (px, py), (qx, qy) in zip(cuts, cuts[1:]))
 
 
 def ham_brute(poly, start=None):

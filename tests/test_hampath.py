@@ -7,11 +7,15 @@ import pytest
 from transopt import hampath, rows, visibility
 from transopt.errors import InvalidPolygonError
 from transopt.geometry import (
+    exact_turn,
+    integer_points,
     on_segment,
     orientation,
     point_in_polygon,
+    rounding_bound,
     segments_properly_intersect,
     signed_area,
+    turn,
 )
 from transopt.hampath import (
     CurveInstance,
@@ -22,8 +26,9 @@ from transopt.hampath import (
     shortest_ham_path_free_start,
     visibility_matrix,
 )
+from transopt import oracles
 from transopt.oracles import curve_zigzag_brute, ham_brute, visibility_reference
-from transopt.tolerances import CHECK_EPS, DEFER_TOL, REL_TOL
+from transopt.tolerances import CHECK_EPS, REL_TOL
 
 INF = math.inf
 
@@ -329,7 +334,7 @@ def _notch(off, rng, mirror=False):
     return SimplePolygon(ring)
 
 
-def test_visibility_matches_reference_near_degenerate(monkeypatch):
+def test_visibility_matches_reference_near_degenerate():
     rng = random.Random(54)
     polys = []
     # a notch tip moved off a chord by a multiple of the tolerance
@@ -355,8 +360,7 @@ def test_visibility_matches_reference_near_degenerate(monkeypatch):
         ring.append((0, 2))
         polys.append(SimplePolygon(ring))
     # a star vertex moved onto, or just off, the chord between two others:
-    # here the walks, not the triangulation, meet the near-zero cross
-    # products, and defer some rows only
+    # here the walks, not the triangulation, meet the near-zero cross products
     while len(polys) < 200:
         v = list(jittered_star(rng, rng.randint(6, 16), 0.7).vertices)
         n = len(v)
@@ -370,56 +374,111 @@ def test_visibility_matches_reference_near_degenerate(monkeypatch):
             polys.append(SimplePolygon(v))
         except InvalidPolygonError:
             pass
-    partial = 0
-    pair_rows = visibility._pair_rows
-
-    def counted(v, vis, rows):
-        nonlocal partial
-        partial += len(rows) < len(v)
-        return pair_rows(v, vis, rows)
-
-    monkeypatch.setattr(visibility, "_pair_rows", counted)
     for poly in polys:
         assert visibility_matrix(poly) == visibility_reference(poly), poly.vertices
-    assert partial > 0
+
+
+def _counting_exact_turn(monkeypatch):
+    """Count the signs ``visibility`` settles exactly; returns the list the
+    counts go to."""
+    calls = []
+
+    def counted(p, q, r):
+        calls.append((p, q, r))
+        return exact_turn(p, q, r)
+
+    monkeypatch.setattr(visibility, "exact_turn", counted)
+    monkeypatch.setattr(visibility, "turn",
+                        lambda p, q, r, bound: turn(p, q, r, bound)
+                        if abs(turn(p, q, r, 0.0)) > bound else counted(p, q, r))
+    return calls
 
 
 def test_fast_pass_decides_general_position_rows(monkeypatch):
-    calls = []
-    pair_rows = visibility._pair_rows
-
-    def counted(v, vis, rows):
-        calls.append(len(rows))
-        return pair_rows(v, vis, rows)
-
-    def refuse(v, vis, rows):
-        raise AssertionError("a row went to the pair test")
-
+    # general position: every float sign clears the rounding bound, and no
+    # sign is recomputed exactly
+    calls = _counting_exact_turn(monkeypatch)
     rng = random.Random(55)
-    monkeypatch.setattr(visibility, "_pair_rows", refuse)
     for _ in range(40):
         poly = jittered_star(rng, rng.randint(4, 60), rng.uniform(0.05, 0.85))
         shortest_ham_path_free_start(poly)
-    monkeypatch.setattr(visibility, "_pair_rows", counted)
+    assert not calls
+    # collinear runs: exact zeros, which the walk decides itself
     for _ in range(20):
         poly = rectilinear_histogram(rng)
-        calls.clear()
         assert visibility_matrix(poly) == visibility_reference(poly)
-        assert calls  # collinear runs defer
-    # the L-shaped room: only the rows of the chord through the reflex
-    # corner, (1, 5), meet a zero cross product and defer
+    assert calls
+    # the L-shaped room: its chord (1, 5) runs exactly through reflex vertex
+    # 3, and it stays in the closed polygon
     room = SimplePolygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
-    calls.clear()
-    assert visibility_matrix(room) == visibility_reference(room)
-    assert calls == [2]
+    vis = visibility_matrix(room)
+    assert vis == visibility_reference(room)
+    assert vis[1][5] and vis[5][1]
+
+
+def test_a_ray_goes_on_past_a_vertex_where_the_cones_stop():
+    # from vertex 0 the segment to vertex 4 runs along edge (0, 1), through
+    # the interior, then along edge (4, 5): the cone below the top room
+    # stops at vertex 5, and the ray alone reaches vertex 4
+    ring = SimplePolygon(((0, 0), (1, 0), (1, -1), (3, -1), (3, 0), (2, 0), (2, 1), (0, 1)))
+    vis = visibility_matrix(ring)
+    assert vis == visibility_reference(ring)
+    assert vis[0][4] and vis[4][0]
+    assert vis[0][5] and not vis[0][3]
+
+
+def lattice_ring(rng):
+    """The boundary of a random polyomino in a grid of at most 6 by 6
+    cells, every lattice point on it a vertex but some of the flat ones,
+    scaled by a random factor; None when the boundary is not simple."""
+    w, h = rng.randint(2, 6), rng.randint(2, 6)
+    cells = {(rng.randrange(w), rng.randrange(h))}
+    for _ in range(rng.randint(1, w * h)):
+        cx, cy = rng.choice(sorted(cells))
+        dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+        if 0 <= cx + dx < w and 0 <= cy + dy < h:
+            cells.add((cx + dx, cy + dy))
+    edges = set()  # unit edges, counterclockwise round each cell; shared ones cancel
+    for cx, cy in cells:
+        corners = ((cx, cy), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1))
+        for a, b in zip(corners, corners[1:] + corners[:1]):
+            if (b, a) in edges:
+                edges.remove((b, a))
+            else:
+                edges.add((a, b))
+    nxt = dict(edges)
+    if len(nxt) < len(edges):
+        return None  # two boundary runs meet at a corner
+    ring = [min(nxt)]
+    while nxt[ring[-1]] != ring[0]:
+        ring.append(nxt[ring[-1]])
+    if len(ring) < len(nxt):
+        return None  # a hole
+    ring = [p for t, p in enumerate(ring)
+            if _turn(ring[t - 1], p, ring[(t + 1) % len(ring)]) or rng.random() < 0.6]
+    s = rng.choice((1, 0.1, 1e-3, 3.7))
+    return SimplePolygon([(x * s, y * s) for x, y in ring])
+
+
+def test_lattice_rings_match_the_reference():
+    # rays through vertices, along edges and through pinches on every ring
+    rng = random.Random(59)
+    rings = 0
+    while rings < 150:
+        if (poly := lattice_ring(rng)) is None:
+            continue
+        rings += 1
+        assert visibility_matrix(poly) == visibility_reference(poly), poly.vertices
 
 
 def test_triangulation_covers_the_polygon():
     rng = random.Random(56)
-    for _ in range(100):
-        poly = jittered_star(rng, rng.randint(3, 80), rng.uniform(0.05, 0.85))
+    polys = [jittered_star(rng, rng.randint(3, 80), rng.uniform(0.05, 0.85))
+             for _ in range(100)]
+    polys += [rectilinear_histogram(rng) for _ in range(30)]
+    for poly in polys:
         v, n = poly.vertices, poly.n
-        tris = visibility._triangulate(v, DEFER_TOL)
+        tris = visibility._triangulate(v, rounding_bound(v))
         assert len(tris) == n - 2
         areas = [signed_area([v[a], v[b], v[c]]) for a, b, c in tris]
         assert min(areas) > 0
@@ -434,50 +493,34 @@ def _turn(a, b, c):
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _tol(v):
-    # visibility_matrix's tolerance for the ring v
-    m = max(abs(c) for p in v for c in p)
-    return DEFER_TOL + m * m * 2.0 ** -46
+def _reference_row(poly, i):
+    """Row i of ``visibility_reference(poly)``, in O(n^2)."""
+    v = [(2 * x, 2 * y) for x, y in integer_points(poly.vertices)]
+    n = len(v)
+    return [abs(i - j) in (0, 1, n - 1) or oracles._segment_inside(v, v[i], v[j])
+            for j in range(n)]
 
 
-def test_near_flat_corner_leaves_the_triangulation_whole(monkeypatch):
-    # vertex 667 of this star turns by -5.5e-9, within the tolerance: it
-    # blocks as a reflex vertex does, and only 4 rows go to the pair test
+def test_near_flat_corner_leaves_the_triangulation_whole():
+    # vertex 667 of this star turns by -5.5e-9: a reflex vertex, far past
+    # the rounding bound, that blocks the ears over it
     poly = jittered_star(random.Random(28), 800, 0.4)
     v, n = poly.vertices, poly.n
-    tris = visibility._triangulate(v, _tol(v))
+    tol = rounding_bound(v)
+    assert -6e-9 < _turn(*v[666:669]) < -tol
+    tris = visibility._triangulate(v, tol)
     assert len(tris) == n - 2
     areas = [signed_area([v[a], v[b], v[c]]) for a, b, c in tris]
     assert min(areas) > 0
     assert math.isclose(math.fsum(areas), signed_area(v), rel_tol=1e-12)
-    calls = []
-    monkeypatch.setattr(visibility, "_pair_rows",
-                        lambda v, vis, rows: calls.append(len(rows)))
-    visibility_matrix(poly)
-    assert calls == [4]
+    vis = visibility_matrix(poly)
+    for i in (666, 667, 668):
+        assert vis[i] == _reference_row(poly, i)
 
 
-def test_deferred_row_takes_its_pairs_with_finished_rows_from_them():
-    # a finished row is the one decider of its pair with a deferred row:
-    # a flipped entry of it must come through the pair test unchanged
-    poly = jittered_star(random.Random(28), 800, 0.4)
-    v, n = poly.vertices, poly.n
-    tol = _tol(v)
-    vis = [[False] * n for _ in range(n)]
-    deferred = visibility._funnel_rows(v, visibility._triangulate(v, tol), tol, vis)
-    assert len(deferred) == 4
-    j = deferred[0]
-    k = (j + n // 2) % n
-    assert k not in deferred
-    vis[k][j] = flipped = not vis[k][j]
-    visibility._pair_rows(v, vis, deferred)
-    assert vis[j][k] is flipped
-
-
-def test_chord_through_an_edge_band_is_marked_blocked(monkeypatch):
-    # the chord (2, 8) leaves this ring, and no row defers: the walk blocks
-    # it.  The reference cuts the chord only at vertices near it, and its
-    # one midpoint lies within EPS of an edge, so it calls the pair visible
+def test_chord_through_an_edge_band_is_marked_blocked():
+    # the chord (2, 8) leaves this ring: the walk blocks it, and so does the
+    # exact reference, though its one midpoint lies within EPS of an edge
     ring = SimplePolygon(((0.21415359021526764, 0.4622371468970153),
                           (0.23620556384407182, 0.1948722365241953),
                           (0.04141973204569637, 0.9232193588940131),
@@ -488,17 +531,36 @@ def test_chord_through_an_edge_band_is_marked_blocked(monkeypatch):
                           (0.23989668313820786, -0.8320451484967162),
                           (0.5533205435714491, -0.44291215360044567)))
     v = ring.vertices
-    monkeypatch.setattr(visibility, "_pair_rows", None)  # no row defers
     assert visibility_matrix(ring)[2][8] is False
+    assert visibility_reference(ring)[2][8] is False
+    assert visibility_matrix(ring) == visibility_reference(ring)
     (ax, ay), (bx, by) = v[2], v[8]
     assert not point_in_polygon(v, (ax + (bx - ax) / 8, ay + (by - ay) / 8))
 
 
+def test_scaled_star_blocks_the_chords_that_leave_it():
+    # the seed-5 n=500 star scaled by 1e-2: these chords leave the polygon
+    # by a rounding-size margin, and both the matrix and the reference block
+    # them
+    rng = random.Random(5)
+    pts = []
+    for i in range(500):  # perfbench's star_polygon
+        a = 2.0 * math.pi * (i + rng.uniform(-0.3, 0.3)) / 500
+        r = rng.uniform(0.4, 1.0)
+        pts.append((r * math.cos(a) * 1e-2, r * math.sin(a) * 1e-2))
+    poly = SimplePolygon(pts)
+    vis = visibility_matrix(poly)
+    v = [(2 * x, 2 * y) for x, y in integer_points(poly.vertices)]
+    for i, j in ((4, 251), (8, 11), (117, 373), (124, 256)):
+        assert vis[i][j] is False and vis[j][i] is False
+        assert oracles._segment_inside(v, v[i], v[j]) is False
+
+
 def test_near_flat_rings_match_the_reference():
     # stars scaled down to 3e-4 and, three in ten, snapped to a grid: many
-    # turns and blockers lie within the tolerance
+    # turns and blockers lie within the rounding bound or on a line
     rng = random.Random(57)
-    rings = flat_kept = 0
+    rings = near_flat = 0
     while rings < 100:
         n, s = rng.randint(3, 70), 3e-4 ** rng.random()
         pts = [(x * s, y * s) for x, y in
@@ -511,40 +573,16 @@ def test_near_flat_rings_match_the_reference():
         except InvalidPolygonError:
             continue
         rings += 1
-        v, tol = poly.vertices, _tol(poly.vertices)
+        v, tol = poly.vertices, rounding_bound(poly.vertices)
         assert visibility_matrix(poly) == visibility_reference(poly), pts
         tris = visibility._triangulate(v, tol)
-        if tris is None:
-            continue
-        # every clipped ear turns by more than the tolerance; the last
-        # triangle is what the clips leave
-        assert all(_turn(v[a], v[b], v[c]) > tol for a, b, c in tris[:-1])
-        # count the rings with a near-flat corner that triangulate
+        # every clipped ear turns left, exactly; the last triangle is what
+        # the clips leave
+        assert all(turn(v[a], v[b], v[c], tol) > 0 for a, b, c in tris[:-1])
+        # count the rings with a corner that turns by at most 1e-8
         corners = zip(v[-1:] + v[:-1], v, v[1:] + v[:1])
-        flat_kept += any(abs(_turn(*abc)) <= tol for abc in corners)
-    assert flat_kept >= 20, flat_kept
-
-
-def test_slab_containment_matches_point_in_polygon():
-    # points within the collinearity tolerance of vertices and edges, where
-    # the slab lookup must still find every boundary candidate
-    rng = random.Random(47)
-    offsets = (-1.5e-9, -0.8e-9, -0.5e-9, 0.0, 0.5e-9, 0.8e-9, 1.5e-9)
-    # two vertex ordinates closer than the tolerance: the point 8e-10 above
-    # the top edge lies in a slab that edge's own y-range does not reach
-    polys = [SimplePolygon(((0, -1), (3, -1), (3, 6e-10), (1, 0), (0, 0)))]
-    polys += [rectilinear_histogram(rng) if t % 2 else
-              jittered_star(rng, rng.randint(4, 12), 0.3) for t in range(40)]
-    for poly in polys:
-        v, n = poly.vertices, poly.n
-        inside = visibility._inside_test(v)
-        probes = list(v) + [((v[e][0] + v[(e + 1) % n][0]) / 2,
-                             (v[e][1] + v[(e + 1) % n][1]) / 2) for e in range(n)]
-        for x, y in probes:
-            for ox in offsets:
-                for oy in offsets:
-                    p = (x + ox, y + oy)
-                    assert inside(*p) == point_in_polygon(v, p), (v, p)
+        near_flat += any(abs(_turn(*abc)) <= 1e-8 for abc in corners)
+    assert near_flat >= 20, near_flat
 
 
 def test_dp_matches_brute_on_random_polygons():

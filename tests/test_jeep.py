@@ -784,3 +784,25 @@ def test_free_depots():
     assert abs(graph_free_depots(far, UNIT) - 2.0) < 1e-12
     self_target = JeepGraph(2, ((1, 2, 1.0),), source=1, target=1)
     assert graph_free_depots(self_target, UNIT) == 0.0
+
+
+def test_continuous_optimum_past_2_53_stages_is_taken_in_log_space(tmp_path, capsys):
+    # one edge of 4e-298 at m = 1e-300: gx/m = 400 stages past the float
+    # range at m = 1, yet the gas is about 3.8e46
+    assert continuous_optimum(400.0, UNIT) == math.inf
+    assert continuous_optimum(1e9, UNIT) == math.inf
+    small = JeepParams(1e-300, 1.0)
+    assert math.isclose(continuous_optimum(4e-298, small),
+                        math.exp(math.log(1e-300) + 2 * (4e-298 / 1e-300 - math.log(2)
+                                                         - 0.5 * 0.5772156649015329)),
+                        rel_tol=1e-12)
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"schema": "transopt-instance/1", "problem": "jeep-graph", "n": 2,
+                                "edges": [[1, 2, 4e-298]], "m": 1e-300, "g": 1}))
+    assert main(["solve", "--algo", "jeep-graph-free", str(path)]) == 0
+    env = json.loads(capsys.readouterr().out)
+    assert env["status"] == "ok" and 3e46 < env["objective"] < 5e46
+    # the log-space branch meets the stage loop at 2**53 stages
+    edge = 26.5 * math.log(2) + math.log(2) + 0.5 * 0.5772156649015329
+    below, above = (continuous_optimum(edge + d, UNIT) for d in (-1e-9, 1e-9))
+    assert below < above and math.isclose(below, above, rel_tol=1e-8)

@@ -155,3 +155,17 @@ def test_every_public_name_resolves():
     for name in transopt.__all__:
         assert getattr(transopt, name) is not None, name
     assert set(transopt.__all__) <= set(dir(transopt))
+
+
+def test_a_polygon_job_loads_no_rational_arithmetic(tmp_path):
+    # exact signs come from float.as_integer_ratio, not fractions or decimal
+    room = {"schema": SCHEMA, "problem": "hampath",
+            "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}
+    lines = _run_script(tmp_path, """
+        for tag in ("hampath", "room"):
+            assert main(["solve", paths[tag]]) == 0, tag
+            assert main(["check", paths[tag]]) == 0, tag
+        for name in ("fractions", "decimal"):
+            assert name not in sys.modules, f"a polygon job loaded {name}"
+    """, dict(INSTANCES, room=room))
+    assert len(lines) == 4
