@@ -218,7 +218,7 @@ def _jeep_graph(payload, algo):
     graph = jeep.JeepGraph(
         _field(payload, "n", int),
         tuple((u, v, float(w)) for u, v, w in _edges_field(payload)),
-        _field(payload, "source", int, 1), _field(payload, "target", int, -1))
+        _field(payload, "source", int, 1), _field(payload, "target", int, None))
     params = _jeep_params(payload)
     if algo == "jeep-graph-vertex":
         k_per_edge = _field(payload, "k_per_edge", int, 0)

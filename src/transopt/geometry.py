@@ -1,46 +1,9 @@
 """Planar predicates shared by the polygon path solvers.
 
-Polygon validation's comparisons (``orientation``, ``on_segment``,
-``segments_properly_intersect``) use an absolute tolerance for collinearity,
-``EPS`` from ``transopt.tolerances``: the input contract.  Visibility and its
-reference take exact signs instead (``turn``): a float cross product whose
-value clears its rounding bound, else the sign computed on integers.
+Every sign of a cross product is exact on the input floats (``turn``): the
+float value where it clears its rounding bound, else the sign computed on
+integers.  Polygon validation, triangulation and visibility read no other.
 """
-
-from .tolerances import EPS
-
-
-def orientation(p, q, r):
-    """Sign of the cross product (q-p) x (r-p): +1 left turn, -1 right, 0
-    collinear within tolerance."""
-    cross = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-    if cross > EPS:
-        return 1
-    if cross < -EPS:
-        return -1
-    return 0
-
-
-def on_segment(p, a, b):
-    """True when p lies on the closed segment ab (within tolerance)."""
-    if orientation(a, b, p) != 0:
-        return False
-    return (
-        min(a[0], b[0]) - EPS <= p[0] <= max(a[0], b[0]) + EPS
-        and min(a[1], b[1]) - EPS <= p[1] <= max(a[1], b[1]) + EPS
-    )
-
-
-def segments_properly_intersect(a, b, c, d):
-    """True when segments ab and cd cross at a single interior point.
-
-    Collinear overlap and endpoint touching do not count.
-    """
-    o1 = orientation(a, b, c)
-    o2 = orientation(a, b, d)
-    o3 = orientation(c, d, a)
-    o4 = orientation(c, d, b)
-    return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
 
 
 def point_in_polygon(vertices, p):
@@ -97,11 +60,8 @@ def exact_turn(p, q, r):
     return (c > 0) - (c < 0)
 
 
-def signed_area(vertices):
-    """Twice-halved shoelace area; positive for counterclockwise rings."""
-    total = 0.0
-    n = len(vertices)
-    for i in range(n):
-        (x1, y1), (x2, y2) = vertices[i], vertices[(i + 1) % n]
-        total += x1 * y2 - x2 * y1
-    return 0.5 * total
+def twice_area(vertices):
+    """Twice the signed shoelace area, positive for counterclockwise rings;
+    an exact integer on ``integer_points``."""
+    return sum(x1 * y2 - x2 * y1
+               for (x1, y1), (x2, y2) in zip(vertices, vertices[1:] + vertices[:1]))

@@ -22,8 +22,7 @@ from itertools import accumulate, compress
 
 from . import rows
 from .errors import InvalidPolygonError
-from .geometry import on_segment, orientation, segments_properly_intersect, signed_area
-from .tolerances import EPS
+from .geometry import integer_points, rounding_bound, turn, twice_area
 from .visibility import visibility_matrix
 
 INF = math.inf
@@ -48,18 +47,19 @@ def _validate_simple(v):
     """Raise InvalidPolygonError on the first fault, in the order of the
     all-pairs scan: coinciding vertices, a clockwise ring, then per edge i a
     fold-back at its end and each edge j, ascending, that crosses it or
-    whose first vertex lies on it.
+    whose first vertex lies on it.  Every sign is exact on the floats
+    (``geometry.turn``), so a ring passes exactly when it is simple and
+    counterclockwise: what the triangulation's two-ears argument needs.
 
     Only pairs that could fail are tested, found from sorted x: the edges
-    whose x- and y-ranges, each widened by EPS, overlap.  Farther pairs can
-    neither cross nor put a vertex on an edge, and edge i's box holds
-    vertex i, so two coinciding vertices i and j are such a pair (i, j).
+    whose closed bounding boxes overlap.  Farther pairs can neither cross
+    nor put a vertex on an edge, and edge i's box holds vertex i, so two
+    coinciding vertices i and j are such a pair (i, j).
     """
     n = len(v)
     if n < 3:
         raise InvalidPolygonError(f"need at least 3 vertices, got {n}")
-    box = [(min(p[0], q[0]) - EPS, max(p[0], q[0]) + EPS,
-            min(p[1], q[1]) - EPS, max(p[1], q[1]) + EPS)
+    box = [(min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1]))
            for p, q in zip(v, v[1:] + v[:1])]
     by_lo = sorted(range(n), key=lambda e: box[e][0])
     los = [box[e][0] for e in by_lo]
@@ -70,26 +70,33 @@ def _validate_simple(v):
             if box[j][2] <= y_hi and y_lo <= box[j][3]:
                 near[i].append(j)
                 near[j].append(i)
-    same = [(i, j) for i in range(n) for j in near[i] if i < j
-            and abs(v[i][0] - v[j][0]) <= EPS and abs(v[i][1] - v[j][1]) <= EPS]
+    same = [(i, j) for i in range(n) for j in near[i] if i < j and v[i] == v[j]]
     if same:
         raise InvalidPolygonError("vertices {} and {} coincide".format(*min(same)))
-    if signed_area(v) <= 0:
+    if twice_area(integer_points(v)) <= 0:
         raise InvalidPolygonError("vertex ring is not counterclockwise")
+    tol = rounding_bound(v)
+
+    def in_box(p, e):  # p lies in edge e's closed bounding box
+        x_lo, x_hi, y_lo, y_hi = box[e]
+        return x_lo <= p[0] <= x_hi and y_lo <= p[1] <= y_hi
+
     for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        # a zero-turn spike folds an edge back over its predecessor
-        c = v[(i + 2) % n]
-        if orientation(a, b, c) == 0:
-            if (a[0] - b[0]) * (c[0] - b[0]) + (a[1] - b[1]) * (c[1] - b[1]) > 0:
-                raise InvalidPolygonError(f"edges at vertex {(i + 1) % n} fold back")
+        a, b, c = v[i], v[(i + 1) % n], v[(i + 2) % n]
+        # a zero-turn spike folds an edge back over its predecessor: one of
+        # the two edges at b then holds the far end of the other
+        if turn(a, b, c, tol) == 0 and (in_box(c, i) or in_box(a, (i + 1) % n)):
+            raise InvalidPolygonError(f"edges at vertex {(i + 1) % n} fold back")
         for j in sorted(near[i]):
             if j in ((i - 1) % n, (i + 1) % n):
                 continue
-            c2, d2 = v[j], v[(j + 1) % n]
-            if segments_properly_intersect(a, b, c2, d2):
-                raise InvalidPolygonError(f"edges {i} and {j} cross")
-            if j != (i + 2) % n and on_segment(v[j], a, b):
+            p, q = v[j], v[(j + 1) % n]
+            s, t = turn(a, b, p, tol), turn(a, b, q, tol)
+            if s < 0 < t or t < 0 < s:
+                u, w = turn(p, q, a, tol), turn(p, q, b, tol)
+                if u < 0 < w or w < 0 < u:
+                    raise InvalidPolygonError(f"edges {i} and {j} cross")
+            elif s == 0 and j != (i + 2) % n and in_box(p, i):
                 raise InvalidPolygonError(f"vertex {j} lies on edge {i}")
 
 

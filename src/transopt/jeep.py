@@ -365,8 +365,8 @@ class JeepGraph(namedtuple("JeepGraph", "n edges source target adj")):
 
     __slots__ = ()
 
-    def __new__(cls, n, edges, source=1, target=-1):
-        if target == -1:
+    def __new__(cls, n, edges, source=1, target=None):
+        if target is None:
             target = n
         for name, v in (("source", source), ("target", target)):
             if not 1 <= v <= n:

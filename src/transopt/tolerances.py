@@ -1,15 +1,13 @@
 """Every numeric tolerance of transopt, one name per comparison it loosens.
 
-The paper's algorithms are exact; these five absorb float rounding only,
+The paper's algorithms are exact; these four absorb float rounding only,
 and a closed form such as ``jeep.continuous_optimum`` needs none.  They are
-constants: no option or environment variable sets them.  Visibility takes no
-tolerance: a cross product within its rounding bound (``geometry.rounding_bound``,
-computed from the input) has its sign computed exactly (``geometry.turn``).
+constants: no option or environment variable sets them.  Polygon validation
+and visibility take no tolerance: a cross product within its rounding bound
+(``geometry.rounding_bound``, computed from the input) has its sign computed
+exactly (``geometry.turn``).
 """
 
-# absolute: cross products and coordinate gaps (``geometry.orientation``,
-# ``geometry.on_segment``, polygon validation)
-EPS = 1e-9
 # relative: ``jeep.fdiv``, inline in ``jeep.eval_equal_fast`` and in the
 # closed form of its run starts
 DIV_TOL = 1e-9

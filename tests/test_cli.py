@@ -262,6 +262,25 @@ def test_solve_default_algo_honors_hampath_start(tmp_path, capsys):
     assert lines[0]["solution"]["path"][0] == 2
 
 
+def test_polygons_near_1e_4_are_judged_on_their_floats(tmp_path, capsys):
+    # edges 1 and 3 cross, though vertex 4 lies within 1e-9, as a cross
+    # product, of edge 1's line: an error, not a crash in the triangulation
+    crossing = {"schema": "transopt-instance/1", "problem": "hampath", "vertices": [
+        [-9.333050381160129e-05, 1.2152790855089402e-05],
+        [-6.89745834756866e-05, 8.142295204465082e-05],
+        [-6.697770602217892e-05, -2.2957085311454218e-05],
+        [2.4329028459858582e-05, 8.587799457868779e-05],
+        [-7.269626564736025e-05, 2.1279047851043376e-05]]}
+    code, lines = run(capsys, ["solve", write(tmp_path, crossing)])
+    assert code == 1 and lines[0]["status"] == "error"
+    assert lines[0]["diagnostics"] == {"reason": "edges 1 and 3 cross"}
+    # every turn of this triangle is 1e-10: no vertex lies on an edge
+    triangle = dict(crossing, vertices=[[0, 0], [1e-5, 0], [0, 1e-5]])
+    code, lines = run(capsys, ["solve", write(tmp_path, triangle)])
+    assert code == 0 and lines[0]["status"] == "ok"
+    assert lines[0]["objective"] == 2e-05
+
+
 @pytest.mark.parametrize("payload, status, want_code, solver", [
     ({"schema": "transopt-instance/1", "problem": "jeep",
       "x": 2.0, "k": 0, "m": 1.0, "g": 1.0}, "infeasible", 2, "jeep-exact"),
@@ -543,6 +562,14 @@ def test_jeep_out_of_range_gives_one_envelope(tmp_path, capsys, payload, algo):
     assert lines[0]["schema"] == "transopt-result/1"
     assert lines[0]["status"] == {1: "error", 2: "infeasible"}[code]
     assert lines[0]["diagnostics"]["reason"]
+
+
+def test_jeep_graph_reads_an_explicit_minus_1_as_out_of_range(tmp_path, capsys):
+    # only a missing target defaults to vertex n
+    for name in ("source", "target"):
+        code, lines = run(capsys, ["solve", write(tmp_path, dict(JEEP_GRAPH, **{name: -1}))])
+        assert code == 1 and lines[0]["status"] == "error"
+        assert lines[0]["diagnostics"] == {"reason": f"{name} -1 outside 1..3"}
 
 
 def _graph_path(lengths, **fields):

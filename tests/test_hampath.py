@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import accumulate
 
 import pytest
@@ -9,13 +10,10 @@ from transopt.errors import InvalidPolygonError
 from transopt.geometry import (
     exact_turn,
     integer_points,
-    on_segment,
-    orientation,
     point_in_polygon,
     rounding_bound,
-    segments_properly_intersect,
-    signed_area,
     turn,
+    twice_area,
 )
 from transopt.hampath import (
     CurveInstance,
@@ -37,22 +35,6 @@ RIGHT_TRI = SimplePolygon(((0, 0), (1, 0), (0, 1)))
 DART = SimplePolygon(((0, 0), (4, 0), (4, 4), (2, 1)))
 
 
-def test_orientation_and_on_segment():
-    assert orientation((0, 0), (1, 0), (0, 1)) > 0
-    assert orientation((0, 0), (0, 1), (1, 0)) < 0
-    assert orientation((0, 0), (1, 1), (2, 2)) == 0
-    assert on_segment((1, 1), (0, 0), (2, 2))
-    assert not on_segment((3, 3), (0, 0), (2, 2))
-    assert not on_segment((1, 0), (0, 0), (2, 2))
-
-
-def test_proper_intersection():
-    assert segments_properly_intersect((0, 0), (2, 2), (0, 2), (2, 0))
-    # shared endpoint is a touch, not a proper crossing
-    assert not segments_properly_intersect((0, 0), (2, 2), (2, 2), (3, 0))
-    assert not segments_properly_intersect((0, 0), (1, 0), (0, 1), (1, 1))
-
-
 def test_point_in_polygon():
     v = DART.vertices
     assert point_in_polygon(v, (3, 1))
@@ -61,15 +43,20 @@ def test_point_in_polygon():
     assert point_in_polygon(v, (4, 4))
 
 
-def test_signed_area():
-    assert signed_area(SQUARE.vertices) == 1.0
+def test_twice_area():
+    assert twice_area(SQUARE.vertices) == 2.0
+    # a unit right triangle far from the origin: the float terms cancel to
+    # a wrong sign, the integer ones are exact
+    ring = [(1e10, 1e10), (1e10 + 1, 1e10), (1e10, 1e10 + 1)]
+    assert twice_area(ring) < 0
+    assert twice_area(integer_points(ring)) == 1
 
 
 def test_polygon_validation():
     with pytest.raises(InvalidPolygonError):
         SimplePolygon(((0, 0), (1, 0)))
     with pytest.raises(InvalidPolygonError):
-        SimplePolygon(((0, 0), (1, 0), (1, 0.0000000001)))
+        SimplePolygon(((0, 0), (1, 0), (1, 0)))
     with pytest.raises(InvalidPolygonError):  # clockwise ring
         SimplePolygon(((0, 0), (0, 1), (1, 1), (1, 0)))
     with pytest.raises(InvalidPolygonError):  # self-crossing bowtie
@@ -84,16 +71,16 @@ def test_polygon_validation():
 # first one the all-pairs scan met is pinned
 FIRST_FAULT = [
     (((0, 0), (1, 0)), "need at least 3 vertices, got 2"),
-    (((0, 0), (1, 0), (1, 1e-10)), "vertices 1 and 2 coincide"),
+    (((0, 0), (1, 0), (1, 0)), "vertices 1 and 2 coincide"),
     (((0, 0), (0, 1), (1, 1), (1, 0)), "vertex ring is not counterclockwise"),
     (((0, 0), (2, 0), (1, 0), (1, 1)), "edges at vertex 1 fold back"),
     (((0, 0), (4, 0), (4, 3), (1, -1), (0, 3)), "edges 0 and 2 cross"),
     (((0, 0), (2, 0), (2, 2), (1, 0), (0, 2)), "vertex 3 lies on edge 0"),
-    (((0, 0), (2, 0), (2, 2), (1, 0.5e-9), (0, 2)), "vertex 3 lies on edge 0"),
+    # exactly halfway along a slanted edge: 0.5e-9 is half of 1e-9 in floats
+    (((0, 0), (2, 1e-9), (2, 2), (1, 0.5e-9), (0, 2)), "vertex 3 lies on edge 0"),
     # several faults
-    (((0, 0), (3, 0), (3, 3), (5e-10, -5e-10), (3, 4e-10), (0, 3)),
-     "vertices 0 and 3 coincide"),
-    (((0, 0), (0, 1), (1, 1), (1, 0), (1, 1e-10)), "vertices 3 and 4 coincide"),
+    (((0, 0), (3, 0), (3, 3), (0, 0), (3, 0), (0, 3)), "vertices 0 and 3 coincide"),
+    (((0, 0), (0, 1), (1, 1), (1, 0), (1, 0)), "vertices 3 and 4 coincide"),
     (((0, 0), (1, 1), (1, 0), (0, 1)), "vertex ring is not counterclockwise"),
     (((0, 0), (0, 3), (3, 3), (3, 0), (1, 4)), "vertex ring is not counterclockwise"),
     (((0, 0), (2, 0), (1, 0), (1, 1), (3, 2), (3, -1), (4, 3), (0, 3)),
@@ -106,9 +93,9 @@ FIRST_FAULT = [
      "vertex 3 lies on edge 0"),
     (((0, 0), (6, 0), (6, 6), (5, 6), (5, -1), (4, -1), (4, 6), (0, 6)),
      "edges 0 and 3 cross"),
-    # a notch tip within EPS right of a vertical edge, its own edges running
-    # right: their x-ranges meet only through the EPS widening
-    (((0, 0), (4, 0), (4, 2.8), (1 + 2e-10, 3), (4, 3.2), (4, 4), (1, 4),
+    # a notch tip on a vertical edge, its own edges running right: their
+    # closed x-ranges meet at that one x
+    (((0, 0), (4, 0), (4, 2.8), (1, 3), (4, 3.2), (4, 4), (1, 4),
       (1, 2), (0.5, 2), (0.5, 4), (0, 4)), "vertex 3 lies on edge 6"),
 ]
 
@@ -120,35 +107,68 @@ def test_polygon_validation_names_the_first_fault(ring, message):
     assert str(info.value) == message
 
 
+# rings within 1e-9 of a fault but not on it, judged on their floats: three
+# are simple, two fail on another of their faults
+NEAR_FAULT = [
+    (((0, 0), (1, 0), (1, 1e-10)), None),
+    (((0, 0), (2, 0), (2, 2), (1, 0.5e-9), (0, 2)), None),
+    (((0, 0), (3, 0), (3, 3), (5e-10, -5e-10), (3, 4e-10), (0, 3)),
+     "edges 0 and 2 cross"),
+    (((0, 0), (0, 1), (1, 1), (1, 0), (1, 1e-10)), "vertex ring is not counterclockwise"),
+    (((0, 0), (4, 0), (4, 2.8), (1 + 2e-10, 3), (4, 3.2), (4, 4), (1, 4),
+      (1, 2), (0.5, 2), (0.5, 4), (0, 4)), None),
+]
+
+
+def test_a_ring_near_a_fault_is_judged_on_its_floats():
+    for ring, message in NEAR_FAULT:
+        if message is None:
+            length, path = shortest_ham_path_free_start(SimplePolygon(ring))
+            assert length < INF and sorted(path) == list(range(len(ring)))
+        else:
+            with pytest.raises(InvalidPolygonError, match=message):
+                SimplePolygon(ring)
+
+
 def _first_fault_all_pairs(v):
-    """The all-pairs validation scan: every pair of vertices, then per edge
-    i the fold-back and every edge j in order."""
+    """The all-pairs validation scan on ``Fraction`` coordinates, so every
+    sign is exact: every pair of vertices, then per edge i the fold-back and
+    every edge j in order."""
     n = len(v)
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(v[i][0] - v[j][0]) <= 1e-9 and abs(v[i][1] - v[j][1]) <= 1e-9:
+            if v[i] == v[j]:
                 return f"vertices {i} and {j} coincide"
-    if signed_area(v) <= 0:
+    f = [(Fraction(x), Fraction(y)) for x, y in v]
+
+    def side(p, q, r):
+        c = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+        return (c > 0) - (c < 0)
+
+    if sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(f, f[1:] + f[:1])) <= 0:
         return "vertex ring is not counterclockwise"
     for i in range(n):
-        a, b, c = v[i], v[(i + 1) % n], v[(i + 2) % n]
-        if orientation(a, b, c) == 0 and \
+        a, b, c = f[i], f[(i + 1) % n], f[(i + 2) % n]
+        if side(a, b, c) == 0 and \
                 (a[0] - b[0]) * (c[0] - b[0]) + (a[1] - b[1]) * (c[1] - b[1]) > 0:
             return f"edges at vertex {(i + 1) % n} fold back"
         for j in range(n):
             if j in (i, (i - 1) % n, (i + 1) % n):
                 continue
-            if segments_properly_intersect(a, b, v[j], v[(j + 1) % n]):
+            p, q = f[j], f[(j + 1) % n]
+            if side(a, b, p) * side(a, b, q) < 0 and side(p, q, a) * side(p, q, b) < 0:
                 return f"edges {i} and {j} cross"
-            if j != (i + 2) % n and on_segment(v[j], a, b):
+            if j != (i + 2) % n and side(a, b, p) == 0 and \
+                    min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and \
+                    min(a[1], b[1]) <= p[1] <= max(a[1], b[1]):
                 return f"vertex {j} lies on edge {i}"
     return None
 
 
 def test_polygon_validation_matches_the_all_pairs_scan():
     # small integer rings hit every fault kind, often several at once;
-    # stars with one vertex pulled onto another vertex or an edge
-    # (or within the tolerance of one) fail only there
+    # stars with one vertex pulled onto another vertex or an edge, or to
+    # within about 1e-9 of one, fail only there, if at all
     rng = random.Random(52)
     rings = [[(rng.randint(0, 4), rng.randint(0, 4))
               for _ in range(rng.randint(3, 9))] for _ in range(600)]
@@ -174,6 +194,44 @@ def test_polygon_validation_matches_the_all_pairs_scan():
         seen |= {kind for kind in kinds if expected and kind in expected}
         seen.add(expected is None)
     assert seen == kinds | {True, False}
+
+
+def test_validation_is_exact_at_every_scale():
+    # random rings, two in three sorted by angle so that many are simple,
+    # one of those on a grid so that vertices meet lines exactly: a ring is
+    # accepted exactly when the exact scan finds no fault, at every scale
+    rng = random.Random(60)
+    scales = (1e-6, 1e-4, 1.0, 1e4)
+    seen = set()
+    for scale in scales:
+        for t in range(60):
+            n = rng.randint(4, 9)
+            if t % 3 == 1:
+                pts = rng.sample([(x, y) for x in range(4) for y in range(4)], n)
+            else:
+                pts = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+            if t % 3 < 2:
+                cx, cy = sum(x for x, _ in pts) / n, sum(y for _, y in pts) / n
+                pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+            ring = [(x * scale, y * scale) for x, y in pts]
+            expected = _first_fault_all_pairs(ring)
+            seen.add((scale, t % 3, expected is None))
+            try:
+                poly = SimplePolygon(ring)
+            except InvalidPolygonError as exc:
+                assert str(exc) == expected, ring
+                continue
+            assert expected is None, ring
+            v = poly.vertices
+            tris = visibility._triangulate(v, rounding_bound(v))
+            assert len(tris) == n - 2
+            assert all(exact_turn(v[a], v[b], v[c]) > 0 for a, b, c in tris)
+            got, ref = shortest_ham_path_free_start(poly)[0], ham_brute(poly)[0]
+            assert math.isclose(got, ref, rel_tol=CHECK_EPS), ring
+    # at every scale the sorted rings of both kinds include simple ones, and
+    # the unsorted ones faulty ones
+    assert {(s, k, True) for s in scales for k in (0, 1)} <= seen
+    assert {(s, 2, False) for s in scales} <= seen
 
 
 def test_visibility_dart():
@@ -283,6 +341,12 @@ def rectilinear_histogram(rng):
     return SimplePolygon(pts)
 
 
+def _on_segment(p, a, b):
+    """p lies exactly on the closed segment ab."""
+    return exact_turn(a, b, p) == 0 and min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) \
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+
+
 def test_visibility_matches_reference_entry_for_entry():
     rng = random.Random(46)
     blocked = grazing = 0
@@ -295,7 +359,7 @@ def test_visibility_matches_reference_entry_for_entry():
         assert vis == visibility_reference(poly), poly.vertices
         blocked += sum(row.count(False) for row in vis)
         v, n = poly.vertices, poly.n
-        grazing += sum(vis[i][j] and any(on_segment(v[k], v[i], v[j])
+        grazing += sum(vis[i][j] and any(_on_segment(v[k], v[i], v[j])
                                          for k in range(n) if k not in (i, j))
                        for i in range(n) for j in range(i + 2, n))
     # both blocked pairs and visible pairs cut at a touched vertex occur
@@ -314,7 +378,7 @@ def test_visibility_matches_reference_on_random_stars():
 
 
 def _notch(off, rng, mirror=False):
-    """A room whose notch tip lies ``off`` * EPS, as a cross product, to the
+    """A room whose notch tip lies ``off`` * 1e-9, as a cross product, to the
     left of the chord from vertex 0 to vertex 5, in a random rotation and
     scale; mirrored, the chord runs from vertex 0 to vertex 2 instead."""
     a, s = rng.uniform(0, 2 * math.pi), rng.choice((1.0, rng.uniform(0.5, 3)))
@@ -337,7 +401,7 @@ def _notch(off, rng, mirror=False):
 def test_visibility_matches_reference_near_degenerate():
     rng = random.Random(54)
     polys = []
-    # a notch tip moved off a chord by a multiple of the tolerance
+    # a notch tip moved off a chord by a multiple of 1e-9
     for off in (0, 0.5, -0.5, 0.8, -0.8, 1.5, -1.5, 10, -10, 100, -100):
         polys += [_notch(off, rng, mirror) for mirror in (False, True) * 2]
     # collinear runs: stars with points inserted along some edges
@@ -480,9 +544,9 @@ def test_triangulation_covers_the_polygon():
         v, n = poly.vertices, poly.n
         tris = visibility._triangulate(v, rounding_bound(v))
         assert len(tris) == n - 2
-        areas = [signed_area([v[a], v[b], v[c]]) for a, b, c in tris]
+        areas = [twice_area([v[a], v[b], v[c]]) for a, b, c in tris]
         assert min(areas) > 0
-        assert math.isclose(math.fsum(areas), signed_area(v), rel_tol=1e-12)
+        assert math.isclose(math.fsum(areas), twice_area(v), rel_tol=1e-12)
         # every polygon edge borders exactly one triangle
         edges = {(a, b) for t in tris for a, b in zip(t, t[1:] + t[:1])}
         assert len(edges) == 3 * (n - 2)
@@ -510,9 +574,9 @@ def test_near_flat_corner_leaves_the_triangulation_whole():
     assert -6e-9 < _turn(*v[666:669]) < -tol
     tris = visibility._triangulate(v, tol)
     assert len(tris) == n - 2
-    areas = [signed_area([v[a], v[b], v[c]]) for a, b, c in tris]
+    areas = [twice_area([v[a], v[b], v[c]]) for a, b, c in tris]
     assert min(areas) > 0
-    assert math.isclose(math.fsum(areas), signed_area(v), rel_tol=1e-12)
+    assert math.isclose(math.fsum(areas), twice_area(v), rel_tol=1e-12)
     vis = visibility_matrix(poly)
     for i in (666, 667, 668):
         assert vis[i] == _reference_row(poly, i)
@@ -520,7 +584,8 @@ def test_near_flat_corner_leaves_the_triangulation_whole():
 
 def test_chord_through_an_edge_band_is_marked_blocked():
     # the chord (2, 8) leaves this ring: the walk blocks it, and so does the
-    # exact reference, though its one midpoint lies within EPS of an edge
+    # exact reference, though its one midpoint lies within 1e-9, as a cross
+    # product, of edge 8
     ring = SimplePolygon(((0.21415359021526764, 0.4622371468970153),
                           (0.23620556384407182, 0.1948722365241953),
                           (0.04141973204569637, 0.9232193588940131),

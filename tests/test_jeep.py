@@ -490,6 +490,11 @@ def test_threshold_search_rejects_unknown_method():
 def test_graph_validation():
     with pytest.raises(ValueError):
         JeepGraph(2, ((1, 3, 1.0),))
+    # the target defaults to vertex n; an explicit -1 is out of range
+    assert JeepGraph(2, ((1, 2, 1.0),)).target == 2
+    for name in ("source", "target"):
+        with pytest.raises(ValueError, match=rf"^{name} -1 outside 1\.\.2$"):
+            JeepGraph(2, ((1, 2, 1.0),), **{name: -1})
     with pytest.raises(ValueError):
         JeepGraph(2, ((1, 2, 0.0),))
     with pytest.raises(ValueError):
