@@ -1,8 +1,8 @@
 """Exact solvers for tree vehicle routing, fuel caching and polygon paths.
 
 Public names load their submodule on first access (PEP 562), so a process
-that needs one solver does not import the others, nor numpy unless a DP
-passes its size gate in ``transopt.rows``.
+that needs one solver does not import the others, nor numpy unless an
+interval DP passes its size gate in ``transopt.rows``.
 """
 
 import importlib

@@ -29,7 +29,7 @@ import time
 import types  # loaded at interpreter start: SimpleNamespace costs nothing
 
 # Solver modules are imported inside the branches that run them, so a
-# process loads only the solver it needs, and numpy only past a rows gate.
+# process loads only the solver it needs, and numpy only past the rows gate.
 from .errors import BudgetUnreachableError, InfeasibleError, TransoptError
 from .tolerances import CHECK_EPS
 

@@ -329,6 +329,8 @@ def threshold_search(x, params, budget, schedule="multiplicative", ct=2,
         raise ValueError(f"unknown method {method!r}")
     if ct < (2 if schedule == "multiplicative" else 1):
         raise ValueError("refinement constant too small to make progress")
+    if not 0 <= k1 <= cap:
+        raise ValueError(f"k1 {k1} outside 0..{cap}")
     floor = continuous_optimum(x, params)
     if budget < floor * (1 - BUDGET_SLACK):
         raise BudgetUnreachableError(None, floor)

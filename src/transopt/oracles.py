@@ -23,8 +23,10 @@ def ovrp_brute(inst):
     an edge costs its length and starting a fresh vehicle teleports to the
     root for free while incrementing the count.
     """
-    tree, p = inst.tree, inst.p
+    tree = inst.tree
     n = tree.n
+    # a vehicle beyond one per leaf never helps
+    p = min(inst.p, tree.children[1:].count(()))
     if n > 12 or p > 4:
         raise SizeLimitError(f"ovrp_brute limited to n <= 12, p <= 4 (got {n}, {p})")
     root = tree.root

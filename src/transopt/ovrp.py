@@ -7,10 +7,9 @@ solvers of decreasing complexity are provided; all agree on the optimum.
 
 import math
 from collections import namedtuple
-from itertools import compress
+from itertools import accumulate, compress
 from operator import add, lt, sub
 
-from . import rows
 from .tree import euler_walk, leaf_ranges
 
 INF = math.inf
@@ -141,28 +140,28 @@ def solve_knapsack_v1(inst):
 
 
 def solve_knapsack_v2(inst):
-    """O(p^2 n) variant: at most one vehicle ever leaves a subtree.
+    """O(p n + p^2 leaves) variant: at most one vehicle ever leaves a subtree.
 
     ``cur[P_out][P_in]`` is the cheapest partial traversal of T(u) with P_in
     vehicles entering and P_out (0 or 1) of them leaving, merged child by
-    child.  Both engines form every candidate with the same IEEE additions,
-    so they give identical results.
+    child.  A leaf keeps ``base``; any other vertex starts from its first
+    child's running minimum, O(p), and merges each later child in O(p^2).
     """
     tree, p = inst.tree, _vehicle_bound(inst)
-    engine = _array_merge if rows.dp2_arrays(tree.n, p) else _list_merge
-    base, merge = engine(p)
+    base, first, merge = _merges(p)
     edge_len, children = tree.edge_len, tree.children
     table = {}
     for u in tree.post:
-        cur = base
-        for child in children[u]:
+        kids = children[u]
+        cur = first(table.pop(kids[0]), edge_len[kids[0]]) if kids else base
+        for child in kids[1:]:
             cur = merge(cur, table.pop(child), edge_len[child])
         table[u] = cur
     return float(min(table[tree.root][0][1:]))
 
 
-def _list_merge(p):
-    """(base, merge) on a pair of Python lists.
+def _merges(p):
+    """(base, first, merge) on pairs of Python lists.
 
     A child with edge length l costs ``t0[d] = k0[d] + d l`` when it takes d
     vehicles that all stay, and ``t1[d] = (k1[d] + d l) + l`` when one of
@@ -177,19 +176,31 @@ def _list_merge(p):
     with m = inf outside 0..p.  Each min runs over ``m`` reversed, sliced
     to start at d = s, against ``c`` from i = 0; ``map`` stops at the
     shorter of the two.  P_in = 0 is always inf: no vehicle enters.
+
+    ``first(child, l)`` is ``merge(base, child, l)``: both rows of ``base``
+    are 0.0 past i = 0, so ``new0[s] = min(m[0..s])`` and ``new1[s] =
+    min(m[0..s-1])``, one running minimum.  Adding 0.0 changes no ``m``
+    entry, since none is -0.0, so the two give the same floats.
     """
     base = ([INF] + [0.0] * p,) * 2
     pad = [INF]
     sizes = range(1, p + 1)
 
-    def merge(cur, child, l):
-        c0, c1 = cur
+    def consume(child, l):
         k0, k1 = child
         t0 = [x + d * l for d, x in enumerate(k0)]
         t1 = [(x + d * l) + l for d, x in enumerate(k1)]
         m = [y if y < x else x for x, y in zip(t0, t1[1:])]
         m.append(t0[p])
-        mr = m[::-1]  # mr[p - d] = m[d]
+        return m
+
+    def first(child, l):
+        low = list(accumulate(consume(child, l), min))
+        return [INF] + low[1:], [INF] + low[:-1]
+
+    def merge(cur, child, l):
+        c0, c1 = cur
+        mr = consume(child, l)[::-1]  # mr[p - d] = m[d]
         up, down = pad + mr, mr + pad  # m[d + 1] and m[d - 1] at p - d
         n0, n1 = [INF], [INF]
         for s in sizes:
@@ -202,49 +213,7 @@ def _list_merge(p):
             n1.append(y if y < x else x)
         return n0, n1
 
-    return base, merge
-
-
-def _array_merge(p):
-    """(base, merge) on 2 x (p+1) numpy arrays: one min-plus product over
-    both leave-states, through index arrays built once per solve.
-
-    ``g0`` and ``g1`` hold flat indices into a child's ``t`` (shape
-    2 x (p+1)).  Entry ``[o, i, o2, s]`` covers a partial traversal with
-    P_out = o and P_in = i before the merge and P_out = o2, P_in = s after
-    it.  The two indices name the child entries ``t[0, d]`` and
-    ``t[1, d + 1]`` of net vehicle consumption d; the merge pays the
-    smaller.  Index 0 is ``t[0, 0]``, which is always inf (no vehicle
-    enters), and pads every impossible combination.
-    """
-    import numpy as np
-    base = np.full((2, p + 1), INF)
-    base[:, 1:] = 0.0
-    ar = np.arange(p + 1)
-    i, s = ar[:, None], ar[None, :]
-    g0 = np.zeros((2, p + 1, 2, p + 1), dtype=np.intp)
-    g1 = np.zeros_like(g0)
-    for o, o2, d, d_lo in (
-            # the child consumes vehicles, the leave-state is unchanged
-            (0, 0, s - i, 0), (1, 1, s - i, 0),
-            # the leaving vehicle enters the child and stays there
-            (1, 0, s + 1 - i, 1),
-            # the leaving vehicle comes out of the child
-            (0, 1, s - 1 - i, 0)):
-        ok = (d >= d_lo) & (d <= p)
-        g0[o, :, o2, :] = np.where(ok, d, 0)
-        g1[o, :, o2, :] = np.where(ok & (d < p), p + 2 + d, 0)
-
-    def merge(cur, child, l):
-        # t[P'out, P'in] = child cost + edge crossings
-        t = child + ar * l
-        t[1] += l
-        cost = t.take(g0)
-        np.minimum(cost, t.take(g1), out=cost)
-        cost += cur[:, :, None, None]
-        return cost.min(axis=(0, 1))
-
-    return base, merge
+    return base, first, merge
 
 
 def _route(tree, order, end_leaf, covered, bounds=()):

@@ -1,24 +1,21 @@
-"""Row engines for the DPs that work a whole row of costs at a time, and the
-gates that pick one.
+"""Row engines for the interval DP, and the gate that picks one.
 
 The interval DP of ``hampath`` is written once against ``Rows``, a table
 of row operations; ``mul`` serves only the weighted curve, which multiplies
 its arcs by weights before the DP adds them.  ``LISTS`` applies each to
 Python lists element by element; ``arrays()`` applies the same IEEE
-operation to float64 numpy arrays, so both engines give identical results.  ``ovrp-dp2`` keeps its own list and array merges, because its
-gathered min-plus product is not a row operation, and asks ``dp2_arrays``.
+operation to float64 numpy arrays, so both engines give identical results.
 
 Importing numpy costs about 0.17 s, more than a small DP takes on lists, so
-each DP runs on lists below its gate and imports numpy only past it.  The
-gates were measured end to end on ``transopt`` processes (CHANGES.md); they
-are read at call time, so setting one flips an engine.
+the DP runs on lists below ``N_ARRAY`` vertices and imports numpy only from
+there up.  The gate was measured end to end on ``transopt`` processes
+(CHANGES.md); it is read at call time, so setting it flips the engine.
 """
 
 from collections import namedtuple
 from operator import add, lt, mul, sub
 
 N_ARRAY = 450  # interval DP: vertices
-DP2_ARRAY_WORK = 600_000  # ovrp-dp2: n (p + 1)^2
 
 Rows = namedtuple("Rows", "row out add sub mul cat minimum less")
 
@@ -54,8 +51,3 @@ def arrays():
 def interval(n):
     """The engine for an interval DP over n vertices."""
     return arrays() if n >= N_ARRAY else LISTS
-
-
-def dp2_arrays(n, p):
-    """True when ``ovrp-dp2`` on n vertices with p vehicles merges on numpy."""
-    return n * (p + 1) ** 2 >= DP2_ARRAY_WORK

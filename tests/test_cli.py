@@ -673,6 +673,15 @@ def test_ovrp_dp_vehicle_count_beyond_leaves(tmp_path, capsys, algo):
     assert lines[0]["objective"] == 5.0  # one vehicle per leaf: 2 + 3
 
 
+def test_ovrp_oracle_takes_p_past_the_leaf_count(tmp_path, capsys):
+    path = write(tmp_path, dict(STAR, edges=[[1, 2, 1], [1, 3, 1]], p=5))
+    code, lines = run(capsys, ["check", path])
+    assert code == 0 and len(lines) == 1
+    assert lines[0]["agreement"] is True and lines[0]["objective"] == 2.0
+    code, lines = run(capsys, ["oracle", path])
+    assert code == 0 and lines[0]["objective"] == 2.0
+
+
 CURVE = {"schema": "transopt-instance/1", "problem": "curve",
          "gaps": [1, 2, 3, 4], "weights": [1, 1, 1, 1]}
 
@@ -715,6 +724,16 @@ def test_jeep_unknown_mode_is_an_error(tmp_path, capsys, fields):
     assert code == 1 and len(lines) == 1
     assert lines[0]["status"] == "error"
     assert "unknown mode 'zzz'" in lines[0]["diagnostics"]["reason"]
+
+
+@pytest.mark.parametrize("k1", [2_000_000, -5], ids=["past-cap", "negative"])
+def test_threshold_k1_out_of_range_is_an_error(tmp_path, capsys, k1):
+    path = write(tmp_path, dict(JEEP, x=2.5, budget=100, k1=k1))
+    code, lines = run(capsys, ["solve", "--algo", "jeep-threshold", path])
+    assert code == 1 and len(lines) == 1
+    assert lines[0]["status"] == "error"
+    assert lines[0]["diagnostics"]["reason"] == \
+        f"k1 {k1} outside 0..{2 ** 20}"
 
 
 def test_threshold_unknown_method_is_an_error(tmp_path, capsys):

@@ -39,9 +39,18 @@ def test_ovrp_brute_size_limits():
     big = build_rooted_tree(13, [(1, i, 1) for i in range(2, 14)])
     with pytest.raises(SizeLimitError):
         ovrp_brute(OvrpInstance(big, 1))
-    small = build_rooted_tree(2, [(1, 2, 1)])
+    five_leaves = build_rooted_tree(6, [(1, i, 1) for i in range(2, 7)])
     with pytest.raises(SizeLimitError):
-        ovrp_brute(OvrpInstance(small, 5))
+        ovrp_brute(OvrpInstance(five_leaves, 5))
+
+
+def test_ovrp_brute_caps_p_at_the_leaf_count():
+    # a vehicle beyond one per leaf never helps, so p past the leaf count
+    # is not refused
+    one_leaf = build_rooted_tree(2, [(1, 2, 1)])
+    assert ovrp_brute(OvrpInstance(one_leaf, 5)) == 1.0
+    two_leaves = build_rooted_tree(3, [(1, 2, 1), (1, 3, 1)])
+    assert ovrp_brute(OvrpInstance(two_leaves, 5)) == 2.0
 
 
 def test_fuel_brute_chain():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from transopt import ovrp, rows
+from transopt import ovrp
 from transopt.oracles import ovrp_brute, single_vehicle_closed_form
 from transopt.ovrp import (
     OvrpInstance,
@@ -329,40 +329,47 @@ def test_each_walk_built_is_a_route_whole(monkeypatch, solve):
             assert walks == routes, (tr, p)
 
 
-def _per_dp2_engine(monkeypatch, inst):
-    """``solve_knapsack_v2(inst)`` once on the list merge and once on the
-    array merge, whatever the gate would pick for the instance."""
-    out = []
-    for gate in (math.inf, 0):
-        with monkeypatch.context() as m:
-            m.setattr(rows, "DP2_ARRAY_WORK", gate)
-            out.append(solve_knapsack_v2(inst))
-    return out
+def test_first_child_equals_a_merge_into_base():
+    # rows as the DP makes them: P_in = 0 inf, the rest nonnegative, finite
+    # or inf; 1e308 sums overflow to inf on both sides
+    rng = random.Random(34)
+    special = (0.0, 1e308, math.inf)
 
+    def entry():
+        if rng.random() < 0.3:
+            return rng.choice(special)
+        if rng.random() < 0.5:
+            return float(rng.randint(0, 50))
+        return rng.uniform(0, 50)
 
-def test_dp2_engine_gate():
-    work, p = rows.DP2_ARRAY_WORK, 10
-    below = work // (p + 1) ** 2
-    assert not rows.dp2_arrays(below, p)
-    assert rows.dp2_arrays(below + 1, p)
-    assert not rows.dp2_arrays(1, 1)
+    lengths = (0, 1, 3, 9, 0.0, -0.0, 0.5, 2.75, 1e308)
+    for p in range(1, 13):
+        base, first, merge = ovrp._merges(p)
+        for _ in range(200):
+            child = tuple([math.inf] + [entry() for _ in range(p)]
+                          for _ in range(2))
+            l = rng.choice(lengths) if rng.random() < 0.5 else rng.uniform(0, 9)
+            assert repr(first(child, l)) == repr(merge(base, child, l)), \
+                (p, child, l)
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["int", "real"])
-def test_list_and_array_dp2_engines_agree(monkeypatch, real):
+def test_dp2_agrees_with_interval_and_dp1(real):
+    def agree(inst, ref):
+        v2 = solve_knapsack_v2(inst)
+        assert type(v2) is float
+        assert v2 == ref if not real else _close(v2, ref), (inst, v2, ref)
+
     rng = random.Random(18 + real)
     for make in (deep_tree, bushy_tree, star_tree) * 12:
         tr = make(rng, rng.randint(1, 40), real)
         leaves = len(leaf_ranges(tr)[0])
         for p in range(1, leaves + 2):
-            lists, arrays = _per_dp2_engine(monkeypatch, OvrpInstance(tr, p))
-            assert lists == arrays, (tr, p)
-            assert type(lists) is float and type(arrays) is float
-    # trees just below and just past the gate at p = 10
-    below = rows.DP2_ARRAY_WORK // 121
-    for make, n in ((deep_tree, below), (bushy_tree, below + 1)):
+            inst = OvrpInstance(tr, p)
+            agree(inst, solve_leaf_interval(inst).total_cost)
+            if p <= 4:
+                agree(inst, solve_knapsack_v1(inst))
+    # trees of about 5000 vertices at p = 10, the benchmark's vehicle count
+    for make, n in ((deep_tree, 4958), (bushy_tree, 4959)):
         inst = OvrpInstance(make(rng, n, real), 10)
-        lists, arrays = _per_dp2_engine(monkeypatch, inst)
-        assert lists == arrays
-        if not real:
-            assert lists == solve_leaf_interval(inst).total_cost
+        agree(inst, solve_leaf_interval(inst).total_cost)
